@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .families import find_split_partition, power_path
+from .families import _validate_split, find_split_partition, power_path
 from .graph import (
     BudgetExceeded,
     Graph,
@@ -46,20 +46,23 @@ def lower_bound_log_omega(g: Graph, budget=None) -> int:
 
 
 def split_lower_bound(g: Graph, part) -> int:
-    """ceil(log2 omega) + 2 for connected twin-free split graphs."""
-    from .families import _validate_split
+    """ceil(log2 omega) + 1 for connected twin-free split graphs.
 
+    Every clique vertex's closed neighborhood contains the clique K, so
+    its color set is a superset of C(K), the colors used on K.  Clique
+    vertices are pairwise adjacent non-twins, so these omega = |K| sets
+    are distinct, and a palette of k colors offers only 2^(k - |C(K)|)
+    supersets of C(K).  Hence k >= |C(K)| + ceil(log2 omega) >=
+    ceil(log2 omega) + 1.  On twin-free graphs this never beats
+    lower_bound_log_omega, which bounds_report already lists.
+    """
     if part is None:
         raise GraphError("split lower bound needs a clique/stable partition")
     _validate_split(g, part, for_separator=True)
-    if g.n == 1:
-        # the lone vertex is the only split graph reaching omega = 1;
-        # the distinguishing argument behind the +2 has no pairs to feed
-        return 1
     omega = len(part.clique)
     if omega < 1:
         raise GraphError("split lower bound needs a nonempty clique part")
-    return max(omega - 1, 0).bit_length() + 2
+    return (omega - 1).bit_length() + 1
 
 
 def _all_components_cliques(g: Graph) -> bool:
@@ -110,8 +113,8 @@ def bounds_report(g: Graph, *, split_part=None, budget=None, gamma_budget=None) 
     default budget), 3 for bipartite graphs of order >= 3, omega + 2
     for connected twin-free split graphs, and the quotient's best upper
     bound when twins exist.  Lower bounds: the quotient-clique log
-    bound, the one-color rule (clique unions are exactly the 1-graphs),
-    the impossibility of 2, and the split log bound.  A bound whose
+    bound, the one-color rule (clique unions are exactly the 1-graphs)
+    and the impossibility of 2.  A bound whose
     computation busts its budget is skipped with a note, never fatal.
     """
     if g.n == 0:
@@ -152,7 +155,7 @@ def bounds_report(g: Graph, *, split_part=None, budget=None, gamma_budget=None) 
         part = find_split_partition(g)
     if part is not None and g.is_connected() and twin_free:
         try:
-            lowers.append((split_lower_bound(g, part), "split-log-omega-plus-2"))
+            _validate_split(g, part, for_separator=True)
             uppers.append((len(part.clique) + 2, "split-omega-plus-2"))
         except GraphError:
             notes.append("split bounds skipped: partition failed validation")

@@ -15,12 +15,11 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import bounds as bounds_mod
 from . import families, io, solvers
-from .coloring import (
+from .coloring import (  # noqa: F401  (verifiers are looked up by name)
     Coloring,
     ColoringError,
     verify_id,
@@ -35,6 +34,7 @@ from .graph import (
     GraphError,
     bipartition,
     bits,
+    edge_mask,
     graph_from_edge_mask,
     is_twin_free,
     max_clique_size,
@@ -60,46 +60,9 @@ def _env_node_budget() -> int:
     return value
 
 
-@dataclass
-class ExperimentConfig:
-    """Everything one invocation needs; built by main(), consumed by cli_dispatch()."""
-
-    command: str
-    input_path: str | None = None
-    graph_format: str = "auto"
-    parameter: str = "rlid"
-    k: int | None = None
-    mode: str = "rlid"
-    certificate_path: str | None = None
-    family: str | None = None
-    size: int | None = None
-    action: str = "gadget"
-    clique: str | None = None
-    node_budget: int = solvers.DEFAULT_NODE_BUDGET
-    time_budget_ms: float | None = None
-    search_two: bool = False
-    seed: int = 0
-    count: int = 20
-    min_n: int = 1
-    max_n: int = 6
-    clique_size: int = 6
-    stable_size: int = 6
-    edge_prob: float = 0.5
-    up_to_iso: bool = False
-    params: tuple = ("rlid",)
-    assertion: str | None = None
-    jobs: int = 1
-    output: str = "plain"
-    out_path: str | None = None
-    strict: bool = True
-
-
 # -- assertion mini-grammar ---------------------------------------------
 
-_SWEEP_PARAMS = (
-    "n", "m", "t", "omega", "chromatic", "rlid", "lid", "id",
-    "gammaid", "quotient_rlid",
-)
+_SWEEP_PARAMS = ("n", "m", "t", "omega", *solvers.PARAMETERS, "gammaid", "quotient_rlid")
 _CMP = {
     "<=": operator.le, ">=": operator.ge, "==": operator.eq,
     "!=": operator.ne, "<": operator.lt, ">": operator.gt,
@@ -162,8 +125,8 @@ def parse_assertion(expr: str):
 # -- shared helpers -----------------------------------------------------
 
 
-def _budget(cfg: ExperimentConfig) -> solvers.Budget:
-    return solvers.Budget(max_nodes=cfg.node_budget, time_budget_ms=cfg.time_budget_ms)
+def _budget(args) -> solvers.Budget:
+    return solvers.Budget(max_nodes=args.node_budget, time_budget_ms=args.time_budget_ms)
 
 
 def _sniff_format(text: str) -> str:
@@ -178,36 +141,43 @@ def _sniff_format(text: str) -> str:
     return "edgelist"
 
 
-def _load_graph(cfg: ExperimentConfig) -> Graph:
-    if cfg.input_path is None:
+def _load_graph(args) -> Graph:
+    if args.input_path is None:
         raise UsageError("this command needs --input")
-    if cfg.input_path == "-":
+    if args.input_path == "-":
         text = sys.stdin.read()
     else:
-        with open(cfg.input_path, "r", encoding="utf-8") as fh:
+        with open(args.input_path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    fmt = cfg.graph_format if cfg.graph_format != "auto" else _sniff_format(text)
-    return io.parse_graph_text(text, fmt, cfg.strict)
+    fmt = args.graph_format if args.graph_format != "auto" else _sniff_format(text)
+    return io.parse_graph_text(text, fmt, args.strict)
 
 
-def _emit_bytes(data: bytes, cfg: ExperimentConfig):
-    if cfg.out_path:
-        with open(cfg.out_path, "wb") as fh:
+def _emit_bytes(data: bytes, args):
+    """The one writer of results: the --out file, else stdout."""
+    if args.out_path:
+        with open(args.out_path, "wb") as fh:
             fh.write(data)
     else:
         sys.stdout.write(data.decode())
 
 
-def _emit_coloring(c: Coloring, cfg: ExperimentConfig, g: Graph | None = None):
-    if cfg.output == "json":
-        _emit_bytes(io.write_result(c, "json"), cfg)
-    elif cfg.output == "dot" and g is not None:
-        _emit_bytes(io.export_dot(g, c), cfg)
+def _emit_lines(lines, args):
+    _emit_bytes("".join(line + "\n" for line in lines).encode(), args)
+
+
+def _emit_coloring(c: Coloring, args, g: Graph, comments=()):
+    """Emit a coloring; ``comments`` become "#" header lines in plain output."""
+    if args.output == "json":
+        _emit_bytes(io.write_result(c, "json"), args)
+    elif args.output == "dot":
+        _emit_bytes(io.export_dot(g, c), args)
     else:
-        _emit_bytes("".join("%d %d\n" % (v, k) for v, k in enumerate(c.colors)).encode(), cfg)
+        header = ["# " + line for line in comments] if args.output == "plain" else []
+        _emit_lines(header + ["%d %d" % (v, k) for v, k in enumerate(c.colors)], args)
 
 
-def _print_solve_plain(res: solvers.SolveResult, cfg: ExperimentConfig):
+def _print_solve_plain(res: solvers.SolveResult, args):
     lines = []
     if res.status == "exact":
         lines.append("%s = %d" % (res.parameter, res.value))
@@ -218,145 +188,130 @@ def _print_solve_plain(res: solvers.SolveResult, cfg: ExperimentConfig):
         lines += ["%d %d" % (v, k) for v, k in enumerate(res.witness.colors)]
     elif isinstance(res.witness, frozenset):
         lines.append(" ".join(str(v) for v in sorted(res.witness)))
-    _emit_bytes(("\n".join(lines) + "\n").encode(), cfg)
+    _emit_lines(lines, args)
 
 
 # -- command handlers ---------------------------------------------------
+#
+# Each handler takes the argparse namespace of its subcommand and
+# returns the exit code.  Parameter names, their deciders and their
+# verifiers come from solvers.PARAMETERS.
 
 
-def _cmd_solve(cfg: ExperimentConfig) -> int:
-    g = _load_graph(cfg)
-    parameter = "chromatic" if cfg.parameter == "proper" else cfg.parameter
-    if parameter == "gammaid":
-        res = solvers.gamma_id_exact(g, _budget(cfg))
-    elif parameter in ("rlid", "lid", "id", "chromatic"):
-        res = solvers.chi_exact(g, parameter, _budget(cfg), search_two=cfg.search_two)
+def _cmd_solve(args) -> int:
+    g = _load_graph(args)
+    if args.parameter == "gammaid":
+        res = solvers.gamma_id_exact(g, _budget(args))
     else:
-        raise UsageError("unknown parameter %r" % (cfg.parameter,))
-    if cfg.output in ("json", "tsv"):
-        _emit_bytes(io.write_result(res, cfg.output), cfg)
+        res = solvers.chi_exact(g, args.parameter, _budget(args), search_two=args.search_two)
+    if args.output in ("json", "tsv"):
+        _emit_bytes(io.write_result(res, args.output), args)
     else:
-        _print_solve_plain(res, cfg)
+        _print_solve_plain(res, args)
     return 3 if res.status == "budget-exceeded" else 0
 
 
-def _cmd_decide(cfg: ExperimentConfig) -> int:
-    g = _load_graph(cfg)
-    if cfg.k is None or cfg.k < 0:
+def _cmd_decide(args) -> int:
+    g = _load_graph(args)
+    if args.k < 0:
         raise UsageError("decide needs --k >= 0")
-    deciders = {
-        "rlid": solvers.decide_k_rlid,
-        "lid": solvers.decide_k_lid,
-        "id": solvers.decide_k_id,
-        "chromatic": solvers.decide_k_proper,
-        "proper": solvers.decide_k_proper,
-    }
-    if cfg.parameter not in deciders:
-        raise UsageError("unknown parameter %r" % (cfg.parameter,))
-    found = deciders[cfg.parameter](g, cfg.k, _budget(cfg))
+    decide = getattr(solvers, solvers.PARAMETERS[args.parameter].decider)
+    found = decide(g, args.k, _budget(args))
     if found is None:
-        print("no %s coloring with %d colors" % (cfg.parameter, cfg.k))
+        _emit_lines(["no %s coloring with %d colors" % (args.parameter, args.k)], args)
         return 1
-    _emit_coloring(found, cfg, g)
+    _emit_coloring(found, args, g)
     return 0
 
 
-def _cmd_verify(cfg: ExperimentConfig) -> int:
-    g = _load_graph(cfg)
-    if cfg.certificate_path is None:
-        raise UsageError("verify needs --certificate")
-    if cfg.mode == "code":
-        code = io.parse_vertex_set_file(cfg.certificate_path, g.n)
+def _cmd_verify(args) -> int:
+    g = _load_graph(args)
+    if args.mode == "code":
+        code = io.parse_vertex_set_file(args.certificate_path, g.n)
         report = verify_identifying_code(g, code)
     else:
-        verifiers = {
-            "rlid": verify_rlid, "lid": verify_lid,
-            "id": verify_id, "proper": verify_proper,
-        }
-        if cfg.mode not in verifiers:
-            raise UsageError("unknown verification mode %r" % (cfg.mode,))
-        c = io.parse_coloring_file(cfg.certificate_path, g.n)
-        report = verifiers[cfg.mode](g, c)
-    if cfg.output in ("json", "tsv"):
-        _emit_bytes(io.write_result(report, cfg.output), cfg)
+        c = io.parse_coloring_file(args.certificate_path, g.n)
+        # this module's attribute, read at call time, so patching it here works
+        report = globals()[solvers.PARAMETERS[args.mode].verifier](g, c)
+    if args.output in ("json", "tsv"):
+        _emit_bytes(io.write_result(report, args.output), args)
     else:
-        print("%s: %s" % (report.mode, "valid" if report.valid else "invalid"))
+        lines = ["%s: %s" % (report.mode, "valid" if report.valid else "invalid")]
         for x in report.violations:
             rel = "adjacent" if x.adjacent else "non-adjacent"
-            print("  %s pair (%d, %d): %s" % (rel, x.u, x.v, x.kind))
+            lines.append("  %s pair (%d, %d): %s" % (rel, x.u, x.v, x.kind))
+        _emit_lines(lines, args)
     return 0 if report.valid else 1
 
 
-def _cmd_bounds(cfg: ExperimentConfig) -> int:
-    g = _load_graph(cfg)
-    report = bounds_mod.bounds_report(g, budget=_budget(cfg))
-    if cfg.output in ("json", "tsv"):
-        _emit_bytes(io.write_result(report, cfg.output), cfg)
+def _cmd_bounds(args) -> int:
+    g = _load_graph(args)
+    report = bounds_mod.bounds_report(g, budget=_budget(args))
+    if args.output in ("json", "tsv"):
+        _emit_bytes(io.write_result(report, args.output), args)
         return 0
-    for value, prov in report.lower_bounds:
-        print("lower %d  (%s)" % (value, prov))
-    for value, prov in report.upper_bounds:
-        print("upper %d  (%s)" % (value, prov))
-    print("best: %d..%d%s" % (
+    lines = ["lower %d  (%s)" % bound for bound in report.lower_bounds]
+    lines += ["upper %d  (%s)" % bound for bound in report.upper_bounds]
+    lines.append("best: %d..%d%s" % (
         report.best_lower, report.best_upper,
         "  exact=%d" % report.exact if report.exact is not None else "",
     ))
-    for note in report.notes:
-        print("note: %s" % note)
+    lines += ["note: %s" % note for note in report.notes]
+    _emit_lines(lines, args)
     return 0
 
 
-def _cmd_quotient(cfg: ExperimentConfig) -> int:
-    g = _load_graph(cfg)
+def _cmd_quotient(args) -> int:
+    g = _load_graph(args)
     q, part = quotient(g)
-    if cfg.output == "dot":
-        _emit_bytes(io.export_dot(q), cfg)
+    if args.output == "dot":
+        _emit_bytes(io.export_dot(q), args)
         return 0
     comments = ["twin classes with >= 2 members: %d" % part.t]
     comments += [
         "class %d: %s" % (i, " ".join(map(str, cls)))
         for i, cls in enumerate(part.classes)
     ]
-    _emit_bytes(io.write_graph_edgelist(q, comments), cfg)
+    _emit_bytes(io.write_graph_edgelist(q, comments), args)
     return 0
 
 
 _FAMILIES = ("star", "power-path", "hp", "q1", "q2", "prop1", "gstar")
 
 
-def _make_family(cfg: ExperimentConfig):
-    if cfg.family == "gstar":
-        return families.g_star(_load_graph(cfg))
-    if cfg.size is None:
-        raise UsageError("construct needs --size for family %r" % (cfg.family,))
-    p = cfg.size
-    if cfg.family == "star":
+def _make_family(args):
+    if args.family == "gstar":
+        return families.g_star(_load_graph(args))
+    if args.size is None:
+        raise UsageError("construct needs --size for family %r" % (args.family,))
+    p = args.size
+    if args.family == "star":
         return families.star(p)
-    if cfg.family == "power-path":
+    if args.family == "power-path":
         g = families.power_path(p)
         return families.FamilyInstance(g, None, None, None, dict(enumerate(g.labels)))
-    if cfg.family == "hp":
+    if args.family == "hp":
         return families.h_p(p)
-    if cfg.family == "q1":
+    if args.family == "q1":
         return families.q1(p)
-    if cfg.family == "q2":
+    if args.family == "q2":
         return families.q2(p)
-    if cfg.family == "prop1":
+    if args.family == "prop1":
         return families.prop1_graph(p)
-    raise UsageError("unknown family %r (choose from %s)" % (cfg.family, ", ".join(_FAMILIES)))
+    raise UsageError("unknown family %r (choose from %s)" % (args.family, ", ".join(_FAMILIES)))
 
 
-def _cmd_construct(cfg: ExperimentConfig) -> int:
-    inst = _make_family(cfg)
+def _cmd_construct(args) -> int:
+    inst = _make_family(args)
     g = inst.graph
-    if cfg.output == "dot":
-        _emit_bytes(io.export_dot(g, inst.canonical_coloring), cfg)
+    if args.output == "dot":
+        _emit_bytes(io.export_dot(g, inst.canonical_coloring), args)
         return 0
-    if cfg.output == "json":
+    if args.output == "json":
         import json
 
         obj = {
-            "family": cfg.family,
+            "family": args.family,
             "n": g.n,
             "edges": [[u, v] for u, v in g.edges()],
             "roles": {str(v): r for v, r in inst.roles.items()},
@@ -364,9 +319,9 @@ def _cmd_construct(cfg: ExperimentConfig) -> int:
             "coloring": None if inst.canonical_coloring is None
                         else [[v, c] for v, c in enumerate(inst.canonical_coloring.colors)],
         }
-        _emit_bytes((json.dumps(obj, sort_keys=True, indent=2) + "\n").encode(), cfg)
+        _emit_bytes((json.dumps(obj, sort_keys=True, indent=2) + "\n").encode(), args)
         return 0
-    comments = ["family %s  order %d" % (cfg.family, g.n)]
+    comments = ["family %s  order %d" % (args.family, g.n)]
     if inst.expected_chi_rlid is not None:
         comments.append("expected rlid chromatic number: %d" % inst.expected_chi_rlid)
     for v in range(g.n):
@@ -374,16 +329,14 @@ def _cmd_construct(cfg: ExperimentConfig) -> int:
         if inst.canonical_coloring is not None:
             parts.append("color=%d" % inst.canonical_coloring.colors[v])
         comments.append("  ".join(parts))
-    _emit_bytes(io.write_graph_edgelist(g, comments), cfg)
+    _emit_bytes(io.write_graph_edgelist(g, comments), args)
     return 0
 
 
-def _cmd_color_bipartite(cfg: ExperimentConfig) -> int:
-    g = _load_graph(cfg)
+def _cmd_color_bipartite(args) -> int:
+    g = _load_graph(args)
     c, levels = families.bipartite_three_coloring(g)
-    if cfg.output == "plain":
-        print("# root %d, %d levels" % (levels.root, len(levels.levels)))
-    _emit_coloring(c, cfg, g)
+    _emit_coloring(c, args, g, ["root %d, %d levels" % (levels.root, len(levels.levels))])
     return 0
 
 
@@ -397,10 +350,10 @@ def _parse_vertex_list(text: str, n: int) -> frozenset:
     return chosen
 
 
-def _cmd_color_split(cfg: ExperimentConfig) -> int:
-    g = _load_graph(cfg)
-    if cfg.clique is not None:
-        clique = _parse_vertex_list(cfg.clique, g.n)
+def _cmd_color_split(args) -> int:
+    g = _load_graph(args)
+    if args.clique is not None:
+        clique = _parse_vertex_list(args.clique, g.n)
         part = families.SplitPartition(clique, frozenset(range(g.n)) - clique)
     else:
         part = families.find_split_partition(g)
@@ -408,35 +361,36 @@ def _cmd_color_split(cfg: ExperimentConfig) -> int:
             print("no clique/stable partition exists", file=sys.stderr)
             return 1
     c = families.split_rlid_coloring(g, part)
-    if cfg.output == "plain":
+    comments = ()
+    if args.output == "plain":
         sep = families.split_separator(g, part)
-        print("# clique %s" % " ".join(map(str, sorted(part.clique))))
-        print("# separator %s" % " ".join(map(str, sorted(sep))))
-    _emit_coloring(c, cfg, g)
+        comments = ["clique %s" % " ".join(map(str, sorted(part.clique))),
+                    "separator %s" % " ".join(map(str, sorted(sep)))]
+    _emit_coloring(c, args, g, comments)
     return 0
 
 
-def _cmd_reduce(cfg: ExperimentConfig) -> int:
-    g = _load_graph(cfg)
+def _cmd_reduce(args) -> int:
+    g = _load_graph(args)
     inst = families.g_star(g)
-    if cfg.action == "gadget":
+    if args.action == "gadget":
         comments = ["gadget of a %d-vertex input, order %d" % (g.n, inst.graph.n)]
         comments += ["vertex %d  role=%s" % (v, inst.roles[v]) for v in range(inst.graph.n)]
-        _emit_bytes(io.write_graph_edgelist(inst.graph, comments), cfg)
+        _emit_bytes(io.write_graph_edgelist(inst.graph, comments), args)
         return 0
-    if cfg.certificate_path is None:
-        raise UsageError("reduce --action %s needs --certificate" % cfg.action)
-    if cfg.action == "lift":
-        if cfg.k is None:
+    if args.certificate_path is None:
+        raise UsageError("reduce --action %s needs --certificate" % args.action)
+    if args.action == "lift":
+        if args.k is None:
             raise UsageError("reduce --action lift needs --k")
-        base = io.parse_coloring_file(cfg.certificate_path, g.n)
-        _emit_coloring(families.lift_coloring_gstar(g, base, cfg.k, inst), cfg, inst.graph)
+        base = io.parse_coloring_file(args.certificate_path, g.n)
+        _emit_coloring(families.lift_coloring_gstar(g, base, args.k, inst), args, inst.graph)
         return 0
-    if cfg.action == "project":
-        gadget_col = io.parse_coloring_file(cfg.certificate_path, inst.graph.n)
-        _emit_coloring(families.project_coloring_gstar(inst, gadget_col), cfg, g)
+    if args.action == "project":
+        gadget_col = io.parse_coloring_file(args.certificate_path, inst.graph.n)
+        _emit_coloring(families.project_coloring_gstar(inst, gadget_col), args, g)
         return 0
-    raise UsageError("unknown reduce action %r" % (cfg.action,))
+    raise UsageError("unknown reduce action %r" % (args.action,))
 
 
 # -- sweep --------------------------------------------------------------
@@ -460,44 +414,34 @@ def _random_twins_graph(seed: int) -> Graph:
     return g
 
 
-def _sweep_graphs(cfg: ExperimentConfig):
+_ENUMERATED_FAMILIES = {
+    "all": None,
+    "connected": Graph.is_connected,
+    "bipartite": lambda g: bipartition(g) is not None,
+    "twin-free": is_twin_free,
+    "split": lambda g: families.find_split_partition(g) is not None,
+}
+
+
+def _sweep_graphs(args):
     """Yield (family, index, graph) deterministically."""
-    fam = cfg.family or "connected"
-    if fam in ("all", "connected", "bipartite", "twin-free", "split"):
-        predicate = {
-            "all": None,
-            "connected": Graph.is_connected,
-            "bipartite": lambda g: bipartition(g) is not None,
-            "twin-free": is_twin_free,
-            "split": lambda g: families.find_split_partition(g) is not None,
-        }[fam]
-        index = 0
-        for order in range(cfg.min_n, cfg.max_n + 1):
-            for g in solvers.enumerate_graphs(order, predicate, up_to_iso=cfg.up_to_iso):
-                yield fam, index, g
-                index += 1
-    elif fam == "random-split":
-        for i in range(cfg.count):
+    fam = args.family
+    if fam == "random-split":
+        for i in range(args.count):
             g, _ = solvers.random_split_graph(
-                cfg.seed + i, cfg.clique_size, cfg.stable_size, cfg.edge_prob
+                args.seed + i, args.clique_size, args.stable_size, args.edge_prob
             )
             yield fam, i, g
     elif fam == "random-twins":
-        for i in range(cfg.count):
-            yield fam, i, _random_twins_graph(cfg.seed + i)
+        for i in range(args.count):
+            yield fam, i, _random_twins_graph(args.seed + i)
     else:
-        raise UsageError(
-            "unknown sweep family %r (all, connected, bipartite, twin-free, "
-            "split, random-split, random-twins)" % (fam,)
-        )
-
-
-def _edge_mask(g: Graph) -> int:
-    mask = 0
-    for i, (u, v) in enumerate(combinations(range(g.n), 2)):
-        if g.adj[u] >> v & 1:
-            mask |= 1 << i
-    return mask
+        predicate = _ENUMERATED_FAMILIES[fam]
+        index = 0
+        for order in range(args.min_n, args.max_n + 1):
+            for g in solvers.enumerate_graphs(order, predicate, up_to_iso=args.up_to_iso):
+                yield fam, index, g
+                index += 1
 
 
 def _sweep_row(task):
@@ -515,8 +459,10 @@ def _sweep_row(task):
                 row[name] = twin_partition(g).t
             elif name == "omega":
                 row[name] = max_clique_size(g)
-            elif name == "chromatic":
-                row[name] = solvers.chi_exact(g, "chromatic", solvers.Budget(node_budget)).value
+            elif name in solvers.PARAMETERS:
+                row[name] = solvers.chi_exact(
+                    g, name, solvers.Budget(node_budget), search_two=True
+                ).value
             elif name == "gammaid":
                 row[name] = solvers.gamma_id_exact(g, solvers.Budget(node_budget)).value
             elif name == "quotient_rlid":
@@ -524,34 +470,28 @@ def _sweep_row(task):
                 row[name] = solvers.chi_exact(
                     q, "rlid", solvers.Budget(node_budget), search_two=True
                 ).value
-            elif name in ("rlid", "lid", "id"):
-                row[name] = solvers.chi_exact(
-                    g, name, solvers.Budget(node_budget), search_two=True
-                ).value
-            else:
-                raise UsageError("unknown sweep parameter %r" % (name,))
         except (GraphError, BudgetExceeded):
             row[name] = None
     return fam, index, n, mask, row
 
 
-def _cmd_sweep(cfg: ExperimentConfig) -> int:
-    for name in cfg.params:
+def _cmd_sweep(args) -> int:
+    for name in args.params:
         if name not in _SWEEP_PARAMS:
             raise UsageError(
                 "unknown sweep parameter %r (allowed: %s)" % (name, ", ".join(_SWEEP_PARAMS))
             )
     check = None
-    names = tuple(cfg.params)
-    if cfg.assertion:
-        needed, check = parse_assertion(cfg.assertion)
+    names = tuple(args.params)
+    if args.assertion:
+        needed, check = parse_assertion(args.assertion)
         names += tuple(x for x in sorted(needed) if x not in names)
     tasks = [
-        (fam, index, g.n, _edge_mask(g), names, cfg.node_budget)
-        for fam, index, g in _sweep_graphs(cfg)
+        (fam, index, g.n, edge_mask(g), names, args.node_budget)
+        for fam, index, g in _sweep_graphs(args)
     ]
-    if cfg.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    if args.jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_row, tasks, chunksize=64))
     else:
         results = [_sweep_row(t) for t in tasks]
@@ -575,7 +515,7 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
                 failures += 1
             cells.append(verdict)
         out.append("\t".join(cells))
-    _emit_bytes(("\n".join(out) + "\n").encode(), cfg)
+    _emit_lines(out, args)
     print(
         "sweep: %d graphs, %d failures, %d skipped" % (len(results), failures, skipped),
         file=sys.stderr,
@@ -583,31 +523,10 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
     return 1 if failures else 0
 
 
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "decide": _cmd_decide,
-    "verify": _cmd_verify,
-    "bounds": _cmd_bounds,
-    "quotient": _cmd_quotient,
-    "construct": _cmd_construct,
-    "color-bipartite": _cmd_color_bipartite,
-    "color-split": _cmd_color_split,
-    "reduce": _cmd_reduce,
-    "sweep": _cmd_sweep,
-}
-
-
-def cli_dispatch(cfg: ExperimentConfig) -> int:
-    handler = _HANDLERS.get(cfg.command)
-    if handler is None:
-        raise UsageError("unknown command %r" % (cfg.command,))
-    return handler(cfg)
-
-
 # -- argument parsing ---------------------------------------------------
 
 
-def _add_io_args(sub, needs_input=True):
+def _add_io_args(sub, needs_input):
     if needs_input:
         sub.add_argument("--input", "-i", dest="input_path", required=False,
                          help="graph file; '-' reads stdin")
@@ -628,6 +547,15 @@ def _add_budget_args(sub):
     sub.add_argument("--time-budget-ms", type=float, default=None)
 
 
+def _command(sub, name, handler, help, *, needs_input=True, budget=False):
+    s = sub.add_parser(name, help=help)
+    s.set_defaults(handler=handler)
+    _add_io_args(s, needs_input)
+    if budget:
+        _add_budget_args(s)
+    return s
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rlid",
@@ -636,61 +564,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("solve", help="exact optimum of a coloring parameter")
-    _add_io_args(s)
-    _add_budget_args(s)
-    s.add_argument("--parameter", default="rlid",
-                   choices=("rlid", "lid", "id", "chromatic", "proper", "gammaid"))
+    s = _command(sub, "solve", _cmd_solve, "exact optimum of a coloring parameter", budget=True)
+    s.add_argument("--parameter", default="rlid", choices=(*solvers.PARAMETERS, "gammaid"))
     s.add_argument("--search-two", action="store_true",
                    help="also try two colors instead of citing the no-two-color rule")
 
-    s = sub.add_parser("decide", help="is there a valid coloring with k colors?")
-    _add_io_args(s)
-    _add_budget_args(s)
-    s.add_argument("--parameter", default="rlid",
-                   choices=("rlid", "lid", "id", "chromatic", "proper"))
+    s = _command(sub, "decide", _cmd_decide, "is there a valid coloring with k colors?",
+                 budget=True)
+    s.add_argument("--parameter", default="rlid", choices=tuple(solvers.PARAMETERS))
     s.add_argument("--k", type=int, required=True)
 
-    s = sub.add_parser("verify", help="check a coloring or code file")
-    _add_io_args(s)
-    s.add_argument("--mode", default="rlid", choices=("rlid", "lid", "id", "proper", "code"))
+    s = _command(sub, "verify", _cmd_verify, "check a coloring or code file")
+    s.add_argument("--mode", default="rlid", choices=(*solvers.PARAMETERS, "code"))
     s.add_argument("--certificate", dest="certificate_path", required=True,
                    help="coloring file ('vertex color' lines) or vertex set for --mode code")
 
-    s = sub.add_parser("bounds", help="cheap lower/upper bounds report")
-    _add_io_args(s)
-    _add_budget_args(s)
+    _command(sub, "bounds", _cmd_bounds, "cheap lower/upper bounds report", budget=True)
+    _command(sub, "quotient", _cmd_quotient, "collapse twin classes to representatives")
 
-    s = sub.add_parser("quotient", help="collapse twin classes to representatives")
-    _add_io_args(s)
-
-    s = sub.add_parser("construct", help="emit a named family instance")
-    _add_io_args(s, needs_input=True)
+    s = _command(sub, "construct", _cmd_construct, "emit a named family instance")
     s.add_argument("family", choices=_FAMILIES)
     s.add_argument("--size", "--p", "-p", type=int, default=None,
                    help="family size parameter (leaves, clique exponent, ...)")
-    s.add_argument("--dot", action="store_true", help="shorthand for --output dot")
+    s.add_argument("--dot", dest="output", action="store_const", const="dot",
+                   help="shorthand for --output dot")
 
-    s = sub.add_parser("color-bipartite", help="three-color a connected bipartite graph")
-    _add_io_args(s)
+    _command(sub, "color-bipartite", _cmd_color_bipartite,
+             "three-color a connected bipartite graph")
 
-    s = sub.add_parser("color-split", help="color a split graph within clique size + 2")
-    _add_io_args(s)
+    s = _command(sub, "color-split", _cmd_color_split,
+                 "color a split graph within clique size + 2")
     s.add_argument("--clique", default=None,
                    help="comma separated clique side; found exhaustively if omitted")
 
-    s = sub.add_parser("reduce", help="proper-coloring gadget: emit, lift, project")
-    _add_io_args(s)
+    s = _command(sub, "reduce", _cmd_reduce, "proper-coloring gadget: emit, lift, project")
     s.add_argument("--action", default="gadget", choices=("gadget", "lift", "project"))
     s.add_argument("--certificate", dest="certificate_path", default=None)
     s.add_argument("--k", type=int, default=None)
 
-    s = sub.add_parser("sweep", help="tabulate parameters over a graph family")
-    _add_io_args(s, needs_input=False)
-    _add_budget_args(s)
+    s = _command(sub, "sweep", _cmd_sweep, "tabulate parameters over a graph family",
+                 needs_input=False, budget=True)
     s.add_argument("--family", default="connected",
-                   choices=("all", "connected", "bipartite", "twin-free", "split",
-                            "random-split", "random-twins"))
+                   choices=(*_ENUMERATED_FAMILIES, "random-split", "random-twins"))
     s.add_argument("--min-n", type=int, default=1)
     s.add_argument("--max-n", type=int, default=6)
     s.add_argument("--count", type=int, default=20, help="draws for random families")
@@ -701,6 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--up-to-iso", action="store_true",
                    help="keep one representative per isomorphism class")
     s.add_argument("--params", default="rlid",
+                   type=lambda text: tuple(x for x in text.split(",") if x),
                    help="comma separated: %s" % ", ".join(_SWEEP_PARAMS))
     s.add_argument("--assert", dest="assertion", default=None,
                    help='per-graph check, e.g. "rlid <= omega + 2"')
@@ -709,26 +625,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig(command=ns.command)
-    for name, value in vars(ns).items():
-        if name == "params":
-            value = tuple(x for x in value.split(",") if x)
-        if name == "node_budget" and value is None:
-            value = _env_node_budget()
-        if value is not None and hasattr(cfg, name):
-            setattr(cfg, name, value)
-    if getattr(ns, "dot", False):
-        cfg.output = "dot"
-    return cfg
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(ns)
-        return cli_dispatch(cfg)
+        if "node_budget" in args and args.node_budget is None:
+            args.node_budget = _env_node_budget()
+        return args.handler(args)
     except BrokenPipeError:
         return 0
     except BudgetExceeded as exc:

@@ -9,6 +9,7 @@ distinct neighborhood color sets for all vertex pairs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .graph import Graph, GraphError, bits
@@ -26,7 +27,7 @@ class Coloring:
     def __init__(self, colors, palette=None):
         colors = tuple(colors)
         for v, c in enumerate(colors):
-            if not isinstance(c, int) or c < 1:
+            if not isinstance(c, int) or isinstance(c, bool) or c < 1:
                 raise ColoringError("vertex %d has non-positive color %r" % (v, c))
         top = max(colors, default=0)
         if palette is None:
@@ -111,7 +112,75 @@ def neighborhood_color_set(g: Graph, c: Coloring, v: int) -> frozenset:
     return frozenset(c.colors[w] for w in bits(g.closed[v]))
 
 
-# -- full-report verifiers ---------------------------------------------
+# -- verifiers ----------------------------------------------------------
+#
+# Each condition is written once, as a generator of its violations.
+# verify_X collects them all; is_X stops at the first one, so
+# is_X(g, c) == verify_X(g, c).valid holds by construction.
+
+
+def _report(mode: str, violations) -> VerificationReport:
+    bad = tuple(violations)
+    return VerificationReport(mode, not bad, bad)
+
+
+def _rlid_violations(g: Graph, c: Coloring):
+    _check_sizes(g, c)
+    sets = [_colorset_mask(g, c.colors, v) for v in range(g.n)]
+    for u, v in g.edges():
+        if sets[u] == sets[v] and g.closed[u] != g.closed[v]:
+            yield Violation(u, v, True, "colorset", frozenset(bits(sets[u])))
+
+
+def _proper_violations(g: Graph, c: Coloring):
+    _check_sizes(g, c)
+    colors = c.colors
+    for u, v in g.edges():
+        if colors[u] == colors[v]:
+            yield Violation(u, v, True, "proper", frozenset((colors[u],)))
+
+
+def _lid_violations(g: Graph, c: Coloring):
+    _check_sizes(g, c)
+    colors = c.colors
+    sets = [_colorset_mask(g, colors, v) for v in range(g.n)]
+    for u, v in g.edges():
+        if colors[u] == colors[v]:
+            yield Violation(u, v, True, "proper", frozenset((colors[u],)))
+        if g.closed[u] == g.closed[v]:
+            yield Violation(u, v, True, "twins", frozenset(bits(g.closed[u])))
+        elif sets[u] == sets[v]:
+            yield Violation(u, v, True, "colorset", frozenset(bits(sets[u])))
+
+
+def _id_violations(g: Graph, c: Coloring):
+    _check_sizes(g, c)
+    twins = False
+    for u, v in itertools.combinations(range(g.n), 2):
+        if g.closed[u] == g.closed[v]:
+            twins = True
+            yield Violation(u, v, g.has_edge(u, v), "twins", frozenset(bits(g.closed[u])))
+    if twins:
+        return
+    sets = [_colorset_mask(g, c.colors, v) for v in range(g.n)]
+    for u, v in itertools.combinations(range(g.n), 2):
+        if sets[u] == sets[v]:
+            yield Violation(u, v, g.has_edge(u, v), "colorset", frozenset(bits(sets[u])))
+
+
+def _code_violations(g: Graph, code):
+    code_mask = 0
+    for v in code:
+        if not 0 <= v < g.n:
+            raise GraphError("code vertex %d out of range" % v)
+        code_mask |= 1 << v
+    inter = [g.closed[v] & code_mask for v in range(g.n)]
+    for v in range(g.n):
+        if not inter[v]:
+            yield Violation(v, v, False, "undominated", frozenset())
+    for u, v in itertools.combinations(range(g.n), 2):
+        if inter[u] == inter[v]:
+            yield Violation(u, v, g.has_edge(u, v), "code-equal", frozenset(bits(inter[u])))
 
 
 def verify_rlid(g: Graph, c: Coloring) -> VerificationReport:
@@ -121,25 +190,11 @@ def verify_rlid(g: Graph, c: Coloring) -> VerificationReport:
     distinct closed-neighborhood color sets.  The report lists every
     offending pair.
     """
-    _check_sizes(g, c)
-    colors = c.colors
-    sets = [_colorset_mask(g, colors, v) for v in range(g.n)]
-    bad = []
-    for u, v in g.edges():
-        if g.closed[u] == g.closed[v]:
-            continue
-        if sets[u] == sets[v]:
-            bad.append(Violation(u, v, True, "colorset", frozenset(bits(sets[u]))))
-    return VerificationReport("rlid", not bad, tuple(bad))
+    return _report("rlid", _rlid_violations(g, c))
 
 
 def verify_proper(g: Graph, c: Coloring) -> VerificationReport:
-    _check_sizes(g, c)
-    bad = []
-    for u, v in g.edges():
-        if c.colors[u] == c.colors[v]:
-            bad.append(Violation(u, v, True, "proper", frozenset((c.colors[u],))))
-    return VerificationReport("proper", not bad, tuple(bad))
+    return _report("proper", _proper_violations(g, c))
 
 
 def verify_lid(g: Graph, c: Coloring) -> VerificationReport:
@@ -148,46 +203,16 @@ def verify_lid(g: Graph, c: Coloring) -> VerificationReport:
     Adjacent twins can never be separated, so they come back as
     structural "twins" violations rather than an exemption.
     """
-    _check_sizes(g, c)
-    colors = c.colors
-    sets = [_colorset_mask(g, colors, v) for v in range(g.n)]
-    bad = []
-    for u, v in g.edges():
-        if colors[u] == colors[v]:
-            bad.append(Violation(u, v, True, "proper", frozenset((colors[u],))))
-        if g.closed[u] == g.closed[v]:
-            bad.append(Violation(u, v, True, "twins", frozenset(bits(g.closed[u]))))
-        elif sets[u] == sets[v]:
-            bad.append(Violation(u, v, True, "colorset", frozenset(bits(sets[u]))))
-    return VerificationReport("lid", not bad, tuple(bad))
+    return _report("lid", _lid_violations(g, c))
 
 
 def verify_id(g: Graph, c: Coloring) -> VerificationReport:
     """Distinct neighborhood color sets for every vertex pair.
 
-    A graph with twins admits no such coloring; the twin pairs are
-    reported and the answer is immediately invalid.
+    A graph with twins admits no such coloring; only the twin pairs
+    are reported then.
     """
-    _check_sizes(g, c)
-    colors = c.colors
-    twins = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.closed[u] == g.closed[v]:
-                twins.append(
-                    Violation(u, v, g.has_edge(u, v), "twins", frozenset(bits(g.closed[u])))
-                )
-    if twins:
-        return VerificationReport("id", False, tuple(twins))
-    sets = [_colorset_mask(g, colors, v) for v in range(g.n)]
-    bad = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if sets[u] == sets[v]:
-                bad.append(
-                    Violation(u, v, g.has_edge(u, v), "colorset", frozenset(bits(sets[u])))
-                )
-    return VerificationReport("id", not bad, tuple(bad))
+    return _report("id", _id_violations(g, c))
 
 
 def verify_identifying_code(g: Graph, code) -> VerificationReport:
@@ -197,85 +222,25 @@ def verify_identifying_code(g: Graph, code) -> VerificationReport:
     for an empty intersection (u == v), "code-equal" for two vertices
     meeting the code identically.
     """
-    code_mask = 0
-    for v in code:
-        if not 0 <= v < g.n:
-            raise GraphError("code vertex %d out of range" % v)
-        code_mask |= 1 << v
-    inter = [g.closed[v] & code_mask for v in range(g.n)]
-    bad = []
-    for v in range(g.n):
-        if not inter[v]:
-            bad.append(Violation(v, v, False, "undominated", frozenset()))
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if inter[u] == inter[v]:
-                bad.append(
-                    Violation(u, v, g.has_edge(u, v), "code-equal", frozenset(bits(inter[u])))
-                )
-    return VerificationReport("id-code", not bad, tuple(bad))
-
-
-# -- fast boolean paths -------------------------------------------------
+    return _report("id-code", _code_violations(g, code))
 
 
 def is_rlid(g: Graph, c: Coloring) -> bool:
-    """Short-circuit boolean version of verify_rlid."""
-    _check_sizes(g, c)
-    colors = c.colors
-    sets = [_colorset_mask(g, colors, v) for v in range(g.n)]
-    for u in range(g.n):
-        au = g.adj[u] >> (u + 1) << (u + 1)
-        for v in bits(au):
-            if sets[u] == sets[v] and g.closed[u] != g.closed[v]:
-                return False
-    return True
+    """verify_rlid(g, c).valid, stopping at the first violation."""
+    return next(_rlid_violations(g, c), None) is None
 
 
 def is_proper(g: Graph, c: Coloring) -> bool:
-    _check_sizes(g, c)
-    for u in range(g.n):
-        au = g.adj[u] >> (u + 1) << (u + 1)
-        for v in bits(au):
-            if c.colors[u] == c.colors[v]:
-                return False
-    return True
+    return next(_proper_violations(g, c), None) is None
 
 
 def is_lid(g: Graph, c: Coloring) -> bool:
-    _check_sizes(g, c)
-    colors = c.colors
-    sets = [_colorset_mask(g, colors, v) for v in range(g.n)]
-    for u in range(g.n):
-        au = g.adj[u] >> (u + 1) << (u + 1)
-        for v in bits(au):
-            if colors[u] == colors[v]:
-                return False
-            if g.closed[u] == g.closed[v] or sets[u] == sets[v]:
-                return False
-    return True
+    return next(_lid_violations(g, c), None) is None
 
 
 def is_id(g: Graph, c: Coloring) -> bool:
-    _check_sizes(g, c)
-    sets = [_colorset_mask(g, c.colors, v) for v in range(g.n)]
-    for u in range(g.n):
-        if g.closed.count(g.closed[u]) > 1:
-            return False
-        for v in range(u + 1, g.n):
-            if sets[u] == sets[v]:
-                return False
-    return True
+    return next(_id_violations(g, c), None) is None
 
 
 def is_identifying_code(g: Graph, code) -> bool:
-    code_mask = 0
-    for v in code:
-        code_mask |= 1 << v
-    seen = {}
-    for v in range(g.n):
-        key = g.closed[v] & code_mask
-        if not key or key in seen:
-            return False
-        seen[key] = v
-    return True
+    return next(_code_violations(g, code), None) is None

@@ -200,6 +200,16 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
     return Graph.from_adj_masks(n, adj)
 
 
+def edge_mask(g: Graph) -> int:
+    """Inverse of graph_from_edge_mask: ``graph_from_edge_mask(g.n, edge_mask(g))``
+    rebuilds g without its labels."""
+    mask = 0
+    for i, (u, v) in enumerate(itertools.combinations(range(g.n), 2)):
+        if g.adj[u] >> v & 1:
+            mask |= 1 << i
+    return mask
+
+
 # -- twins and quotient -------------------------------------------------
 
 

@@ -57,7 +57,6 @@ def _parse_dimacs(text: str, strict: bool) -> Graph:
     n = None
     declared_m = None
     edges = []
-    edge_lines = 0
     for lineno, line in _significant_lines(text, ("c",)):
         fields = line.split()
         if fields[0] == "p":
@@ -84,22 +83,17 @@ def _parse_dimacs(text: str, strict: bool) -> Graph:
                 )
             if u == v:
                 raise ParseError("line %d: self-loop %r" % (lineno, line))
-            edge_lines += 1
             edges.append((u - 1, v - 1))
         else:
             raise ParseError("line %d: unrecognized line %r" % (lineno, line))
     if n is None:
         raise ParseError("no problem line found")
-    if strict and edge_lines != declared_m:
+    if strict and len(edges) != declared_m:
         raise ParseError(
             "edge count mismatch: header declares %d, found %d edge lines"
-            % (declared_m, edge_lines)
+            % (declared_m, len(edges))
         )
-    distinct = {(min(u, v), max(u, v)) for u, v in edges}
-    dupes = len(edges) - len(distinct)
-    if dupes:
-        log.warning("collapsed %d duplicate edge declarations", dupes)
-    return build_graph(n, sorted(distinct))
+    return _build_deduplicated(n, edges)
 
 
 def _parse_edgelist(text: str) -> Graph:
@@ -128,6 +122,10 @@ def _parse_edgelist(text: str) -> Graph:
         edges.append((u, v))
     if n is None:
         raise ParseError("empty graph file")
+    return _build_deduplicated(n, edges)
+
+
+def _build_deduplicated(n: int, edges) -> Graph:
     distinct = {(min(u, v), max(u, v)) for u, v in edges}
     dupes = len(edges) - len(distinct)
     if dupes:

@@ -30,7 +30,33 @@ from .graph import (
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
-_MODES = ("rlid", "lid", "id", "chromatic")
+
+@dataclass(frozen=True)
+class Parameter:
+    """One coloring parameter: its search mode, precondition and checkers.
+
+    ``name`` is the canonical name results report, ``mode`` the
+    _SearchPlan mode, and ``twin_free`` says chi_exact rejects inputs
+    with twins.  ``decider`` and ``verifier`` name the functions of
+    this module and of ``rlid.coloring``; callers look them up by name
+    at call time, so a wrapper installed on a module attribute sees
+    every call.
+    """
+
+    name: str
+    mode: str
+    twin_free: bool
+    decider: str
+    verifier: str
+
+
+PARAMETERS = {
+    "rlid": Parameter("rlid", "rlid", False, "decide_k_rlid", "verify_rlid"),
+    "lid": Parameter("lid", "lid", True, "decide_k_lid", "verify_lid"),
+    "id": Parameter("id", "id", True, "decide_k_id", "verify_id"),
+    "chromatic": Parameter("chromatic", "proper", False, "decide_k_proper", "verify_proper"),
+}
+PARAMETERS["proper"] = PARAMETERS["chromatic"]
 
 
 class Budget:
@@ -174,13 +200,12 @@ def _search(plan: _SearchPlan, k: int, budget: Budget):
     return list(col) if place(0, 0) else None
 
 
-def _decide(g: Graph, k: int, mode: str, budget) -> Coloring | None:
+def _decide(g: Graph, k: int, name: str, budget) -> Coloring | None:
     if k < 1:
         raise GraphError("color count must be at least 1, got %r" % (k,))
     if budget is None:
         budget = Budget()
-    plan = _SearchPlan(g, mode)
-    found = _search(plan, k, budget)
+    found = _search(_SearchPlan(g, PARAMETERS[name].mode), k, budget)
     if found is None:
         return None
     return Coloring(found, palette=max(found, default=0))
@@ -213,15 +238,7 @@ def decide_k_id(g: Graph, k: int, budget=None) -> Coloring | None:
 
 def decide_k_proper(g: Graph, k: int, budget=None) -> Coloring | None:
     """Ordinary proper k-colorability, same engine and determinism."""
-    return _decide(g, k, "proper", budget)
-
-
-_DECIDERS = {
-    "rlid": ("rlid", decide_k_rlid),
-    "lid": ("lid", decide_k_lid),
-    "id": ("id", decide_k_id),
-    "chromatic": ("proper", decide_k_proper),
-}
+    return _decide(g, k, "chromatic", budget)
 
 
 def chi_exact(g: Graph, parameter: str = "rlid", budget=None, *, search_two: bool = False) -> SolveResult:
@@ -233,18 +250,21 @@ def chi_exact(g: Graph, parameter: str = "rlid", budget=None, *, search_two: boo
     ``search_two=True`` to search it anyway, e.g. when auditing that
     very law.
     """
-    if parameter not in _DECIDERS:
-        raise GraphError("unknown parameter %r (expected one of %s)" % (parameter, ", ".join(_DECIDERS)))
-    if parameter in ("lid", "id") and not is_twin_free(g):
-        raise GraphError("graph has twins; %s-colorings do not exist" % parameter)
+    spec = PARAMETERS.get(parameter)
+    if spec is None:
+        raise GraphError(
+            "unknown parameter %r (expected one of %s)" % (parameter, ", ".join(PARAMETERS))
+        )
+    if spec.twin_free and not is_twin_free(g):
+        raise GraphError("graph has twins; %s-colorings do not exist" % spec.name)
+    parameter = spec.name
     if budget is None:
         budget = Budget()
     start = time.perf_counter()
     if g.n == 0:
         stats = SolveStats(0, 0.0)
         return SolveResult(parameter, 0, Coloring(()), "exact", stats)
-    mode = _DECIDERS[parameter][0]
-    plan = _SearchPlan(g, mode)
+    plan = _SearchPlan(g, spec.mode)
     ks = list(range(1, g.n + 1))
     if parameter == "rlid" and not search_two and g.n >= 2:
         ks.remove(2)
@@ -370,7 +390,7 @@ def random_split_graph(seed, clique_size: int, stable_size: int, edge_prob, *, t
         raise GraphError("both sides need at least one vertex")
     if not 0 <= float(edge_prob) <= 1:
         raise GraphError("edge probability %r outside [0, 1]" % (edge_prob,))
-    from .families import SplitPartition
+    from .families import SplitPartition, _maximalize_split
 
     rng = random.Random(seed)
     a, b = clique_size, stable_size
@@ -393,22 +413,9 @@ def random_split_graph(seed, clique_size: int, stable_size: int, edge_prob, *, t
         g = Graph.from_adj_masks(a + b, adj)
         if twin_free and not is_twin_free(g):
             continue
-        # stable vertices adjacent to the whole clique migrate across so
-        # the clique side comes out maximal, which the separator needs
-        kset = set(range(a))
-        sset = set(range(a, a + b))
-        moved = True
-        while moved:
-            moved = False
-            kmask = mask_of(kset)
-            for s in sorted(sset):
-                if g.adj[s] & kmask == kmask:
-                    kset.add(s)
-                    sset.remove(s)
-                    moved = True
-                    break
-        part = SplitPartition(frozenset(kset), frozenset(sset))
-        return g, part
+        # the separator needs a maximal clique side
+        part = SplitPartition(frozenset(range(a)), frozenset(range(a, a + b)))
+        return g, _maximalize_split(g, part)
     raise GraphError(
         "no twin-free draw in 10000 attempts for (%r, %d, %d, %r)"
         % (seed, clique_size, stable_size, edge_prob)

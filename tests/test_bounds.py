@@ -3,6 +3,7 @@
 import pytest
 
 from rlid import (
+    Coloring,
     GraphError,
     bounds_report,
     build_graph,
@@ -11,11 +12,13 @@ from rlid import (
     join,
     lower_bound_log_omega,
     split_lower_bound,
+    verify_rlid,
 )
 from rlid.families import find_split_partition, h_p, power_path, q1, q2
 from rlid.solvers import enumerate_graphs
 
 from _helpers import complete, cycle, path
+from _oracles import brute_is_rlid
 
 
 class TestLogOmegaLowerBound:
@@ -43,10 +46,10 @@ class TestBoundsReport:
 
     def test_q2_split_bounds_present(self):
         r = bounds_report(q2(3).graph)
-        assert (4, "split-log-omega-plus-2") in r.lower_bounds
         assert (5, "split-omega-plus-2") in r.upper_bounds
-        assert r.best_lower == 4
-        assert chi_exact(q2(3).graph, "rlid").value == 4
+        assert (3, "log-omega-quotient") in r.lower_bounds
+        assert r.best_lower == 3
+        assert r.best_lower <= chi_exact(q2(3).graph, "rlid").value == 4
 
     def test_k5_exact_one(self):
         r = bounds_report(complete(5))
@@ -88,16 +91,37 @@ class TestFullPaletteCharacterization:
             characterize_full_palette(build_graph(4, [(0, 1), (2, 3)]))
 
 
+# A connected twin-free split graph with clique {0..4} and chi_rlid = 4,
+# below the ceil(log2 omega) + 2 = 5 that the split bound once claimed.
+SPLIT_OMEGA5_EDGES = [
+    (0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (0, 8), (0, 10), (1, 2), (1, 3),
+    (1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (1, 10), (2, 3), (2, 4),
+    (2, 5), (2, 8), (2, 9), (3, 4), (4, 7), (4, 8), (4, 9), (4, 10),
+]
+SPLIT_OMEGA5_WITNESS = [1, 1, 1, 1, 1, 4, 4, 1, 1, 3, 2]
+
+
 class TestSplitLowerBound:
     @pytest.mark.parametrize(
         "inst,want",
-        [(q1(3), 4), (q2(3), 4), (q2(4), 4)],
+        [(q1(3), 3), (q2(3), 3), (q2(4), 3)],
         ids=["q1-3", "q2-3", "q2-4"],
     )
     def test_values(self, inst, want):
         part = find_split_partition(inst.graph)
         assert part is not None
         assert split_lower_bound(inst.graph, part) == want
+        assert want <= chi_exact(inst.graph, "rlid").value
+
+    def test_omega_five_graph_with_four_colors(self):
+        g = build_graph(11, SPLIT_OMEGA5_EDGES)
+        part = find_split_partition(g)
+        assert part is not None and part.clique == frozenset(range(5))
+        assert verify_rlid(g, Coloring(SPLIT_OMEGA5_WITNESS)).valid
+        assert brute_is_rlid(11, SPLIT_OMEGA5_EDGES, SPLIT_OMEGA5_WITNESS)
+        assert chi_exact(g, "rlid").value == 4
+        assert split_lower_bound(g, part) <= 4
+        assert bounds_report(g).best_lower <= 4
 
     def test_rejects_non_split_input(self):
         with pytest.raises(GraphError):

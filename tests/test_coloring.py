@@ -1,11 +1,18 @@
 """Coloring container and the five verification modes."""
 
+import itertools
+
 import pytest
 
 from rlid import (
     Coloring,
     ColoringError,
+    GraphError,
     build_graph,
+    is_id,
+    is_identifying_code,
+    is_lid,
+    is_proper,
     is_rlid,
     neighborhood_color_set,
     verify_id,
@@ -16,7 +23,14 @@ from rlid import (
 )
 
 from _helpers import complete, cycle, path, star_graph
-from _oracles import brute_is_id, brute_is_lid, brute_is_rlid
+from _oracles import (
+    all_labeled_graphs,
+    brute_is_id,
+    brute_is_id_code,
+    brute_is_lid,
+    brute_is_proper,
+    brute_is_rlid,
+)
 
 
 class TestColoringContainer:
@@ -29,8 +43,9 @@ class TestColoringContainer:
             Coloring([1, 3], palette=2)
 
     def test_non_positive_color_rejected(self):
-        with pytest.raises(ColoringError):
-            Coloring([1, 0, 2])
+        for colors in ([1, 0, 2], [True, 2]):
+            with pytest.raises(ColoringError):
+                Coloring(colors)
 
     def test_immutable_value_semantics(self):
         assert Coloring([1, 2]) == Coloring([1, 2])
@@ -51,6 +66,40 @@ class TestNeighborhoodColorSet:
         g = cycle(4)
         c = Coloring([1, 2, 1, 3])
         assert neighborhood_color_set(g, c, 0) == {1, 2, 3}
+
+    # Every condition is written once; the boolean and the report must
+    # agree with each other and with the independent brute force.
+    CONDITIONS = [
+        (is_proper, verify_proper, brute_is_proper),
+        (is_rlid, verify_rlid, brute_is_rlid),
+        (is_lid, verify_lid, brute_is_lid),
+        (is_id, verify_id, brute_is_id),
+    ]
+
+    @pytest.mark.parametrize("is_x,verify_x,brute", CONDITIONS, ids=["proper", "rlid", "lid", "id"])
+    def test_boolean_report_and_oracle_agree_up_to_order_four(self, is_x, verify_x, brute):
+        for n in range(5):
+            for edges in all_labeled_graphs(n):
+                g = build_graph(n, edges)
+                for colors in itertools.product(range(1, 4), repeat=n):
+                    c = Coloring(colors)
+                    want = brute(n, edges, list(colors))
+                    assert is_x(g, c) == verify_x(g, c).valid == want, (edges, colors)
+
+    def test_identifying_code_agrees_with_oracle_up_to_order_four(self):
+        for n in range(5):
+            for edges in all_labeled_graphs(n):
+                g = build_graph(n, edges)
+                for size in range(n + 1):
+                    for code in itertools.combinations(range(n), size):
+                        want = brute_is_id_code(n, edges, set(code))
+                        got = verify_identifying_code(g, code).valid
+                        assert is_identifying_code(g, code) == got == want, (edges, code)
+
+    @pytest.mark.parametrize("check", [is_identifying_code, verify_identifying_code])
+    def test_out_of_range_code_vertex_rejected(self, check):
+        with pytest.raises(GraphError):
+            check(path(3), [0, 1, 2, 7])
 
 
 class TestVerifyRlid:

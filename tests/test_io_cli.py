@@ -279,6 +279,28 @@ class TestCli:
         assert main(argv + ["--out", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["decide", "--k", "1"], 1),
+            (["color-bipartite"], 0),
+            (["color-split", "--clique", "1,2"], 0),
+            (["verify", "--certificate", "CERT"], 1),
+            (["bounds"], 0),
+        ],
+        ids=["decide", "color-bipartite", "color-split", "verify", "bounds"],
+    )
+    def test_out_file_gets_exactly_the_stdout_bytes(self, tmp_path, capsys, argv, code):
+        p = _write(tmp_path, "p4.txt", P4_EDGELIST)
+        cert = _write(tmp_path, "cert.txt", "0 1\n1 1\n2 2\n3 2\n")
+        argv = [cert if a == "CERT" else a for a in argv] + ["-i", p]
+        assert main(argv) == code
+        shown = capsys.readouterr().out
+        out = tmp_path / "result.txt"
+        assert main(argv + ["--out", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert shown and out.read_text() == shown
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = _write(tmp_path, "bad.txt", "nonsense\n")
         assert main(["solve", "-i", bad]) == 1

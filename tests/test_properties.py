@@ -22,7 +22,7 @@ from rlid import (
     write_graph_dimacs,
     write_graph_edgelist,
 )
-from rlid.graph import bits, is_isomorphic, join
+from rlid.graph import bits, edge_mask, is_isomorphic, join
 
 from _oracles import brute_is_clique_union, brute_is_rlid
 
@@ -146,6 +146,13 @@ class TestGraphInvariants:
         q2, part2 = quotient(q)
         assert part2.t == 0
         assert is_isomorphic(q, q2)
+
+    @PROPERTY_SETTINGS
+    @given(g=graph_with_planted_twins())
+    def test_edge_mask_round_trip(self, g):
+        mask = edge_mask(g)
+        assert graph_from_edge_mask(g.n, mask).adj == g.adj
+        assert edge_mask(graph_from_edge_mask(g.n, mask)) == mask
 
     @PROPERTY_SETTINGS
     @given(g=small_graph(max_n=5))
