@@ -151,7 +151,7 @@ def bounds_report(g: Graph, *, split_part=None, budget=None, gamma_budget=None) 
         uppers.append((3, "bipartite-3"))
 
     part = split_part
-    if part is None and g.n <= 12:
+    if part is None:
         part = find_split_partition(g)
     if part is not None and g.is_connected() and twin_free:
         try:

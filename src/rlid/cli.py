@@ -595,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = _command(sub, "color-split", _cmd_color_split,
                  "color a split graph within clique size + 2")
     s.add_argument("--clique", default=None,
-                   help="comma separated clique side; found exhaustively if omitted")
+                   help="comma separated clique side; found from the degree sequence if omitted")
 
     s = _command(sub, "reduce", _cmd_reduce, "proper-coloring gadget: emit, lift, project")
     s.add_argument("--action", default="gadget", choices=("gadget", "lift", "project"))

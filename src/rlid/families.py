@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .coloring import Coloring, ColoringError, is_proper, is_rlid, verify_rlid
 from .graph import (
@@ -70,11 +70,10 @@ class LevelDecomposition:
 
 @dataclass(frozen=True)
 class SplitPartition:
-    """Clique/stable bipartition of a split graph, optional separator."""
+    """Clique/stable bipartition of a split graph."""
 
     clique: frozenset
     stable: frozenset
-    separator: frozenset | None = None
 
 
 def _instance(g, colors, palette, expected, provenance, roles):
@@ -166,6 +165,13 @@ def h_p(p: int) -> FamilyInstance:
 # -- the subdivision gadget ---------------------------------------------
 
 
+def _check_gadget_input(g: Graph):
+    if g.n < 3:
+        raise GraphError("gadget needs order >= 3, got %d" % g.n)
+    if not g.is_connected():
+        raise GraphError("gadget input must be connected")
+
+
 def g_star(g: Graph) -> FamilyInstance:
     """Subdivide every edge into a path of length 3 and pend a leaf on
     every original vertex.
@@ -175,10 +181,7 @@ def g_star(g: Graph) -> FamilyInstance:
     first), pendants last.  For k >= 3 the result is k-rlid-colorable
     exactly when the input is properly k-colorable.
     """
-    if g.n < 3:
-        raise GraphError("gadget needs order >= 3, got %d" % g.n)
-    if not g.is_connected():
-        raise GraphError("gadget input must be connected")
+    _check_gadget_input(g)
     edges_in = g.edges()
     n = g.n
     sub0 = n
@@ -210,7 +213,8 @@ def lift_coloring_gstar(g: Graph, c: Coloring, k: int, inst: FamilyInstance | No
     Originals keep their color; the pendant of x copies the color of
     x's minimum-index neighbor; both subdivision vertices of an edge uv
     take the smallest color outside {c(u), c(v)} (k >= 3 guarantees one
-    exists).
+    exists).  The gadget's numbering follows from g alone, so ``inst``
+    (the gadget, if the caller has built it) is not read.
     """
     if k < 3:
         raise ColoringError("lift needs k >= 3, got %r" % (k,))
@@ -220,8 +224,7 @@ def lift_coloring_gstar(g: Graph, c: Coloring, k: int, inst: FamilyInstance | No
         raise ColoringError("coloring uses colors beyond %d" % k)
     if not is_proper(g, c):
         raise ColoringError("lift requires a proper coloring of the input")
-    if inst is None:
-        inst = g_star(g)
+    _check_gadget_input(g)
     edges_in = g.edges()
     n = g.n
     out = list(c.colors)
@@ -383,6 +386,9 @@ def prop1_graph(p: int) -> FamilyInstance:
 
 # -- bipartite constructive coloring ------------------------------------
 
+# (dead-end color, other color) for BFS level i, indexed by i % 4
+_LEVEL_COLORS = ((1, 1), (1, 2), (3, 3), (3, 2))
+
 
 def bipartite_three_coloring(g: Graph):
     """Three-color a connected bipartite graph via BFS levels.
@@ -433,25 +439,18 @@ def bipartite_three_coloring(g: Graph):
             frontier = nxt
         level_masks = [mask_of(lv) for lv in levels]
         a_sets, b_sets = [], []
+        colors = [0] * g.n
         for i, lv in enumerate(levels):
             deeper = level_masks[i + 1] if i + 1 < len(levels) else 0
             a = tuple(v for v in lv if not (g.adj[v] & deeper))
             b = tuple(v for v in lv if g.adj[v] & deeper)
             a_sets.append(a)
             b_sets.append(b)
-        colors = [0] * g.n
-        for i, lv in enumerate(levels):
-            r = i % 4
-            for v in lv:
-                dead_end = not (g.adj[v] & (level_masks[i + 1] if i + 1 < len(levels) else 0))
-                if r == 0:
-                    colors[v] = 1
-                elif r == 1:
-                    colors[v] = 1 if dead_end else 2
-                elif r == 2:
-                    colors[v] = 3
-                else:
-                    colors[v] = 3 if dead_end else 2
+            dead_end_color, other_color = _LEVEL_COLORS[i % 4]
+            for v in a:
+                colors[v] = dead_end_color
+            for v in b:
+                colors[v] = other_color
         decomp = LevelDecomposition(
             root, tuple(tuple(lv) for lv in levels), tuple(a_sets), tuple(b_sets)
         )
@@ -472,33 +471,23 @@ def bipartite_three_coloring(g: Graph):
 
 
 def find_split_partition(g: Graph) -> SplitPartition | None:
-    """Exhaustive split recognition; the clique part is maximized.
+    """Split recognition from the degree sequence in O(n log n)
+    (Hammer and Simeone, "The splittance of a graph", 1981).
 
-    Brute force over all vertex subsets, so the order is capped at 12.
-    Returns None when the graph is not split.
+    Sort the vertices by (-degree, index) and let m count the positions
+    i, from 0, whose degree d_i is at least i.  The graph is split
+    exactly when d_0 + ... + d_{m-1} = m(m - 1) + d_m + ... + d_{n-1},
+    and then the first m vertices form a maximum clique whose
+    complement is stable.  Degree ties go to the smaller index, so the
+    clique side is the first maximum one in subset-mask order.  Returns
+    None when the graph is not split.
     """
-    if g.n > 12:
-        raise GraphError("exhaustive split recognition is capped at order 12")
-    best = None
-    for mask in range(1 << g.n):
-        ok = True
-        for v in bits(mask):
-            if g.adj[v] & mask != mask ^ (1 << v):
-                ok = False
-                break
-        if not ok:
-            continue
-        rest = ((1 << g.n) - 1) ^ mask
-        for v in bits(rest):
-            if g.adj[v] & rest:
-                ok = False
-                break
-        if ok and (best is None or mask.bit_count() > best.bit_count()):
-            best = mask
-    if best is None:
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    deg = [g.degree(v) for v in order]
+    m = sum(1 for i, d in enumerate(deg) if d >= i)
+    if sum(deg[:m]) != m * (m - 1) + sum(deg[m:]):
         return None
-    stable = ((1 << g.n) - 1) ^ best
-    return SplitPartition(frozenset(bits(best)), frozenset(bits(stable)))
+    return SplitPartition(frozenset(order[:m]), frozenset(order[m:]))
 
 
 def _validate_split(g: Graph, part: SplitPartition, for_separator: bool):
@@ -563,144 +552,109 @@ def split_separator(g: Graph, part: SplitPartition) -> frozenset:
 
 
 def _maximalize_split(g: Graph, part: SplitPartition) -> SplitPartition:
-    """Move stable vertices that see the whole clique side across."""
-    kset = set(part.clique)
-    sset = set(part.stable)
-    moved = True
-    while moved:
-        moved = False
-        kmask = mask_of(kset)
-        for v in sorted(sset):
-            if g.adj[v] & kmask == kmask:
-                kset.add(v)
-                sset.remove(v)
-                moved = True
-                break
-    return SplitPartition(frozenset(kset), frozenset(sset), part.separator)
+    """Move the minimum-index stable vertex that sees the whole clique
+    side across, if there is one.
+
+    The stable side is independent, so no other stable vertex sees the
+    grown clique side: one pass is enough.
+    """
+    kmask = mask_of(part.clique)
+    for v in sorted(part.stable):
+        if g.adj[v] & kmask == kmask:
+            return SplitPartition(part.clique | {v}, part.stable - {v})
+    return part
+
+
+def _split_case_colors(g: Graph, part: SplitPartition) -> list:
+    """The case table on a connected twin-free split graph whose clique
+    side is maximal.
+
+    Separator vertices get 1..|S'| by index and every other vertex gets
+    e1 = |S'| + 1.  Each case then overrides at most a few vertices
+    with e2 = e1 + 1 or e3 = e1 + 2.  Let u be the first clique vertex
+    with no separator neighbor (at most one exists), A its stable
+    neighborhood, and K1 the clique vertices with exactly one separator
+    neighbor.  With u: A empty gives u -> e2; else y = the first K1
+    vertex touching A or, if there is none and |A| = 1, the first
+    clique vertex missing A's vertex gets e2 and u gets e3; otherwise
+    A[0] -> e2 and A[1:] -> e3.
+    Without u: x1 = K1[0] -> e2, and a clique vertex y missing x1's
+    separator neighbor, preferably one with two or more separator
+    neighbors, gets e3.
+    """
+    sep = split_separator(g, part)
+    adj = g.adj
+    sep_mask = mask_of(sep)
+    e1, e2, e3 = len(sep) + 1, len(sep) + 2, len(sep) + 3
+    colors = [e1] * g.n
+    for i, v in enumerate(sorted(sep), start=1):
+        colors[v] = i
+
+    clique = sorted(part.clique)
+    sep_count = {x: (adj[x] & sep_mask).bit_count() for x in clique}
+    k_one = [x for x in clique if sep_count[x] == 1]
+    no_sep = [x for x in clique if sep_count[x] == 0]
+    if no_sep:
+        u = no_sep[0]
+        a_mask = adj[u] & mask_of(part.stable)
+        a_list = sorted(bits(a_mask))
+        touching = [x for x in k_one if adj[x] & a_mask]
+        if not a_list:
+            colors[u] = e2
+        elif touching or len(a_list) == 1:
+            y = touching[0] if touching else min(
+                x for x in clique if not (adj[x] >> a_list[0] & 1)
+            )
+            colors[y] = e2
+            colors[u] = e3
+        else:
+            colors[a_list[0]] = e2
+            for v in a_list[1:]:
+                colors[v] = e3
+    elif k_one:
+        x1 = k_one[0]
+        s1_mask = adj[x1] & sep_mask
+        y_cands = [x for x in clique if sep_count[x] >= 2 and not (adj[x] & s1_mask)]
+        y_cands += [x for x in clique if x != x1 and not (adj[x] & s1_mask)]
+        colors[x1] = e2
+        if y_cands:
+            colors[y_cands[0]] = e3
+    return colors
 
 
 def split_rlid_coloring(g: Graph, part: SplitPartition) -> Coloring:
     """Color a connected split graph with at most omega + 2 colors,
     constructively.
 
-    A non-maximal clique side is first repaired by migrating stable
-    vertices that see all of it.  Twins, which then sit entirely inside
+    A non-maximal clique side is first repaired by migrating the stable
+    vertex that sees all of it.  Twins, which then sit entirely inside
     the clique side, are handled by coloring the quotient and copying
-    each class representative's color back.  In the twin-free core,
-    separator vertices get colors 1..|S'| by index and the remainder is
-    cased on: the at-most-one clique vertex u with no separator
-    neighbor, its stable neighborhood A, the clique vertices with
-    exactly one separator neighbor, and the leftovers, spending at most
-    three fresh colors.  The result is verified; on failure an exact
-    search with omega + 2 colors runs, and if that also failed a
+    each class representative's color back; a twin-free graph gets the
+    case table of _split_case_colors, which spends at most three colors
+    beyond the separator's.  The result is verified; on failure an
+    exact search with omega + 2 colors runs, and if that also failed a
     TheoremCounterexample is raised.
     """
     _validate_split(g, part, for_separator=False)
     part = _maximalize_split(g, part)
-    if not is_twin_free(g):
+    if is_twin_free(g):
+        colors = _split_case_colors(g, part)
+    else:
         q, tp = quotient(g)
-        reps = tp.representatives
-        new_of_old = {old: i for i, old in enumerate(reps)}
+        new_of_old = {old: i for i, old in enumerate(tp.representatives)}
         q_part = SplitPartition(
             frozenset(new_of_old[v] for v in part.clique if v in new_of_old),
             frozenset(new_of_old[v] for v in part.stable if v in new_of_old),
         )
-        q_coloring = split_rlid_coloring(q, q_part)
-        colors = [q_coloring.colors[new_of_old[tp.representative_map[v]]] for v in range(g.n)]
-        candidate = Coloring(colors, palette=q_coloring.palette)
-        if is_rlid(g, candidate):
-            return candidate
-        fallback = decide_k_rlid(g, len(part.clique) + 2)
-        if fallback is not None:
-            return fallback
-        raise TheoremCounterexample(
-            "connected split graph with no omega+2 coloring: edges=%r" % (g.edges(),)
-        )
-    sep = split_separator(g, part)
-    kmask, smask = _validate_split(g, part, for_separator=True)
-    adj = g.adj
-    sep_sorted = sorted(sep)
-    sep_mask = mask_of(sep)
-    colors = [0] * g.n
-    for i, v in enumerate(sep_sorted, start=1):
-        colors[v] = i
-    base = len(sep_sorted)
-    e1, e2, e3 = base + 1, base + 2, base + 3
-
-    clique = sorted(part.clique)
-    no_sep = [x for x in clique if not (adj[x] & sep_mask)]
-    u = no_sep[0] if no_sep else None
-    k_one = [x for x in clique if x != u and (adj[x] & sep_mask).bit_count() == 1]
-    k_more = [x for x in clique if x != u and (adj[x] & sep_mask).bit_count() >= 2]
-
-    if u is not None:
-        a_mask = adj[u] & smask
-        a_list = sorted(bits(a_mask))
-        b_list = [v for v in sorted(part.stable) if not (sep_mask >> v & 1) and not (a_mask >> v & 1)]
-        if not a_list:
-            for x in clique:
-                colors[x] = e1
-            for v in b_list:
-                colors[v] = e1
-            colors[u] = e2
-        else:
-            touching = [x for x in k_one if adj[x] & a_mask]
-            if touching:
-                y = touching[0]
-                for x in clique:
-                    colors[x] = e1
-                for v in a_list:
-                    colors[v] = e1
-                for v in b_list:
-                    colors[v] = e1
-                colors[y] = e2
-                colors[u] = e3
-            elif len(a_list) == 1:
-                v0 = a_list[0]
-                y = min(x for x in clique if not (adj[x] >> v0 & 1))
-                for x in clique:
-                    colors[x] = e1
-                for v in b_list:
-                    colors[v] = e1
-                colors[v0] = e1
-                colors[y] = e2
-                colors[u] = e3
-            else:
-                for x in clique:
-                    colors[x] = e1
-                for v in b_list:
-                    colors[v] = e1
-                w = a_list[0]
-                colors[w] = e2
-                for v in a_list[1:]:
-                    colors[v] = e3
-    else:
-        b_list = [v for v in sorted(part.stable) if not (sep_mask >> v & 1)]
-        for v in b_list:
-            colors[v] = e1
-        if not k_one:
-            for x in clique:
-                colors[x] = e1
-        else:
-            x1 = k_one[0]
-            s1 = next(iter(bits(adj[x1] & sep_mask)))
-            y_cands = [x for x in k_more if not (adj[x] >> s1 & 1)]
-            if not y_cands:
-                y_cands = [x for x in clique if x != x1 and not (adj[x] >> s1 & 1)]
-            for x in clique:
-                colors[x] = e1
-            colors[x1] = e2
-            if y_cands:
-                colors[y_cands[0]] = e3
-
-    candidate = Coloring(colors, palette=max(colors))
+        q_colors = split_rlid_coloring(q, q_part).colors
+        colors = [q_colors[new_of_old[tp.representative_map[v]]] for v in range(g.n)]
+    candidate = Coloring(colors)
     if is_rlid(g, candidate):
         return candidate
-    log.debug("case coloring failed on %r; falling back to exact search", g)
-    omega = len(part.clique)
-    fallback = decide_k_rlid(g, omega + 2)
+    log.debug("split coloring failed on %r; falling back to exact search", g)
+    fallback = decide_k_rlid(g, len(part.clique) + 2)
     if fallback is not None:
         return fallback
     raise TheoremCounterexample(
-        "connected twin-free split graph with no omega+2 coloring: edges=%r" % (g.edges(),)
+        "connected split graph with no omega+2 coloring: edges=%r" % (g.edges(),)
     )

@@ -26,6 +26,7 @@ from .graph import (
     graph_from_edge_mask,
     is_twin_free,
     mask_of,
+    twin_partition,
 )
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -36,7 +37,7 @@ class Parameter:
     """One coloring parameter: its search mode, precondition and checkers.
 
     ``name`` is the canonical name results report, ``mode`` the
-    _SearchPlan mode, and ``twin_free`` says chi_exact rejects inputs
+    _SearchPlan mode, and ``twin_free`` says the search rejects inputs
     with twins.  ``decider`` and ``verifier`` name the functions of
     this module and of ``rlid.coloring``; callers look them up by name
     at call time, so a wrapper installed on a module attribute sees
@@ -104,12 +105,25 @@ class SolveResult:
 # -- the generic k-coloring decision engine -----------------------------
 
 
+def _require_twin_free(g: Graph):
+    """The one twin-free precondition of lid, id and identifying codes."""
+    for cls in twin_partition(g).classes:
+        if len(cls) >= 2:
+            raise GraphError(
+                "vertices %d and %d are twins; lid, id and identifying codes "
+                "need a twin-free graph" % cls[:2]
+            )
+
+
 class _SearchPlan:
-    """Per-(graph, mode) precomputation shared across k values."""
+    """Per-(graph, parameter) precomputation shared across k values."""
 
     __slots__ = ("g", "mode", "n", "order", "earlier", "checks")
 
-    def __init__(self, g: Graph, mode: str):
+    def __init__(self, g: Graph, spec: Parameter):
+        if spec.twin_free:
+            _require_twin_free(g)
+        mode = spec.mode
         self.g = g
         self.mode = mode
         self.n = g.n
@@ -134,12 +148,6 @@ class _SearchPlan:
             pairs = list(itertools.combinations(range(g.n), 2))
         else:
             pairs = [(u, v) for u, v in g.edges() if g.closed[u] != g.closed[v]]
-            if mode == "lid":
-                bad = [(u, v) for u, v in g.edges() if g.closed[u] == g.closed[v]]
-                if bad:
-                    raise GraphError(
-                        "adjacent twins %r admit no lid coloring" % (bad[0],)
-                    )
         checks = [[] for _ in range(max(g.n, 1))]
         for u, v in pairs:
             members = g.closed[u] | g.closed[v]
@@ -205,7 +213,7 @@ def _decide(g: Graph, k: int, name: str, budget) -> Coloring | None:
         raise GraphError("color count must be at least 1, got %r" % (k,))
     if budget is None:
         budget = Budget()
-    found = _search(_SearchPlan(g, PARAMETERS[name].mode), k, budget)
+    found = _search(_SearchPlan(g, PARAMETERS[name]), k, budget)
     if found is None:
         return None
     return Coloring(found, palette=max(found, default=0))
@@ -223,16 +231,14 @@ def decide_k_rlid(g: Graph, k: int, budget=None) -> Coloring | None:
 def decide_k_lid(g: Graph, k: int, budget=None) -> Coloring | None:
     """Like decide_k_rlid but proper and with no twin exemption.
 
-    Raises GraphError when the graph has adjacent twins (no lid
-    coloring can exist, for any k).
+    Raises GraphError when the graph has twins (no lid coloring can
+    exist, for any k).
     """
     return _decide(g, k, "lid", budget)
 
 
 def decide_k_id(g: Graph, k: int, budget=None) -> Coloring | None:
     """Distinct neighborhood color sets over all pairs; twin-free input."""
-    if not is_twin_free(g):
-        raise GraphError("graph has twins; no id-coloring exists")
     return _decide(g, k, "id", budget)
 
 
@@ -255,8 +261,6 @@ def chi_exact(g: Graph, parameter: str = "rlid", budget=None, *, search_two: boo
         raise GraphError(
             "unknown parameter %r (expected one of %s)" % (parameter, ", ".join(PARAMETERS))
         )
-    if spec.twin_free and not is_twin_free(g):
-        raise GraphError("graph has twins; %s-colorings do not exist" % spec.name)
     parameter = spec.name
     if budget is None:
         budget = Budget()
@@ -264,7 +268,7 @@ def chi_exact(g: Graph, parameter: str = "rlid", budget=None, *, search_two: boo
     if g.n == 0:
         stats = SolveStats(0, 0.0)
         return SolveResult(parameter, 0, Coloring(()), "exact", stats)
-    plan = _SearchPlan(g, spec.mode)
+    plan = _SearchPlan(g, spec)
     ks = list(range(1, g.n + 1))
     if parameter == "rlid" and not search_two and g.n >= 2:
         ks.remove(2)
@@ -292,12 +296,7 @@ def gamma_id_exact(g: Graph, budget=None) -> SolveResult:
     is forced into every code.  Candidate sets are tried in
     lexicographic order, so the witness is deterministic.
     """
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.closed[u] == g.closed[v]:
-                raise GraphError(
-                    "twins (%d, %d) cannot be separated by any code" % (u, v)
-                )
+    _require_twin_free(g)
     if budget is None:
         budget = Budget()
     start = time.perf_counter()
@@ -314,6 +313,7 @@ def gamma_id_exact(g: Graph, budget=None) -> SolveResult:
     base = forced.bit_count()
     lower = max(n.bit_length(), base)
 
+    # is_identifying_code costs O(n^2) per candidate; this is O(n)
     def identifying(code_mask: int) -> bool:
         seen = set()
         for v in range(n):

@@ -137,6 +137,25 @@ def brute_max_clique(n, edges):
     return 1
 
 
+def brute_split_partition(n, edges):
+    """Clique side of a clique/stable split, or None when there is none.
+
+    Every vertex subset is tried in mask order; the largest clique side
+    wins, and the earliest mask breaks ties.
+    """
+    nbrs = adjacency(n, edges)
+    best = None
+    for mask in range(1 << n):
+        side = {v for v in range(n) if mask >> v & 1}
+        rest = set(range(n)) - side
+        if all(side - {v} <= nbrs[v] for v in side) and all(
+            not nbrs[v] & rest for v in rest
+        ):
+            if best is None or len(side) > len(best):
+                best = side
+    return None if best is None else frozenset(best)
+
+
 def brute_is_clique_union(n, edges):
     """True iff every connected component is complete."""
     nbrs = adjacency(n, edges)

@@ -123,6 +123,11 @@ class TestSplitLowerBound:
         assert split_lower_bound(g, part) <= 4
         assert bounds_report(g).best_lower <= 4
 
+    @pytest.mark.parametrize("inst", [q2(8), q1(5)], ids=["q2-8", "q1-5"])
+    def test_split_upper_bound_above_order_twelve(self, inst):
+        omega = len(find_split_partition(inst.graph).clique)
+        assert (omega + 2, "split-omega-plus-2") in bounds_report(inst.graph).upper_bounds
+
     def test_rejects_non_split_input(self):
         with pytest.raises(GraphError):
             split_lower_bound(cycle(4), None)

@@ -3,6 +3,7 @@ constructive coloring algorithms."""
 
 import pytest
 
+from rlid import families
 from rlid import (
     Coloring,
     ColoringError,
@@ -35,8 +36,10 @@ from rlid.families import (
     split_separator,
     star,
 )
+from rlid.solvers import enumerate_graphs
 
 from _helpers import complete, cycle, path, star_graph
+from _oracles import all_labeled_graphs, brute_split_partition
 
 
 class TestStar:
@@ -148,6 +151,10 @@ class TestLiftProject:
     def test_lift_rejects_improper_input(self):
         with pytest.raises(ColoringError):
             lift_coloring_gstar(path(3), Coloring([1, 1, 2], palette=3), 3)
+
+    def test_lift_rejects_what_the_gadget_rejects(self):
+        with pytest.raises(GraphError):
+            lift_coloring_gstar(build_graph(4, [(0, 1), (1, 2)]), Coloring([1, 2, 1, 1]), 3)
 
     def test_lift_rejects_small_palette(self):
         with pytest.raises(ColoringError):
@@ -342,3 +349,45 @@ class TestSplitColoring:
 
     def test_non_split_graph_has_no_partition(self):
         assert find_split_partition(cycle(4)) is None
+
+
+class TestSplitRecognition:
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_brute_force_on_every_labeled_graph(self, n):
+        for edges in all_labeled_graphs(n):
+            part = find_split_partition(build_graph(n, edges))
+            want = brute_split_partition(n, edges)
+            assert (None if part is None else part.clique) == want, edges
+            if part is not None:
+                assert part.stable == frozenset(range(n)) - part.clique
+
+    @pytest.mark.parametrize(
+        "inst,clique", [(q2(8), range(8)), (q1(5), range(16))], ids=["q2-8", "q1-5"]
+    )
+    def test_no_order_cap(self, inst, clique):
+        part = find_split_partition(inst.graph)
+        assert part is not None and part.clique == frozenset(clique)
+        assert is_rlid(inst.graph, split_rlid_coloring(inst.graph, part))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the case table misses 20 connected twin-free split graphs of "
+        "order 5 (e.g. the tree 0-1, 0-3, 0-4, 1-2 with clique {0, 1}); "
+        "split_rlid_coloring then falls back to exact search",
+    )
+    def test_case_table_needs_no_exact_search(self, monkeypatch):
+        def no_search(g, k, budget=None):
+            raise AssertionError("fell back to exact search")
+
+        monkeypatch.setattr(families, "decide_k_rlid", no_search)
+        misses = []
+        for n in range(1, 6):
+            for g in enumerate_graphs(n, lambda g: g.is_connected() and is_twin_free(g)):
+                part = find_split_partition(g)
+                if part is None:
+                    continue
+                try:
+                    split_rlid_coloring(g, part)
+                except AssertionError:
+                    misses.append(g.edges())
+        assert not misses, "%d misses, first %r" % (len(misses), misses[0])

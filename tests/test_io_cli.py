@@ -270,6 +270,28 @@ class TestCli:
         g = _write(tmp_path, "q2.txt", "5\n0 1\n0 2\n1 2\n0 3\n1 4\n")
         assert main(["color-split", "-i", g, "--clique", "0,1,2"]) == 0
 
+    def test_color_split_empty_graph(self, tmp_path, capsys):
+        g = _write(tmp_path, "empty.col", "p edge 0 0\n")
+        assert main(["color-split", "-i", g]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_twins_fail_alike_for_every_twin_free_parameter(self, tmp_path, capsys):
+        k2 = _write(tmp_path, "k2.txt", "2\n0 1\n")
+        errors = set()
+        for argv in (
+            ["solve", "--parameter", "lid"],
+            ["solve", "--parameter", "id"],
+            ["solve", "--parameter", "gammaid"],
+            ["decide", "--parameter", "lid", "--k", "2"],
+            ["decide", "--parameter", "id", "--k", "2"],
+        ):
+            assert main(argv + ["-i", k2]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.add(captured.err)
+        assert len(errors) == 1
+        assert "0 and 1 are twins" in errors.pop()
+
     def test_sweep_jobs_deterministic(self, tmp_path):
         a = str(tmp_path / "a.tsv")
         b = str(tmp_path / "b.tsv")
