@@ -106,11 +106,15 @@ def characterize_full_palette(g: Graph) -> bool:
     return True
 
 
-def bounds_report(g: Graph, *, split_part=None, budget=None, gamma_budget=None) -> BoundsReport:
+# node budget of the gamma-id search behind the gamma-id + 1 upper bound
+GAMMA_ID_NODE_BUDGET = 200_000
+
+
+def bounds_report(g: Graph, *, budget=None) -> BoundsReport:
     """Cheap certified bounds on the rlid optimum.
 
-    Upper bounds: order, gamma-id + 1 (twin-free, under its own small
-    default budget), 3 for bipartite graphs of order >= 3, omega + 2
+    Upper bounds: order, gamma-id + 1 (twin-free, under its own
+    GAMMA_ID_NODE_BUDGET), 3 for bipartite graphs of order >= 3, omega + 2
     for connected twin-free split graphs, and the quotient's best upper
     bound when twins exist.  Lower bounds: the quotient-clique log
     bound, the one-color rule (clique unions are exactly the 1-graphs)
@@ -140,8 +144,7 @@ def bounds_report(g: Graph, *, split_part=None, budget=None, gamma_budget=None) 
 
     twin_free = is_twin_free(g)
     if twin_free and g.n >= 1:
-        gb = gamma_budget if gamma_budget is not None else Budget(max_nodes=200_000)
-        res = gamma_id_exact(g, gb)
+        res = gamma_id_exact(g, Budget(GAMMA_ID_NODE_BUDGET))
         if res.status == "exact":
             uppers.append((res.value + 1, "gamma-id-plus-1"))
         else:
@@ -150,19 +153,15 @@ def bounds_report(g: Graph, *, split_part=None, budget=None, gamma_budget=None) 
     if g.n >= 3 and bipartition(g) is not None:
         uppers.append((3, "bipartite-3"))
 
-    part = split_part
-    if part is None:
-        part = find_split_partition(g)
+    part = find_split_partition(g)
     if part is not None and g.is_connected() and twin_free:
-        try:
-            _validate_split(g, part, for_separator=True)
-            uppers.append((len(part.clique) + 2, "split-omega-plus-2"))
-        except GraphError:
-            notes.append("split bounds skipped: partition failed validation")
+        # the clique side is a maximum clique, hence maximal: the
+        # partition meets the hypothesis of the omega + 2 bound
+        uppers.append((len(part.clique) + 2, "split-omega-plus-2"))
 
     if not twin_free:
         q, partn = quotient(g)
-        sub = bounds_report(q, budget=budget, gamma_budget=gamma_budget)
+        sub = bounds_report(q, budget=budget)
         uppers.append((sub.best_upper, "quotient"))
         notes.extend("quotient: " + s for s in sub.notes)
 

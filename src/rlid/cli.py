@@ -126,7 +126,7 @@ def parse_assertion(expr: str):
 
 
 def _budget(args) -> solvers.Budget:
-    return solvers.Budget(max_nodes=args.node_budget, time_budget_ms=args.time_budget_ms)
+    return solvers.Budget(args.node_budget)
 
 
 def _sniff_format(text: str) -> str:
@@ -173,7 +173,7 @@ def _emit_coloring(c: Coloring, args, g: Graph, comments=()):
     elif args.output == "dot":
         _emit_bytes(io.export_dot(g, c), args)
     else:
-        header = ["# " + line for line in comments] if args.output == "plain" else []
+        header = ["# " + line for line in comments]
         _emit_lines(header + ["%d %d" % (v, k) for v, k in enumerate(c.colors)], args)
 
 
@@ -361,12 +361,7 @@ def _cmd_color_split(args) -> int:
             print("no clique/stable partition exists", file=sys.stderr)
             return 1
     c = families.split_rlid_coloring(g, part)
-    comments = ()
-    if args.output == "plain":
-        sep = families.split_separator(g, part)
-        comments = ["clique %s" % " ".join(map(str, sorted(part.clique))),
-                    "separator %s" % " ".join(map(str, sorted(sep)))]
-    _emit_coloring(c, args, g, comments)
+    _emit_coloring(c, args, g, ["clique %s" % " ".join(map(str, sorted(part.clique)))])
     return 0
 
 
@@ -526,33 +521,34 @@ def _cmd_sweep(args) -> int:
 # -- argument parsing ---------------------------------------------------
 
 
-def _add_io_args(sub, needs_input):
-    if needs_input:
-        sub.add_argument("--input", "-i", dest="input_path", required=False,
-                         help="graph file; '-' reads stdin")
-    sub.add_argument("--format", dest="graph_format", default="auto",
-                     choices=("auto", "dimacs", "edgelist"))
-    sub.add_argument("--lenient", dest="strict", action="store_false",
-                     help="tolerate an edge-count mismatch in dimacs headers")
-    sub.add_argument("--output", "-o", dest="output", default="plain",
-                     choices=("plain", "json", "tsv", "dot"))
-    sub.add_argument("--out", dest="out_path", default=None,
-                     help="write to a file instead of stdout")
+# --output formats: result reports, and colorings or graphs
+_REPORT = ("plain", "json", "tsv")
+_COLORING = ("plain", "json", "dot")
 
 
-def _add_budget_args(sub):
-    sub.add_argument("--node-budget", type=int, default=None,
-                     help="search node limit (default RLID_NODE_BUDGET or %d)"
-                          % solvers.DEFAULT_NODE_BUDGET)
-    sub.add_argument("--time-budget-ms", type=float, default=None)
+def _command(sub, name, handler, help, outputs=None, *, budget=False):
+    """A subcommand with the options its handler reads.
 
-
-def _command(sub, name, handler, help, *, needs_input=True, budget=False):
+    A command that reads a graph file gets the input options and an
+    --output offering the ``outputs`` it renders; sweep reads no file
+    and always writes TSV.
+    """
     s = sub.add_parser(name, help=help)
     s.set_defaults(handler=handler)
-    _add_io_args(s, needs_input)
+    if outputs is not None:
+        s.add_argument("--input", "-i", dest="input_path", required=False,
+                       help="graph file; '-' reads stdin")
+        s.add_argument("--format", dest="graph_format", default="auto",
+                       choices=("auto", "dimacs", "edgelist"))
+        s.add_argument("--lenient", dest="strict", action="store_false",
+                       help="tolerate an edge-count mismatch in dimacs headers")
+        s.add_argument("--output", "-o", dest="output", default="plain", choices=outputs)
+    s.add_argument("--out", dest="out_path", default=None,
+                   help="write to a file instead of stdout")
     if budget:
-        _add_budget_args(s)
+        s.add_argument("--node-budget", type=int, default=None,
+                       help="search node limit (default RLID_NODE_BUDGET or %d)"
+                            % solvers.DEFAULT_NODE_BUDGET)
     return s
 
 
@@ -564,25 +560,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    s = _command(sub, "solve", _cmd_solve, "exact optimum of a coloring parameter", budget=True)
+    s = _command(sub, "solve", _cmd_solve, "exact optimum of a coloring parameter", _REPORT,
+                 budget=True)
     s.add_argument("--parameter", default="rlid", choices=(*solvers.PARAMETERS, "gammaid"))
     s.add_argument("--search-two", action="store_true",
                    help="also try two colors instead of citing the no-two-color rule")
 
     s = _command(sub, "decide", _cmd_decide, "is there a valid coloring with k colors?",
-                 budget=True)
+                 _COLORING, budget=True)
     s.add_argument("--parameter", default="rlid", choices=tuple(solvers.PARAMETERS))
     s.add_argument("--k", type=int, required=True)
 
-    s = _command(sub, "verify", _cmd_verify, "check a coloring or code file")
+    s = _command(sub, "verify", _cmd_verify, "check a coloring or code file", _REPORT)
     s.add_argument("--mode", default="rlid", choices=(*solvers.PARAMETERS, "code"))
     s.add_argument("--certificate", dest="certificate_path", required=True,
                    help="coloring file ('vertex color' lines) or vertex set for --mode code")
 
-    _command(sub, "bounds", _cmd_bounds, "cheap lower/upper bounds report", budget=True)
-    _command(sub, "quotient", _cmd_quotient, "collapse twin classes to representatives")
+    _command(sub, "bounds", _cmd_bounds, "cheap lower/upper bounds report", _REPORT, budget=True)
+    _command(sub, "quotient", _cmd_quotient, "collapse twin classes to representatives",
+             ("plain", "dot"))
 
-    s = _command(sub, "construct", _cmd_construct, "emit a named family instance")
+    s = _command(sub, "construct", _cmd_construct, "emit a named family instance", _COLORING)
     s.add_argument("family", choices=_FAMILIES)
     s.add_argument("--size", "--p", "-p", type=int, default=None,
                    help="family size parameter (leaves, clique exponent, ...)")
@@ -590,20 +588,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shorthand for --output dot")
 
     _command(sub, "color-bipartite", _cmd_color_bipartite,
-             "three-color a connected bipartite graph")
+             "three-color a connected bipartite graph", _COLORING)
 
     s = _command(sub, "color-split", _cmd_color_split,
-                 "color a split graph within clique size + 2")
+                 "color a split graph within clique size + 2", _COLORING)
     s.add_argument("--clique", default=None,
                    help="comma separated clique side; found from the degree sequence if omitted")
 
-    s = _command(sub, "reduce", _cmd_reduce, "proper-coloring gadget: emit, lift, project")
+    s = _command(sub, "reduce", _cmd_reduce, "proper-coloring gadget: emit, lift, project",
+                 _COLORING)
     s.add_argument("--action", default="gadget", choices=("gadget", "lift", "project"))
     s.add_argument("--certificate", dest="certificate_path", default=None)
     s.add_argument("--k", type=int, default=None)
 
     s = _command(sub, "sweep", _cmd_sweep, "tabulate parameters over a graph family",
-                 needs_input=False, budget=True)
+                 budget=True)
     s.add_argument("--family", default="connected",
                    choices=(*_ENUMERATED_FAMILIES, "random-split", "random-twins"))
     s.add_argument("--min-n", type=int, default=1)

@@ -29,7 +29,8 @@ log = logging.getLogger(__name__)
 
 
 class TheoremCounterexample(RuntimeError):
-    """A constructive algorithm and its exact fallback both failed.
+    """A constructive algorithm failed, after its exact fallback where
+    it has one.
 
     This is never raised for ordinary invalid input; seeing it means a
     guaranteed bound did not hold on a validated instance, which would
@@ -249,8 +250,7 @@ def project_coloring_gstar(gstar: FamilyInstance, c: Coloring) -> Coloring:
     if not is_rlid(g, c):
         raise ColoringError("projection input must be rlid-valid on the gadget")
     n_base = sum(1 for r in gstar.roles.values() if r.startswith("orig:"))
-    restricted = c.colors[:n_base]
-    return Coloring(restricted, palette=max(restricted, default=0))
+    return Coloring(c.colors[:n_base])
 
 
 # -- split-bound families ----------------------------------------------
@@ -393,14 +393,14 @@ _LEVEL_COLORS = ((1, 1), (1, 2), (3, 3), (3, 2))
 def bipartite_three_coloring(g: Graph):
     """Three-color a connected bipartite graph via BFS levels.
 
-    Returns (coloring, decomposition).  Levels are taken from vertex 0
-    (from the universal vertex for stars, which get the special
-    center-1 / one-leaf-2 / rest-3 coloring).  Level colors follow the
+    Returns (coloring, decomposition).  Levels are taken from vertex 0,
+    or from vertex 1 when vertex 0 is universal: the only universal
+    vertex a connected bipartite graph can have is a star's centre,
+    the one root the table fails from.  Level colors follow the
     residue table 1 / 1-or-2 / 3 / 3-or-2, where a level-i vertex
     counts as a dead end (first option) when it has no neighbor one
-    level deeper.  The result is verified; if the table coloring ever
-    failed, an exact 3-color search runs instead, and if that failed
-    too a TheoremCounterexample is raised rather than return quietly.
+    level deeper.  The result is verified, and a TheoremCounterexample
+    is raised rather than return an invalid coloring quietly.
     """
     if g.n < 3:
         raise GraphError("need order >= 3, got %d" % g.n)
@@ -409,59 +409,42 @@ def bipartite_three_coloring(g: Graph):
     if bipartition(g) is None:
         raise GraphError("graph is not bipartite")
 
-    full = (1 << g.n) - 1
-    universal = [v for v in range(g.n) if g.closed[v] == full]
-    if universal:
-        # Connected + bipartite + universal vertex means a star.
-        u = universal[0]
-        leaves = [v for v in range(g.n) if v != u]
-        colors = [3] * g.n
-        colors[u] = 1
-        colors[leaves[0]] = 2
-        decomp = LevelDecomposition(u, ((u,), tuple(leaves)), ((), tuple(leaves)), ((), ()))
-        coloring = Coloring(colors, palette=3)
-    else:
-        root = 0
-        dist = [-1] * g.n
-        dist[root] = 0
-        frontier = [root]
-        levels = [[root]]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in bits(g.adj[v]):
-                    if dist[w] == -1:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            if nxt:
-                nxt.sort()
-                levels.append(nxt)
-            frontier = nxt
-        level_masks = [mask_of(lv) for lv in levels]
-        a_sets, b_sets = [], []
-        colors = [0] * g.n
-        for i, lv in enumerate(levels):
-            deeper = level_masks[i + 1] if i + 1 < len(levels) else 0
-            a = tuple(v for v in lv if not (g.adj[v] & deeper))
-            b = tuple(v for v in lv if g.adj[v] & deeper)
-            a_sets.append(a)
-            b_sets.append(b)
-            dead_end_color, other_color = _LEVEL_COLORS[i % 4]
-            for v in a:
-                colors[v] = dead_end_color
-            for v in b:
-                colors[v] = other_color
-        decomp = LevelDecomposition(
-            root, tuple(tuple(lv) for lv in levels), tuple(a_sets), tuple(b_sets)
-        )
-        coloring = Coloring(colors, palette=3)
-
+    root = 1 if g.closed[0] == (1 << g.n) - 1 else 0
+    dist = [-1] * g.n
+    dist[root] = 0
+    frontier = [root]
+    levels = [[root]]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in bits(g.adj[v]):
+                if dist[w] == -1:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        if nxt:
+            nxt.sort()
+            levels.append(nxt)
+        frontier = nxt
+    level_masks = [mask_of(lv) for lv in levels]
+    a_sets, b_sets = [], []
+    colors = [0] * g.n
+    for i, lv in enumerate(levels):
+        deeper = level_masks[i + 1] if i + 1 < len(levels) else 0
+        a = tuple(v for v in lv if not (g.adj[v] & deeper))
+        b = tuple(v for v in lv if g.adj[v] & deeper)
+        a_sets.append(a)
+        b_sets.append(b)
+        dead_end_color, other_color = _LEVEL_COLORS[i % 4]
+        for v in a:
+            colors[v] = dead_end_color
+        for v in b:
+            colors[v] = other_color
+    decomp = LevelDecomposition(
+        root, tuple(tuple(lv) for lv in levels), tuple(a_sets), tuple(b_sets)
+    )
+    coloring = Coloring(colors, palette=3)
     if is_rlid(g, coloring):
         return coloring, decomp
-    log.debug("level coloring failed on %r; falling back to exact search", g)
-    fallback = decide_k_rlid(g, 3)
-    if fallback is not None:
-        return Coloring(fallback.colors, palette=3), decomp
     raise TheoremCounterexample(
         "connected bipartite graph with no 3-color rlid coloring: edges=%r" % (g.edges(),)
     )

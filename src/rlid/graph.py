@@ -16,7 +16,7 @@ class GraphError(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """A search ran past its node-expansion or wall-clock budget."""
+    """A search ran past its node-expansion budget."""
 
     def __init__(self, message: str, nodes: int = 0):
         super().__init__(message)

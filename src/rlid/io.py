@@ -4,7 +4,9 @@ Two graph formats.  "dimacs": optional comment lines "c ...", one
 header "p edge <n> <m>", then edge lines "e <u> <v>" with 1-indexed
 endpoints.  "edgelist": '#' comments, first significant line the
 vertex count, then 0-indexed "u v" pairs.  Parse errors name the line
-number; duplicate edges collapse with a counted warning.
+number; duplicate edges collapse with a counted warning.  A graph
+holds about n^2/16 bytes of neighbourhood masks, so orders above
+MAX_ORDER are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -25,8 +27,19 @@ _DOT_FILL = (
 )
 
 
+# largest vertex count a graph file may declare (about 160 MB of masks)
+MAX_ORDER = 50_000
+
+
 class ParseError(ValueError):
     """Malformed input file; the message names the offending line."""
+
+
+def _check_order(n: int, lineno: int):
+    if n > MAX_ORDER:
+        raise ParseError(
+            "line %d: %d vertices exceed the maximum order %d" % (lineno, n, MAX_ORDER)
+        )
 
 
 def _significant_lines(text: str, comment_prefixes):
@@ -68,6 +81,7 @@ def _parse_dimacs(text: str, strict: bool) -> Graph:
                 n, declared_m = int(fields[2]), int(fields[3])
             except ValueError:
                 raise ParseError("line %d: non-numeric problem line %r" % (lineno, line)) from None
+            _check_order(n, lineno)
         elif fields[0] == "e":
             if n is None:
                 raise ParseError("line %d: edge before problem line" % lineno)
@@ -108,6 +122,7 @@ def _parse_edgelist(text: str) -> Graph:
                 n = int(fields[0])
             except ValueError:
                 raise ParseError("line %d: non-numeric vertex count %r" % (lineno, line)) from None
+            _check_order(n, lineno)
             continue
         if len(fields) != 2:
             raise ParseError("line %d: expected 'u v', got %r" % (lineno, line))
@@ -126,11 +141,11 @@ def _parse_edgelist(text: str) -> Graph:
 
 
 def _build_deduplicated(n: int, edges) -> Graph:
-    distinct = {(min(u, v), max(u, v)) for u, v in edges}
-    dupes = len(edges) - len(distinct)
+    g = build_graph(n, edges)
+    dupes = len(edges) - g.edge_count
     if dupes:
         log.warning("collapsed %d duplicate edge declarations", dupes)
-    return build_graph(n, sorted(distinct))
+    return g
 
 
 def write_graph_edgelist(g: Graph, comments=()) -> bytes:

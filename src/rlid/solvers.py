@@ -24,6 +24,7 @@ from .graph import (
     bits,
     degeneracy,
     graph_from_edge_mask,
+    is_isomorphic,
     is_twin_free,
     mask_of,
     twin_partition,
@@ -61,24 +62,22 @@ PARAMETERS["proper"] = PARAMETERS["chromatic"]
 
 
 class Budget:
-    """Mutable node-expansion counter with an optional wall-clock cap."""
+    """Mutable search-node counter; node ``max_nodes + 1`` raises BudgetExceeded.
 
-    __slots__ = ("max_nodes", "nodes", "deadline")
+    Only nodes count, never the clock, so whether a search stops
+    depends on the input and the limit alone, not on the machine.
+    """
 
-    def __init__(self, max_nodes=None, time_budget_ms=None):
+    __slots__ = ("max_nodes", "nodes")
+
+    def __init__(self, max_nodes=None):
         self.max_nodes = DEFAULT_NODE_BUDGET if max_nodes is None else max_nodes
         self.nodes = 0
-        self.deadline = (
-            None if time_budget_ms is None else time.monotonic() + time_budget_ms / 1000.0
-        )
 
-    def spend(self, amount: int = 1):
-        self.nodes += amount
+    def spend(self):
+        self.nodes += 1
         if self.nodes > self.max_nodes:
             raise BudgetExceeded("node budget %d exceeded" % self.max_nodes, self.nodes)
-        if self.deadline is not None and not (self.nodes & 1023):
-            if time.monotonic() > self.deadline:
-                raise BudgetExceeded("time budget exceeded", self.nodes)
 
 
 @dataclass(frozen=True)
@@ -214,9 +213,7 @@ def _decide(g: Graph, k: int, name: str, budget) -> Coloring | None:
     if budget is None:
         budget = Budget()
     found = _search(_SearchPlan(g, PARAMETERS[name]), k, budget)
-    if found is None:
-        return None
-    return Coloring(found, palette=max(found, default=0))
+    return None if found is None else Coloring(found)
 
 
 def decide_k_rlid(g: Graph, k: int, budget=None) -> Coloring | None:
@@ -280,8 +277,7 @@ def chi_exact(g: Graph, parameter: str = "rlid", budget=None, *, search_two: boo
             return SolveResult(parameter, None, None, "budget-exceeded", stats)
         if found is not None:
             stats = SolveStats(budget.nodes, (time.perf_counter() - start) * 1000)
-            witness = Coloring(found, palette=max(found, default=0))
-            return SolveResult(parameter, k, witness, "exact", stats)
+            return SolveResult(parameter, k, Coloring(found), "exact", stats)
     raise AssertionError("deepening ran out at k = n; rainbow fallback should exist")
 
 
@@ -352,8 +348,6 @@ def enumerate_graphs(order: int, filter=None, *, up_to_iso: bool = False):
     """
     if not 0 <= order <= 7:
         raise GraphError("exhaustive enumeration supports order 0..7, got %r" % (order,))
-    from .graph import is_isomorphic  # local to keep module import light
-
     m = order * (order - 1) // 2
     seen_buckets = {}
     for mask in range(1 << m):

@@ -235,9 +235,11 @@ class TestBipartiteColoring:
         assert c.colors == (1, 2, 3, 2, 1)
         assert is_rlid(path(5), c)
 
-    def test_star_universal_vertex_shortcut(self):
-        c, _ = bipartite_three_coloring(star_graph(3))
-        assert c.colors == (1, 2, 3, 3)
+    def test_star_rooted_at_a_leaf(self):
+        # vertex 0 is the universal centre, so the levels start at leaf 1
+        c, levels = bipartite_three_coloring(star_graph(3))
+        assert levels.root == 1
+        assert c.colors == (2, 1, 3, 3)
 
     def test_rejects_odd_cycle(self):
         with pytest.raises(GraphError):
@@ -247,15 +249,15 @@ class TestBipartiteColoring:
         with pytest.raises(GraphError):
             bipartite_three_coloring(path(2))
 
-    def test_level_decomposition_invariants(self):
-        g = cycle(6)
+    @staticmethod
+    def _check_level_decomposition(g):
         _, levels = bipartite_three_coloring(g)
         assert set(levels.levels[0]) == {levels.root}
         seen = set()
         for lv in levels.levels:
             assert not (set(lv) & seen)
             seen |= set(lv)
-        assert seen == set(range(6))
+        assert seen == set(range(g.n))
         idx = {v: i for i, lv in enumerate(levels.levels) for v in lv}
         for u, v in g.edges():
             assert abs(idx[u] - idx[v]) <= 1
@@ -263,6 +265,13 @@ class TestBipartiteColoring:
             assert set(levels.a_sets[i]) | set(levels.b_sets[i]) == set(lv)
             assert not (set(levels.a_sets[i]) & set(levels.b_sets[i]))
         assert not levels.b_sets[-1]
+
+    def test_level_decomposition_invariants(self):
+        self._check_level_decomposition(cycle(6))
+
+    @pytest.mark.parametrize("leaves", [2, 3, 5])
+    def test_level_decomposition_invariants_on_stars(self, leaves):
+        self._check_level_decomposition(star_graph(leaves))
 
 
 class TestSplitSeparator:

@@ -23,7 +23,7 @@ from rlid import (
 )
 from rlid.cli import main
 from rlid.families import h_p
-from rlid.io import ParseError
+from rlid.io import MAX_ORDER, ParseError
 
 from _helpers import cycle, path, star_graph
 
@@ -269,6 +269,58 @@ class TestCli:
     def test_color_split_command(self, tmp_path, capsys):
         g = _write(tmp_path, "q2.txt", "5\n0 1\n0 2\n1 2\n0 3\n1 4\n")
         assert main(["color-split", "-i", g, "--clique", "0,1,2"]) == 0
+
+    @pytest.mark.parametrize(
+        "graph,clique",
+        [
+            # a split graph with twins (0 and 1)
+            ("5\n0 1\n0 2\n1 2\n2 3\n0 4\n1 4\n", None),
+            # q2(3) under a clique side that is not maximal
+            ("5\n0 1\n0 2\n1 2\n0 3\n1 4\n", "0,1"),
+        ],
+        ids=["twins", "non-maximal-clique"],
+    )
+    def test_color_split_plain_exits_like_json(self, tmp_path, capsys, graph, clique):
+        g = _write(tmp_path, "g.txt", graph)
+        argv = ["color-split", "-i", g] + ([] if clique is None else ["--clique", clique])
+        assert main(argv + ["-o", "json"]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert plain[0].startswith("# clique ")
+        assert not any(line.startswith("# separator") for line in plain)
+
+    @pytest.mark.parametrize(
+        "header",
+        ["p edge %d 0\n" % (MAX_ORDER + 1), "%d\n" % (MAX_ORDER + 1)],
+        ids=["dimacs", "edgelist"],
+    )
+    def test_order_above_maximum_is_a_parse_error(self, tmp_path, capsys, header):
+        big = _write(tmp_path, "big.txt", header)
+        assert main(["quotient", "-i", big]) == 1
+        err = capsys.readouterr().err
+        assert "line 1" in err and "maximum order %d" % MAX_ORDER in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--output", "dot"],
+            ["quotient", "--output", "json"],
+            ["color-split", "--output", "tsv"],
+            ["sweep", "--format", "dimacs"],
+            ["sweep", "--output", "json"],
+            ["solve", "--time-budget-ms", "5"],
+        ],
+        ids=["solve-dot", "quotient-json", "color-split-tsv", "sweep-format",
+             "sweep-output", "time-budget"],
+    )
+    def test_removed_options_are_usage_errors(self, tmp_path, capsys, argv):
+        p = _write(tmp_path, "p4.txt", P4_EDGELIST)
+        if argv[0] != "sweep":
+            argv = argv + ["-i", p]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_color_split_empty_graph(self, tmp_path, capsys):
         g = _write(tmp_path, "empty.col", "p edge 0 0\n")

@@ -41,6 +41,12 @@ class TestDecide:
         with pytest.raises(BudgetExceeded):
             decide_k_rlid(cycle(7), 3, Budget(max_nodes=2))
 
+    def test_budget_counts_nodes_only(self):
+        budget = Budget(max_nodes=2)
+        with pytest.raises(BudgetExceeded) as exc:
+            decide_k_rlid(cycle(7), 3, budget)
+        assert exc.value.nodes == budget.nodes == 3
+
     def test_deterministic_witness(self):
         a = decide_k_rlid(cycle(5), 3)
         b = decide_k_rlid(cycle(5), 3)
