@@ -10,6 +10,7 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import json
 import operator
 import os
 import re
@@ -218,7 +219,13 @@ def _cmd_decide(args) -> int:
     decide = getattr(solvers, solvers.PARAMETERS[args.parameter].decider)
     found = decide(g, args.k, _budget(args))
     if found is None:
-        _emit_lines(["no %s coloring with %d colors" % (args.parameter, args.k)], args)
+        if args.output == "json":
+            obj = {"parameter": args.parameter, "k": args.k, "coloring": None}
+            _emit_bytes((json.dumps(obj, sort_keys=True, indent=2) + "\n").encode(), args)
+        elif args.output == "dot":
+            _emit_bytes(io.export_dot(g), args)
+        else:
+            _emit_lines(["no %s coloring with %d colors" % (args.parameter, args.k)], args)
         return 1
     _emit_coloring(found, args, g)
     return 0
@@ -308,8 +315,6 @@ def _cmd_construct(args) -> int:
         _emit_bytes(io.export_dot(g, inst.canonical_coloring), args)
         return 0
     if args.output == "json":
-        import json
-
         obj = {
             "family": args.family,
             "n": g.n,
@@ -361,6 +366,8 @@ def _cmd_color_split(args) -> int:
             print("no clique/stable partition exists", file=sys.stderr)
             return 1
     c = families.split_rlid_coloring(g, part)
+    # split_rlid_coloring validated the partition and colored its repair
+    part = families._maximalize_split(g, part)
     _emit_coloring(c, args, g, ["clique %s" % " ".join(map(str, sorted(part.clique)))])
     return 0
 

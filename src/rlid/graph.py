@@ -354,14 +354,17 @@ def degeneracy(g: Graph):
     minimum-degree vertex (smallest index on ties).
     """
     alive = (1 << g.n) - 1
-    deg = [g.degree(v) for v in range(g.n)]
+    deg = [a.bit_count() for a in g.adj]
+    left = list(range(g.n))  # ascending, so min() breaks ties by index
     order = []
     k = 0
     for _ in range(g.n):
-        v = min(bits(alive), key=lambda x: (deg[x], x))
-        k = max(k, deg[v])
+        v = min(left, key=deg.__getitem__)
+        left.remove(v)
+        if deg[v] > k:
+            k = deg[v]
         order.append(v)
-        alive &= ~(1 << v)
+        alive ^= 1 << v
         for w in bits(g.adj[v] & alive):
             deg[w] -= 1
     return k, order

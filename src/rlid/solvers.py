@@ -1,11 +1,17 @@
 """Exact decision and optimization: backtracking search, exhaustive
 enumeration, and seeded random generators.
 
-The k-decision engine colors vertices in reverse degeneracy order
-(dense core first, low-degree vertices late), breaks color symmetry by
-allowing at most one brand-new color per step, and prunes as soon as
-both closed neighborhoods of a constrained pair are fully colored with
-equal color sets.  Search is deterministic: fixed vertex order,
+The k-decision engine colors vertices in a fixed order built so that
+pair checks fire early: each step takes the vertex that completes the
+most constrained pairs' ``N[u] | N[v]``, then the one with the most
+colored neighbors, then the one latest in the degeneracy elimination
+order (a static, pair-check version of DSATUR's saturation rule).  It
+breaks color symmetry by allowing at most one brand-new color per step
+and prunes as soon as both closed neighborhoods of a constrained pair
+are fully colored with equal color sets; each check ORs the colors of
+``N[u] & N[v]`` once and then only the two differences.  Backtracking
+runs on an explicit stack, so path-like inputs of any length search
+without recursion.  Search is deterministic: fixed vertex order,
 ascending color trials.
 """
 
@@ -115,7 +121,22 @@ def _require_twin_free(g: Graph):
 
 
 class _SearchPlan:
-    """Per-(graph, parameter) precomputation shared across k values."""
+    """Per-(graph, parameter) precomputation shared across k values.
+
+    ``order`` is the coloring order, built in one greedy pass: each
+    step colors the uncolored vertex with the highest score
+    ``closes * B**2 + seen * B + rank`` (``B = n + 1``), where
+    ``closes`` counts the constrained pairs whose ``N[u] | N[v]`` that
+    vertex would complete, ``seen`` its colored neighbors, and ``rank``
+    its position in the degeneracy elimination order (later is
+    higher), so ties fall back to reverse degeneracy order.
+
+    ``earlier[i]`` lists the neighbors of ``order[i]`` colored before
+    it (proper and lid modes only).  ``checks[i]`` holds one
+    ``(common, only_u, only_v)`` triple of vertex tuples per pair whose
+    last member is ``order[i]``: ``N[u] & N[v]``, ``N[u] - N[v]`` and
+    ``N[v] - N[u]``.
+    """
 
     __slots__ = ("g", "mode", "n", "order", "earlier", "checks")
 
@@ -123,42 +144,70 @@ class _SearchPlan:
         if spec.twin_free:
             _require_twin_free(g)
         mode = spec.mode
+        n = g.n
+        adj, closed = g.adj, g.closed
         self.g = g
         self.mode = mode
-        self.n = g.n
-        _, elim = degeneracy(g)
-        self.order = tuple(reversed(elim))
-        pos = [0] * g.n
-        for i, v in enumerate(self.order):
-            pos[v] = i
-
-        need_proper = mode in ("proper", "lid")
-        earlier = []
-        for i, v in enumerate(self.order):
-            if need_proper:
-                earlier.append(tuple(w for w in bits(g.adj[v]) if pos[w] < i))
-            else:
-                earlier.append(())
-        self.earlier = tuple(earlier)
+        self.n = n
 
         if mode == "proper":
-            pairs = []
+            pairs = ()
         elif mode == "id":
-            pairs = list(itertools.combinations(range(g.n), 2))
+            pairs = itertools.combinations(range(n), 2)
         else:
-            pairs = [(u, v) for u, v in g.edges() if g.closed[u] != g.closed[v]]
-        checks = [[] for _ in range(max(g.n, 1))]
-        for u, v in pairs:
-            members = g.closed[u] | g.closed[v]
-            last = max(pos[w] for w in bits(members))
-            checks[last].append(
-                (tuple(bits(g.closed[u])), tuple(bits(g.closed[v])))
-            )
-        self.checks = tuple(tuple(c) for c in checks)
+            pairs = [(u, v) for u, v in g.edges() if closed[u] != closed[v]]
+        left = []          # per pair: its members not colored yet
+        layout = []        # per pair: its check triple
+        member_of = [[] for _ in range(n)]
+        for p, (u, v) in enumerate(pairs):
+            cu, cv = closed[u], closed[v]
+            left.append(cu | cv)
+            check = (tuple(bits(cu & cv)), tuple(bits(cu & ~cv)), tuple(bits(cv & ~cu)))
+            layout.append(check)
+            for part in check:
+                for w in part:
+                    member_of[w].append(p)
+
+        _, elim = degeneracy(g)
+        score = [0] * n
+        for rank, v in enumerate(elim):
+            score[v] = rank
+        seen_step = n + 1
+        closes_step = seen_step * seen_step
+        need_proper = mode in ("proper", "lid")
+        uncolored = set(range(n))
+        colored = 0
+        order, earlier, checks = [], [], []
+        for _ in range(n):
+            v = max(uncolored, key=score.__getitem__)
+            uncolored.remove(v)
+            order.append(v)
+            earlier.append(tuple(bits(adj[v] & colored)) if need_proper else ())
+            colored |= 1 << v
+            for w in bits(adj[v] & ~colored):
+                score[w] += seen_step
+            done = []
+            for p in member_of[v]:
+                rest = left[p] ^ (1 << v)
+                left[p] = rest
+                if not rest:
+                    done.append(layout[p])
+                elif not rest & (rest - 1):
+                    score[rest.bit_length() - 1] += closes_step
+            checks.append(tuple(done))
+        self.order = tuple(order)
+        self.earlier = tuple(earlier)
+        self.checks = tuple(checks)
 
 
 def _search(plan: _SearchPlan, k: int, budget: Budget):
-    """Find a valid assignment with at most k colors, or None."""
+    """Find a valid assignment with at most k colors, or None.
+
+    Backtracking with an explicit stack, so the depth is not bounded
+    by the interpreter's recursion limit: step i colors ``order[i]``,
+    ``trial[i]`` is the next color it tries and ``used[i]`` the
+    number of colors in use before it.
+    """
     n = plan.n
     if n == 0:
         return []
@@ -167,44 +216,51 @@ def _search(plan: _SearchPlan, k: int, budget: Budget):
     earlier = plan.earlier
     checks = plan.checks
     spend = budget.spend
-
-    def place(i: int, used: int) -> bool:
+    trial = [1] * n
+    used = [0] * n
+    i = 0
+    while True:
         v = order[i]
         enbrs = earlier[i]
         pair_checks = checks[i]
-        top = used + 1
+        top = used[i] + 1
         if top > k:
             top = k
-        for c in range(1, top + 1):
+        c = trial[i]
+        while c <= top:
             spend()
-            blocked = False
             for w in enbrs:
                 if col[w] == c:
-                    blocked = True
                     break
-            if blocked:
-                continue
-            col[v] = c
-            good = True
-            for lu, lv in pair_checks:
-                mu = 0
-                for w in lu:
-                    mu |= 1 << col[w]
-                mv = 0
-                for w in lv:
-                    mv |= 1 << col[w]
-                if mu == mv:
-                    good = False
+            else:  # no earlier neighbor has c
+                col[v] = c
+                for common, lu, lv in pair_checks:
+                    m = 0
+                    for w in common:
+                        m |= 1 << col[w]
+                    mu = m
+                    for w in lu:
+                        mu |= 1 << col[w]
+                    mv = m
+                    for w in lv:
+                        mv |= 1 << col[w]
+                    if mu == mv:
+                        break
+                else:  # every check passed: v keeps c
                     break
-            if good:
-                if i + 1 == n:
-                    return True
-                if place(i + 1, used if c <= used else used + 1):
-                    return True
-        col[v] = 0
-        return False
-
-    return list(col) if place(0, 0) else None
+            c += 1
+        if c > top:
+            # no color fits order[i]: back up one step
+            if i == 0:
+                return None
+            i -= 1
+        elif i + 1 == n:
+            return col
+        else:
+            trial[i] = c + 1
+            i += 1
+            trial[i] = 1
+            used[i] = used[i - 1] if c <= used[i - 1] else c
 
 
 def _decide(g: Graph, k: int, name: str, budget) -> Coloring | None:

@@ -126,6 +126,21 @@ def brute_bipartite(n, edges):
     return True
 
 
+def brute_degeneracy(n, edges):
+    """Degeneracy and elimination order: repeatedly remove a vertex of
+    minimum remaining degree, the smallest index on ties."""
+    nbrs = adjacency(n, edges)
+    alive = set(range(n))
+    order = []
+    k = 0
+    while alive:
+        v = min(alive, key=lambda x: (len(nbrs[x] & alive), x))
+        k = max(k, len(nbrs[v] & alive))
+        order.append(v)
+        alive.remove(v)
+    return k, order
+
+
 def brute_max_clique(n, edges):
     if n == 0:
         return 0

@@ -21,7 +21,7 @@ from rlid.graph import bits
 from rlid.solvers import Budget
 
 from _helpers import complete, cycle, path, star_graph
-from _oracles import closed_neighborhoods
+from _oracles import all_labeled_graphs, brute_degeneracy, closed_neighborhoods
 
 
 class TestBuildGraph:
@@ -144,6 +144,14 @@ class TestDegeneracyJoinIso:
 
     def test_k5_degeneracy(self):
         assert degeneracy(complete(5))[0] == 4
+
+    def test_degeneracy_matches_oracle_on_all_graphs_up_to_order_six(self):
+        checked = 0
+        for n in range(7):
+            for edges in all_labeled_graphs(n):
+                assert degeneracy(build_graph(n, edges)) == brute_degeneracy(n, edges)
+                checked += 1
+        assert checked == 33_868
 
     def test_join_k1_with_two_isolated_vertices_is_p3(self):
         got = join(complete(1), build_graph(2, []))

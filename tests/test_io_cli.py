@@ -207,6 +207,22 @@ class TestCli:
         p = _write(tmp_path, "p4.txt", P4_EDGELIST)
         assert main(["decide", "--k", "2", "-i", p]) == 1
 
+    @pytest.mark.parametrize("output", ["json", "dot"])
+    def test_decide_no_answer_keeps_the_output_format(self, tmp_path, capsys, output):
+        c5 = _write(tmp_path, "c5.txt", "5\n" + "".join("%d %d\n" % (i, (i + 1) % 5) for i in range(5)))
+        assert main(["decide", "--k", "3", "-o", output, "-i", c5]) == 1
+        out = capsys.readouterr().out
+        if output == "json":
+            assert json.loads(out) == {"parameter": "rlid", "k": 3, "coloring": None}
+        else:
+            assert out.encode() == export_dot(cycle(5))
+
+    def test_solve_path_longer_than_the_recursion_limit(self, tmp_path, capsys):
+        edges = "".join("%d %d\n" % (i, i + 1) for i in range(1199))
+        p = _write(tmp_path, "p1200.txt", "1200\n" + edges)
+        assert main(["solve", "-i", p, "-o", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 3
+
     def test_verify_valid_and_invalid(self, tmp_path, capsys):
         g = _write(tmp_path, "c4.txt", "4\n0 1\n1 2\n2 3\n0 3\n")
         good = _write(tmp_path, "good.txt", "0 1\n1 2\n2 1\n3 3\n")
@@ -269,6 +285,12 @@ class TestCli:
     def test_color_split_command(self, tmp_path, capsys):
         g = _write(tmp_path, "q2.txt", "5\n0 1\n0 2\n1 2\n0 3\n1 4\n")
         assert main(["color-split", "-i", g, "--clique", "0,1,2"]) == 0
+
+    def test_color_split_header_names_the_repaired_clique(self, tmp_path, capsys):
+        # vertex 2 of q2(3) sees all of the clique side {0, 1}, so it moves across
+        g = _write(tmp_path, "q2.txt", "5\n0 1\n0 2\n1 2\n0 3\n1 4\n")
+        assert main(["color-split", "-i", g, "--clique", "0,1"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "# clique 0 1 2"
 
     @pytest.mark.parametrize(
         "graph,clique",

@@ -1,5 +1,7 @@
 """Exact decision and optimization procedures against the brute oracle."""
 
+from itertools import combinations
+
 import pytest
 
 from rlid import (
@@ -14,12 +16,81 @@ from rlid import (
     gamma_id_exact,
     is_identifying_code,
     is_rlid,
+    is_twin_free,
     random_split_graph,
 )
-from rlid.families import h_p
+from rlid.families import g_star, h_p
+from rlid.solvers import PARAMETERS, _SearchPlan
 
 from _helpers import complete, cycle, path, star_graph
-from _oracles import brute_bipartite, brute_chi, brute_connected, brute_is_rlid
+from _oracles import (
+    adjacency,
+    all_labeled_graphs,
+    brute_bipartite,
+    brute_chi,
+    brute_connected,
+    brute_is_rlid,
+    brute_twin_free,
+    closed_neighborhoods,
+)
+
+
+def _expected_checks(n, edges, mode):
+    """The (common, only_u, only_v) triple of every pair the mode constrains."""
+    closed = closed_neighborhoods(n, edges)
+    if mode == "proper":
+        pairs = []
+    elif mode == "id":
+        pairs = list(combinations(range(n), 2))
+    else:
+        pairs = [(u, v) for u, v in edges if closed[u] != closed[v]]
+    return sorted(
+        (
+            tuple(sorted(closed[u] & closed[v])),
+            tuple(sorted(closed[u] - closed[v])),
+            tuple(sorted(closed[v] - closed[u])),
+        )
+        for u, v in pairs
+    )
+
+
+class TestSearchPlan:
+    @pytest.mark.parametrize("name", ["rlid", "lid", "id", "chromatic"])
+    def test_invariants_on_all_graphs_up_to_order_five(self, name):
+        spec = PARAMETERS[name]
+        for n in range(6):
+            for edges in all_labeled_graphs(n):
+                if spec.twin_free and not brute_twin_free(n, edges):
+                    continue
+                plan = _SearchPlan(build_graph(n, edges), spec)
+                assert sorted(plan.order) == list(range(n))
+                assert len(plan.earlier) == len(plan.checks) == n
+                pos = {v: i for i, v in enumerate(plan.order)}
+                got = []
+                for i, step in enumerate(plan.checks):
+                    for check in step:
+                        # the check sits at the step coloring its last member
+                        assert max(pos[w] for part in check for w in part) == i
+                        got.append(check)
+                assert sorted(got) == _expected_checks(n, edges, spec.mode)
+                nbrs = adjacency(n, edges)
+                for i, v in enumerate(plan.order):
+                    want = []
+                    if spec.mode in ("proper", "lid"):
+                        want = sorted(w for w in nbrs[v] if pos[w] < i)
+                    assert sorted(plan.earlier[i]) == want
+
+    def test_gadget_sweep_node_guard(self):
+        # proper 3-coloring of every connected twin-free graph of order 3..5
+        # and rlid 3-coloring of its gadget, all under one 100k-node budget
+        budget = Budget(max_nodes=100_000)
+        graphs = 0
+        for n in (3, 4, 5):
+            for g in enumerate_graphs(n, lambda g: g.is_connected() and is_twin_free(g)):
+                decide_k_proper(g, 3, budget)
+                decide_k_rlid(g_star(g).graph, 3, budget)
+                graphs += 1
+        assert graphs == 484
 
 
 class TestDecide:
@@ -71,6 +142,11 @@ class TestChiExact:
 
     def test_empty_graph(self):
         assert chi_exact(build_graph(0, []), "rlid").value == 0
+
+    def test_path_longer_than_the_recursion_limit(self):
+        res = chi_exact(path(1200), "rlid")
+        assert (res.value, res.status) == (3, "exact")
+        assert is_rlid(path(1200), res.witness)
 
     @pytest.mark.parametrize("g", [path(4), cycle(5), star_graph(3)])
     def test_two_color_skip_agrees_with_slow_path(self, g):
