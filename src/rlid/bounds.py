@@ -107,19 +107,23 @@ def characterize_full_palette(g: Graph) -> bool:
 
 
 # node budget of the gamma-id search behind the gamma-id + 1 upper bound
-GAMMA_ID_NODE_BUDGET = 200_000
+GAMMA_ID_NODE_BUDGET = 20_000
 
 
 def bounds_report(g: Graph, *, budget=None) -> BoundsReport:
     """Cheap certified bounds on the rlid optimum.
 
-    Upper bounds: order, gamma-id + 1 (twin-free, under its own
-    GAMMA_ID_NODE_BUDGET), 3 for bipartite graphs of order >= 3, omega + 2
-    for connected twin-free split graphs, and the quotient's best upper
-    bound when twins exist.  Lower bounds: the quotient-clique log
-    bound, the one-color rule (clique unions are exactly the 1-graphs)
-    and the impossibility of 2.  A bound whose
-    computation busts its budget is skipped with a note, never fatal.
+    Upper bounds: order, 3 for bipartite graphs of order >= 3, omega + 2
+    for connected twin-free split graphs, gamma-id + 1 (twin-free, under
+    its own GAMMA_ID_NODE_BUDGET), and the quotient's best upper bound
+    when twins exist.  Lower bounds: the quotient-clique log bound, the
+    one-color rule (clique unions are exactly the 1-graphs) and the
+    impossibility of 2.  The code search runs last, and only when its
+    bound could beat the best upper bound so far: gamma-id >=
+    ceil(log2(n+1)), so it is skipped, with a "not run" note, when
+    the other bounds meet or n.bit_length() + 1 is not below the best
+    upper bound.  A bound whose computation busts its budget is
+    skipped with a note, never fatal.
     """
     if g.n == 0:
         return BoundsReport(((0, "order-n"),), ((0, "order-n"),), 0, 0, 0)
@@ -142,22 +146,27 @@ def bounds_report(g: Graph, *, budget=None) -> BoundsReport:
     except BudgetExceeded:
         notes.append("log-omega-quotient skipped: clique budget exceeded")
 
-    twin_free = is_twin_free(g)
-    if twin_free and g.n >= 1:
-        res = gamma_id_exact(g, Budget(GAMMA_ID_NODE_BUDGET))
-        if res.status == "exact":
-            uppers.append((res.value + 1, "gamma-id-plus-1"))
-        else:
-            notes.append("gamma-id-plus-1 skipped: budget exceeded")
-
     if g.n >= 3 and bipartition(g) is not None:
         uppers.append((3, "bipartite-3"))
 
+    twin_free = is_twin_free(g)
     part = find_split_partition(g)
     if part is not None and g.is_connected() and twin_free:
         # the clique side is a maximum clique, hence maximal: the
         # partition meets the hypothesis of the omega + 2 bound
         uppers.append((len(part.clique) + 2, "split-omega-plus-2"))
+
+    if twin_free:
+        lower = max(v for v, _ in lowers)
+        upper = min(v for v, _ in uppers)
+        if lower < upper and g.n.bit_length() + 1 < upper:
+            res = gamma_id_exact(g, Budget(GAMMA_ID_NODE_BUDGET))
+            if res.status == "exact":
+                uppers.append((res.value + 1, "gamma-id-plus-1"))
+            else:
+                notes.append("gamma-id-plus-1 skipped: budget exceeded")
+        else:
+            notes.append("gamma-id-plus-1 not run: cannot tighten %d..%d" % (lower, upper))
 
     if not twin_free:
         q, partn = quotient(g)

@@ -308,15 +308,14 @@ def _make_family(args):
     raise UsageError("unknown family %r (choose from %s)" % (args.family, ", ".join(_FAMILIES)))
 
 
-def _cmd_construct(args) -> int:
-    inst = _make_family(args)
+def _emit_instance(inst, args, family: str, comments):
+    """Emit a family instance; ``comments`` head the plain edge list."""
     g = inst.graph
     if args.output == "dot":
         _emit_bytes(io.export_dot(g, inst.canonical_coloring), args)
-        return 0
-    if args.output == "json":
+    elif args.output == "json":
         obj = {
-            "family": args.family,
+            "family": family,
             "n": g.n,
             "edges": [[u, v] for u, v in g.edges()],
             "roles": {str(v): r for v, r in inst.roles.items()},
@@ -325,7 +324,13 @@ def _cmd_construct(args) -> int:
                         else [[v, c] for v, c in enumerate(inst.canonical_coloring.colors)],
         }
         _emit_bytes((json.dumps(obj, sort_keys=True, indent=2) + "\n").encode(), args)
-        return 0
+    else:
+        _emit_bytes(io.write_graph_edgelist(g, comments), args)
+
+
+def _cmd_construct(args) -> int:
+    inst = _make_family(args)
+    g = inst.graph
     comments = ["family %s  order %d" % (args.family, g.n)]
     if inst.expected_chi_rlid is not None:
         comments.append("expected rlid chromatic number: %d" % inst.expected_chi_rlid)
@@ -334,7 +339,7 @@ def _cmd_construct(args) -> int:
         if inst.canonical_coloring is not None:
             parts.append("color=%d" % inst.canonical_coloring.colors[v])
         comments.append("  ".join(parts))
-    _emit_bytes(io.write_graph_edgelist(g, comments), args)
+    _emit_instance(inst, args, args.family, comments)
     return 0
 
 
@@ -376,9 +381,10 @@ def _cmd_reduce(args) -> int:
     g = _load_graph(args)
     inst = families.g_star(g)
     if args.action == "gadget":
+        # the same instance as "construct gstar", with the same outputs
         comments = ["gadget of a %d-vertex input, order %d" % (g.n, inst.graph.n)]
         comments += ["vertex %d  role=%s" % (v, inst.roles[v]) for v in range(inst.graph.n)]
-        _emit_bytes(io.write_graph_edgelist(inst.graph, comments), args)
+        _emit_instance(inst, args, "gstar", comments)
         return 0
     if args.certificate_path is None:
         raise UsageError("reduce --action %s needs --certificate" % args.action)

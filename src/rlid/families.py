@@ -501,35 +501,39 @@ def split_separator(g: Graph, part: SplitPartition) -> frozenset:
     """Separator S' inside the stable part: at most |K|-1 vertices whose
     closed-neighborhood intersections are pairwise distinct over K.
 
-    Recursive: the minimum-index useful stable vertex u splits K into
-    its neighbors and the rest, u separates the halves, and recursion
-    separates within each half.  Stable vertices keep recursing into
-    every half they still have a neighbor in, which preserves a
-    distinguisher for every clique pair all the way down.
+    The minimum-index useful stable vertex u splits K into its
+    neighbors and the rest, u separates the halves, and each half is
+    separated in turn.  Stable vertices stay candidates in every half
+    they still have a neighbor in, which preserves a distinguisher for
+    every clique pair all the way down.  The halves wait on an
+    explicit stack, so a deep clique side needs no recursion.
     """
     kmask, smask = _validate_split(g, part, for_separator=True)
     adj = g.adj
-
-    def rec(K: int, stable_list) -> frozenset:
+    sep = set()
+    todo = [(kmask, sorted(part.stable))]
+    while todo:
+        K, cands = todo.pop()
         if K.bit_count() <= 1:
-            return frozenset()
-        cands = [v for v in stable_list if adj[v] & K]
-        if not cands:
+            continue
+        cands = [v for v in cands if adj[v] & K]
+        # skip the stable vertices that see this whole clique part:
+        # they separate nothing here
+        i = 0
+        while i < len(cands) and adj[cands[i]] & K == K:
+            i += 1
+        if i == len(cands):
             raise AssertionError(
                 "clique pair left unseparated; twin-free validation should prevent this"
             )
-        u = cands[0]
+        u = cands[i]
         k1 = adj[u] & K
         k2 = K & ~k1
-        rest = cands[1:]
-        if not k2:
-            # u sees this whole clique: it separates nothing here.
-            return rec(K, rest)
-        s1 = [v for v in rest if adj[v] & k1]
-        s2 = [v for v in rest if adj[v] & k2]
-        return frozenset((u,)) | rec(k1, s1) | rec(k2, s2)
-
-    sep = rec(kmask, sorted(part.stable))
+        rest = cands[i + 1:]
+        sep.add(u)
+        todo.append((k2, rest))
+        todo.append((k1, rest))
+    sep = frozenset(sep)
     assert len(sep) <= max(len(part.clique) - 1, 0)
     return sep
 

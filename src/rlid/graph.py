@@ -279,27 +279,29 @@ def max_clique_size(g: Graph, budget=None) -> int:
     """
     if g.n == 0:
         return 0
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     adj = g.adj
     best = 0
 
     def greedy_order(p_mask):
-        # Color candidates greedily; vertices come back sorted by color,
-        # which makes size+color an admissible bound during expansion.
-        classes = []
-        for v in bits(p_mask):
-            for cls in classes:
-                if not (adj[v] & cls[0]):
-                    cls[0] |= 1 << v
-                    cls[1].append(v)
-                    break
-            else:
-                classes.append([1 << v, [v]])
+        # First-fit coloring of the candidates in index order, one color
+        # class at a time; vertices come back sorted by color, which
+        # makes size+color an admissible bound during expansion.
         out = []
-        for color, cls in enumerate(classes, start=1):
-            for v in cls[1]:
+        color = 0
+        while p_mask:
+            color += 1
+            q = p_mask
+            while q:
+                low = q & -q
+                v = low.bit_length() - 1
                 out.append((v, color))
+                p_mask ^= low
+                q &= ~(adj[v] | low)
         return out
+
+    # explicit stack of [candidates, size, greedy sequence, next index];
+    # the sequence is walked from its end, highest color first
+    stack = []
 
     def expand(p_mask, size):
         nonlocal best
@@ -310,13 +312,19 @@ def max_clique_size(g: Graph, budget=None) -> int:
                 best = size
             return
         seq = greedy_order(p_mask)
-        for v, color in reversed(seq):
-            if size + color <= best:
-                return
-            expand(p_mask & adj[v], size + 1)
-            p_mask &= ~(1 << v)
+        stack.append([p_mask, size, seq, len(seq) - 1])
 
-    expand(mask_of(order), 0)
+    expand((1 << g.n) - 1, 0)
+    while stack:
+        frame = stack[-1]
+        p_mask, size, seq, i = frame
+        if i < 0 or size + seq[i][1] <= best:
+            stack.pop()
+            continue
+        v = seq[i][0]
+        frame[0] = p_mask & ~(1 << v)
+        frame[3] = i - 1
+        expand(p_mask & adj[v], size + 1)
     return best
 
 

@@ -32,7 +32,6 @@ from .graph import (
     graph_from_edge_mask,
     is_isomorphic,
     is_twin_free,
-    mask_of,
     twin_partition,
 )
 
@@ -340,13 +339,134 @@ def chi_exact(g: Graph, parameter: str = "rlid", budget=None, *, search_two: boo
 # -- minimum identifying code -------------------------------------------
 
 
+def _code_constraints(g: Graph, spend):
+    """The vertex sets an identifying code must meet.
+
+    A set C identifies G exactly when it meets every N[v] and every
+    N[u] ^ N[v].  Only pairs at distance <= 2 get a set of their own:
+    farther pairs have disjoint closed neighborhoods, so their
+    N[u] ^ N[v] contains N[u].  Building each pair's set calls
+    ``spend`` once.  A set that contains another one is dropped.
+
+    Returns ``(sets, containing, live)``: the distinct sets, smallest
+    first; ``containing[w]``, the mask of indices i with w in
+    ``sets[i]``; and ``live``, the mask of the indices not dropped.
+    """
+    n = g.n
+    closed = g.closed
+    found = set(closed)
+    for u in range(n):
+        near = 0
+        for w in bits(closed[u]):
+            near |= closed[w]
+        for v in bits(near & ~((2 << u) - 1)):
+            spend()
+            found.add(closed[u] ^ closed[v])
+    sets = sorted(found, key=lambda m: (m.bit_count(), m))
+    # containing[w]: bit i set when sets[i] contains w.  A strict
+    # superset of sets[i] sorts after it, and the supersets of a
+    # dropped set were dropped with the set it contains.
+    width = (len(sets) + 7) >> 3
+    rows = [bytearray(width) for _ in range(n)]
+    for i, c in enumerate(sets):
+        byte, bit = i >> 3, 1 << (i & 7)
+        for w in bits(c):
+            rows[w][byte] |= bit
+    containing = [int.from_bytes(row, "little") for row in rows]
+    dropped = 0
+    for i, c in enumerate(sets):
+        own = 1 << i
+        if dropped & own:
+            continue
+        over = -1
+        for w in bits(c):
+            over &= containing[w]
+            if over == own:
+                break
+        dropped |= over ^ own
+    return sets, containing, ((1 << len(sets)) - 1) & ~dropped
+
+
+def _greedy_code(containing: list, unmet: int) -> int:
+    """Add the vertex meeting the most unmet sets until none is left;
+    the smallest index wins ties."""
+    code = 0
+    while unmet:
+        v = max(range(len(containing)), key=lambda w: (containing[w] & unmet).bit_count())
+        code |= 1 << v
+        unmet &= ~containing[v]
+    return code
+
+
+def _min_hitting_set(sets: list, n: int, floor: int, best: int, spend) -> int:
+    """A smallest vertex mask meeting every mask in ``sets``, given a
+    hitting set ``best`` to beat.
+
+    Depth-first branch and bound on an explicit stack branches on the
+    unmet set with the fewest allowed vertices; its i-th child takes
+    that set's i-th vertex and bars the ones before it.  A node is cut
+    when ``max(size + packing, floor) >= best``, where packing counts a
+    greedy choice of unmet sets pairwise disjoint on allowed vertices
+    (each needs its own vertex).  Every node evaluated calls ``spend``
+    once.  Candidates are tried in index order and the incumbent only
+    moves on a strict improvement, so the answer is deterministic.
+    """
+    best_size = best.bit_count()
+
+    def evaluate(chosen, excluded, unmet):
+        # the allowed vertices of the tightest unmet set, or None to cut
+        allowed = ~excluded
+        pick, fewest, used, packing = 0, n + 1, 0, 0
+        for s in unmet:
+            a = s & allowed
+            k = a.bit_count()
+            if k < fewest:
+                if not k:
+                    return None
+                pick, fewest = a, k
+            if not a & used:
+                used |= a
+                packing += 1
+        if max(chosen.bit_count() + packing, floor) >= best_size:
+            return None
+        return list(bits(pick))
+
+    # explicit stack of [chosen, excluded, unmet, candidates, next index]
+    spend()
+    root = evaluate(0, 0, sets)
+    stack = [] if root is None else [[0, 0, sets, root, 0]]
+    while stack:
+        frame = stack[-1]
+        chosen, excluded, unmet, cands, i = frame
+        if i == len(cands):
+            stack.pop()
+            continue
+        frame[4] = i + 1
+        spend()
+        bit = 1 << cands[i]
+        child = chosen | bit
+        rest = [s for s in unmet if not s & bit]
+        if not rest:
+            if child.bit_count() < best_size:
+                best, best_size = child, child.bit_count()
+            continue
+        for w in cands[:i]:
+            excluded |= 1 << w
+        nxt = evaluate(child, excluded, rest)
+        if nxt is not None:
+            stack.append([child, excluded, rest, nxt, 0])
+    return best
+
+
 def gamma_id_exact(g: Graph, budget=None) -> SolveResult:
     """Minimum identifying code size with a witness vertex set.
 
-    Size search starts at ceil(log2(n+1)); any vertex forming a
-    singleton closed-neighborhood symmetric difference with some pair
-    is forced into every code.  Candidate sets are tried in
-    lexicographic order, so the witness is deterministic.
+    An exact minimum hitting set of the code's constraints (see
+    ``_code_constraints`` and ``_min_hitting_set``), starting from a
+    greedy code and cut below by ceil(log2(n+1)): n nonempty traces
+    must differ.  The budget counts one node per pair constraint built
+    and one per search node.  The search order is fixed, so the
+    witness is deterministic.
     """
     _require_twin_free(g)
     if budget is None:
@@ -355,39 +475,21 @@ def gamma_id_exact(g: Graph, budget=None) -> SolveResult:
     n = g.n
     if n == 0:
         return SolveResult("gamma-id", 0, frozenset(), "exact", SolveStats(0, 0.0))
-    forced = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            d = g.closed[u] ^ g.closed[v]
-            if d.bit_count() == 1:
-                forced |= d
-    free = [v for v in range(n) if not (forced >> v & 1)]
-    base = forced.bit_count()
-    lower = max(n.bit_length(), base)
-
-    # is_identifying_code costs O(n^2) per candidate; this is O(n)
-    def identifying(code_mask: int) -> bool:
-        seen = set()
-        for v in range(n):
-            key = g.closed[v] & code_mask
-            if not key or key in seen:
-                return False
-            seen.add(key)
-        return True
-
-    for s in range(lower, n + 1):
-        for extra in itertools.combinations(free, s - base):
-            try:
-                budget.spend()
-            except BudgetExceeded:
-                stats = SolveStats(budget.nodes, (time.perf_counter() - start) * 1000)
-                return SolveResult("gamma-id", None, None, "budget-exceeded", stats)
-            code_mask = forced | mask_of(extra)
-            if identifying(code_mask):
-                stats = SolveStats(budget.nodes, (time.perf_counter() - start) * 1000)
-                witness = frozenset(bits(code_mask))
-                return SolveResult("gamma-id", s, witness, "exact", stats)
-    raise AssertionError("full vertex set identifies any twin-free graph")
+    try:
+        sets, containing, live = _code_constraints(g, budget.spend)
+        kept = [sets[i] for i in bits(live)]
+        greedy = _greedy_code(containing, live)
+        code_mask = _min_hitting_set(kept, n, n.bit_length(), greedy, budget.spend)
+    except BudgetExceeded:
+        stats = SolveStats(budget.nodes, (time.perf_counter() - start) * 1000)
+        return SolveResult("gamma-id", None, None, "budget-exceeded", stats)
+    # an O(n) check of the witness; is_identifying_code costs O(n^2)
+    traces = {g.closed[v] & code_mask for v in range(n)}
+    if len(traces) != n or 0 in traces:
+        raise AssertionError("hitting set %r is not an identifying code" % (code_mask,))
+    stats = SolveStats(budget.nodes, (time.perf_counter() - start) * 1000)
+    witness = frozenset(bits(code_mask))
+    return SolveResult("gamma-id", len(witness), witness, "exact", stats)
 
 
 # -- exhaustive enumeration ---------------------------------------------

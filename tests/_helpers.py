@@ -17,3 +17,15 @@ def complete(n):
 
 def star_graph(leaves):
     return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def threshold_graph(clique):
+    """Clique 0..clique-1 plus stable vertices clique + i seeing 0..i.
+
+    Twin-free and split, with a maximal clique side, for i < clique - 1;
+    a clique side of 1,050 is deeper than the interpreter's default
+    recursion limit.
+    """
+    edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
+    edges += [(clique + i, j) for i in range(clique - 1) for j in range(i + 1)]
+    return build_graph(2 * clique - 1, edges)

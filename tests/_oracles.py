@@ -76,13 +76,19 @@ def brute_is_id_code(n, edges, code):
 
 
 def brute_gamma_id(n, edges):
-    """Minimum identifying code size, or None when twins block it."""
+    """Minimum identifying code size, or None when twins block it.
+
+    Tries every vertex subset, smallest first; a subset is a code when
+    the traces N[v] & code are nonempty and pairwise distinct.
+    """
     closed = closed_neighborhoods(n, edges)
     if any(closed[u] == closed[v] for u, v in combinations(range(n), 2)):
         return None
     for size in range(1, n + 1):
         for chosen in combinations(range(n), size):
-            if brute_is_id_code(n, edges, set(chosen)):
+            code = set(chosen)
+            traces = {frozenset(closed[v] & code) for v in range(n)}
+            if len(traces) == n and frozenset() not in traces:
                 return size
     return None
 

@@ -2,22 +2,26 @@
 
 import pytest
 
+from rlid import bounds as bounds_mod
 from rlid import (
+    Budget,
     Coloring,
     GraphError,
     bounds_report,
     build_graph,
     characterize_full_palette,
     chi_exact,
+    gamma_id_exact,
+    is_twin_free,
     join,
     lower_bound_log_omega,
     split_lower_bound,
     verify_rlid,
 )
-from rlid.families import find_split_partition, h_p, power_path, q1, q2
+from rlid.families import find_split_partition, g_star, h_p, power_path, q1, q2
 from rlid.solvers import enumerate_graphs
 
-from _helpers import complete, cycle, path
+from _helpers import complete, cycle, path, threshold_graph
 from _oracles import brute_is_rlid
 
 
@@ -59,6 +63,45 @@ class TestBoundsReport:
     def test_order_bound_always_present(self):
         r = bounds_report(cycle(5))
         assert (5, "order-n") in r.upper_bounds
+
+    def test_long_path_skips_the_code_search(self, monkeypatch):
+        monkeypatch.setattr(bounds_mod, "gamma_id_exact", None)
+        r = bounds_report(path(100))
+        assert r.exact == 3
+        assert r.notes == ("gamma-id-plus-1 not run: cannot tighten 3..3",)
+
+    def test_gadget_of_w5_gets_the_code_bound(self):
+        wheel = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]
+        r = bounds_report(g_star(build_graph(6, wheel)).graph)
+        assert (17, "gamma-id-plus-1") in r.upper_bounds
+        assert r.best_upper == 17
+
+    def test_code_search_runs_only_when_it_can_tighten(self, monkeypatch):
+        calls = []
+
+        def recording(g, budget=None):
+            calls.append(g)
+            return gamma_id_exact(g, budget)
+
+        monkeypatch.setattr(bounds_mod, "gamma_id_exact", recording)
+        ran = 0
+        for n in range(1, 6):
+            for g in enumerate_graphs(n, lambda g: g.is_connected() and is_twin_free(g)):
+                calls.clear()
+                r = bounds_report(g)
+                cheap = [v for v, prov in r.upper_bounds if prov != "gamma-id-plus-1"]
+                can_tighten = r.best_lower < min(cheap) and n.bit_length() + 1 < min(cheap)
+                assert bool(calls) == can_tighten
+                ran += can_tighten
+                if not can_tighten:
+                    note = "gamma-id-plus-1 not run: cannot tighten %d..%d"
+                    assert note % (r.best_lower, min(cheap)) in r.notes
+        assert ran > 0
+
+    def test_threshold_graph_with_a_deep_clique(self):
+        # the clique search must not recurse once per clique vertex
+        r = bounds_report(threshold_graph(1050), budget=Budget(20_000))
+        assert r.best_lower <= r.best_upper == 1052
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_soundness_on_all_small_connected_graphs(self, n):

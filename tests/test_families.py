@@ -38,7 +38,7 @@ from rlid.families import (
 )
 from rlid.solvers import enumerate_graphs
 
-from _helpers import complete, cycle, path, star_graph
+from _helpers import complete, cycle, path, star_graph, threshold_graph
 from _oracles import all_labeled_graphs, brute_split_partition
 
 
@@ -305,6 +305,18 @@ class TestSplitSeparator:
                 if not any(w == v or g.has_edge(v, w) for w in sep)
             ]
             assert len(empty) <= 1
+
+    def test_clique_side_deeper_than_the_recursion_limit(self):
+        g = threshold_graph(1050)
+        part = find_split_partition(g)
+        assert part.clique == frozenset(range(1050))
+        sep = split_separator(g, part)
+        assert sep <= part.stable
+        assert len(sep) <= len(part.clique) - 1
+        traces = {
+            frozenset(w for w in sep if g.has_edge(v, w)) for v in part.clique
+        }
+        assert len(traces) == len(part.clique)
 
     def test_rejects_twins(self):
         # N[0] = N[1] = {0,1,2}

@@ -22,10 +22,10 @@ from rlid import (
     write_result,
 )
 from rlid.cli import main
-from rlid.families import h_p
+from rlid.families import g_star, h_p
 from rlid.io import MAX_ORDER, ParseError
 
-from _helpers import cycle, path, star_graph
+from _helpers import cycle, path, star_graph, threshold_graph
 
 P4_EDGELIST = "4\n0 1\n1 2\n2 3\n"
 
@@ -277,6 +277,37 @@ class TestCli:
             tuple(map(int, line.split())) for line in out.strip().splitlines()
         )
         assert projected == {0: 1, 1: 2, 2: 1, 3: 2, 4: 3}
+
+    def test_reduce_gadget_plain_is_an_edge_list(self, tmp_path, capsys):
+        p = _write(tmp_path, "p4.txt", P4_EDGELIST)
+        assert main(["reduce", "-i", p]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("# gadget of a 4-vertex input, order 14\n")
+        assert parse_graph_text(out, "edgelist").adj == g_star(path(4)).graph.adj
+
+    def test_reduce_gadget_json(self, tmp_path, capsys):
+        p = _write(tmp_path, "p4.txt", P4_EDGELIST)
+        assert main(["reduce", "-i", p, "-o", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        gadget = g_star(path(4)).graph
+        assert obj["family"] == "gstar"
+        assert obj["n"] == gadget.n
+        assert [tuple(e) for e in obj["edges"]] == list(gadget.edges())
+        assert main(["construct", "gstar", "-i", p, "-o", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == obj
+
+    def test_reduce_gadget_dot(self, tmp_path, capsys):
+        p = _write(tmp_path, "p4.txt", P4_EDGELIST)
+        assert main(["reduce", "-i", p, "-o", "dot"]) == 0
+        assert capsys.readouterr().out.encode() == export_dot(g_star(path(4)).graph)
+
+    def test_bounds_on_a_clique_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        g = threshold_graph(1050)
+        p = str(tmp_path / "threshold.txt")
+        with open(p, "wb") as fh:
+            fh.write(write_graph_edgelist(g))
+        assert main(["bounds", "--node-budget", "20000", "-i", p]) in (0, 3)
+        assert "best:" in capsys.readouterr().out
 
     def test_color_bipartite_command(self, tmp_path, capsys):
         c6 = _write(tmp_path, "c6.txt", "6\n" + "".join("%d %d\n" % (i, (i + 1) % 6) for i in range(6)))

@@ -1,5 +1,6 @@
 """Exact decision and optimization procedures against the brute oracle."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -29,6 +30,7 @@ from _oracles import (
     brute_bipartite,
     brute_chi,
     brute_connected,
+    brute_gamma_id,
     brute_is_rlid,
     brute_twin_free,
     closed_neighborhoods,
@@ -184,6 +186,49 @@ class TestGammaId:
 
     def test_c4(self):
         assert gamma_id_exact(cycle(4)).value == 3
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_oracle_on_connected_twin_free_graphs(self, n):
+        checked = 0
+        for edges in all_labeled_graphs(n):
+            if not (brute_connected(n, edges) and brute_twin_free(n, edges)):
+                continue
+            g = build_graph(n, edges)
+            res = gamma_id_exact(g)
+            assert res.value == brute_gamma_id(n, edges), edges
+            assert len(res.witness) == res.value
+            assert is_identifying_code(g, res.witness)
+            checked += 1
+        assert checked == {1: 1, 2: 0, 3: 3, 4: 19, 5: 462, 6: 18268}[n]
+
+    def test_matches_oracle_on_random_twin_free_graphs(self):
+        rng = random.Random(6)
+        checked = 0
+        while checked < 40:
+            n = rng.randint(7, 10)
+            p = rng.uniform(0.15, 0.7)
+            edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
+            if not brute_twin_free(n, edges):
+                continue
+            g = build_graph(n, edges)
+            res = gamma_id_exact(g)
+            assert res.value == brute_gamma_id(n, edges), (n, edges)
+            assert is_identifying_code(g, res.witness)
+            checked += 1
+
+    def test_long_path_is_half_plus_one(self):
+        # gamma_id(P_n) = ceil((n + 1) / 2) for paths of order >= 3
+        res = gamma_id_exact(path(100))
+        assert (res.status, res.value) == ("exact", 51)
+        assert is_identifying_code(path(100), res.witness)
+
+    def test_tiny_budget_is_budget_exceeded(self):
+        budget = Budget(max_nodes=50)
+        res = gamma_id_exact(path(100), budget)
+        assert (res.status, res.value, res.witness) == ("budget-exceeded", None, None)
+        # one node per pair constraint: the 197 pairs at distance <= 2
+        # stop at the budget instead of all being built first
+        assert budget.nodes == 51
 
 
 class TestEnumerate:
