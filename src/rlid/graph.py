@@ -273,7 +273,9 @@ def quotient(g: Graph):
 def max_clique_size(g: Graph, budget=None) -> int:
     """Exact maximum clique size by branch and bound.
 
-    Uses a greedy-coloring upper bound for pruning.  ``budget`` is an
+    Uses a greedy-coloring upper bound for pruning.  The search runs on
+    an explicit stack, so a clique deeper than the interpreter's
+    recursion limit needs no recursion.  ``budget`` is an
     optional node budget (see solvers.Budget); on exhaustion the search
     raises BudgetExceeded rather than return an unproven value.
     """
