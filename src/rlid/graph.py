@@ -259,10 +259,12 @@ def quotient(g: Graph):
     """Induced subgraph on minimum-index twin-class representatives.
 
     Returns ``(graph, partition)``.  The quotient of a twin-free graph
-    is the graph itself (up to the identity relabeling), and quotients
-    are always twin-free.
+    is the graph itself: that input comes back as is, not rebuilt.
+    Quotients are always twin-free.
     """
     part = twin_partition(g)
+    if not part.t:
+        return g, part
     q, _ = g.induced(part.representatives)
     return q, part
 
@@ -270,19 +272,23 @@ def quotient(g: Graph):
 # -- cliques ------------------------------------------------------------
 
 
-def max_clique_size(g: Graph, budget=None) -> int:
-    """Exact maximum clique size by branch and bound.
+def max_clique(g: Graph, budget=None, within=None) -> tuple:
+    """A maximum clique, as its vertices in increasing order, by branch
+    and bound; ``within`` optionally limits it to the vertices of a mask.
 
     Uses a greedy-coloring upper bound for pruning.  The search runs on
     an explicit stack, so a clique deeper than the interpreter's
     recursion limit needs no recursion.  ``budget`` is an
     optional node budget (see solvers.Budget); on exhaustion the search
-    raises BudgetExceeded rather than return an unproven value.
+    raises BudgetExceeded rather than return an unproven clique.  The
+    first clique of the largest size found wins, so the answer is
+    deterministic.
     """
     if g.n == 0:
-        return 0
+        return ()
     adj = g.adj
     best = 0
+    best_size = 0
 
     def greedy_order(p_mask):
         # First-fit coloring of the candidates in index order, one color
@@ -301,33 +307,38 @@ def max_clique_size(g: Graph, budget=None) -> int:
                 q &= ~(adj[v] | low)
         return out
 
-    # explicit stack of [candidates, size, greedy sequence, next index];
-    # the sequence is walked from its end, highest color first
+    # explicit stack of [candidates, members, size, greedy sequence,
+    # next index]; the sequence is walked from its end, highest color first
     stack = []
 
-    def expand(p_mask, size):
-        nonlocal best
+    def expand(p_mask, members, size):
+        nonlocal best, best_size
         if budget is not None:
             budget.spend()
         if not p_mask:
-            if size > best:
-                best = size
+            if size > best_size:
+                best, best_size = members, size
             return
         seq = greedy_order(p_mask)
-        stack.append([p_mask, size, seq, len(seq) - 1])
+        stack.append([p_mask, members, size, seq, len(seq) - 1])
 
-    expand((1 << g.n) - 1, 0)
+    expand((1 << g.n) - 1 if within is None else within, 0, 0)
     while stack:
         frame = stack[-1]
-        p_mask, size, seq, i = frame
-        if i < 0 or size + seq[i][1] <= best:
+        p_mask, members, size, seq, i = frame
+        if i < 0 or size + seq[i][1] <= best_size:
             stack.pop()
             continue
         v = seq[i][0]
         frame[0] = p_mask & ~(1 << v)
-        frame[3] = i - 1
-        expand(p_mask & adj[v], size + 1)
-    return best
+        frame[4] = i - 1
+        expand(p_mask & adj[v], members | 1 << v, size + 1)
+    return tuple(bits(best))
+
+
+def max_clique_size(g: Graph, budget=None) -> int:
+    """Exact maximum clique size: the length of ``max_clique``."""
+    return len(max_clique(g, budget))
 
 
 # -- bipartition, degeneracy, join --------------------------------------

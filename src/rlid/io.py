@@ -218,7 +218,11 @@ def _jsonable(result):
             "status": result.status,
             "witness": witness,
             # wall time stays out: serialized results must be byte-reproducible
-            "stats": {"nodes": result.stats.nodes},
+            "stats": {
+                "nodes": result.stats.nodes,
+                "per_k": [list(row) for row in result.stats.per_k],
+                "clique": result.stats.clique,
+            },
         }
     if isinstance(result, BoundsReport):
         return {

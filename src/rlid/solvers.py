@@ -13,6 +13,32 @@ are fully colored with equal color sets; each check ORs the colors of
 runs on an explicit stack, so path-like inputs of any length search
 without recursion.  Search is deterministic: fixed vertex order,
 ascending color trials.
+
+In rlid, lid and id modes two more cuts apply, both proven necessary
+for every valid coloring:
+
+- Forced differences (the general form of the gadget's projection
+  lemma).  If a constrained pair u, v has N[u] - N[v] = {a} and
+  N[v] - N[u] = {b}, the two color sets are C(N[u] & N[v]) plus c(a)
+  and plus c(b), so they differ only if c(a) != c(b).  If instead
+  N[u] - N[v] = {a} and N[v] lies inside N[u], the sets are C(N[v])
+  plus c(a) and C(N[v]), so c(a) must differ from every color on N[v].
+  These pairs form a graph D that every valid coloring colors
+  properly; on a gadget g*(G), D contains G.  The search treats D's
+  edges like graph edges of a proper coloring, and colors next the
+  vertex with the most colored D-neighbors.
+- Clique color count (the log-omega bound on partial colorings).  Take
+  a clique K of pairwise non-twins.  Each member's closed neighborhood
+  contains K, so its color set contains C(K), the colors used on K;
+  the |K| members are pairwise constrained, so these |K| sets differ.
+  With k colors there are only 2^(k - |C(K)|) supersets of C(K), so
+  |C(K)| <= k - ceil(log2 |K|).  C(K) only grows as the search colors
+  more of K, so a partial coloring that breaks the bound has no valid
+  completion.  The plan uses a maximum such clique when it has at
+  least three members.
+
+Both cuts only compare or count colors, so renaming colors keeps them;
+the at-most-one-new-color rule and the values stay exact.
 """
 
 from __future__ import annotations
@@ -32,10 +58,12 @@ from .graph import (
     graph_from_edge_mask,
     is_isomorphic,
     is_twin_free,
+    max_clique,
     twin_partition,
 )
 
 DEFAULT_NODE_BUDGET = 10_000_000
+PLAN_CLIQUE_NODE_BUDGET = 10_000
 
 
 @dataclass(frozen=True)
@@ -87,8 +115,15 @@ class Budget:
 
 @dataclass(frozen=True)
 class SolveStats:
+    """What a solve cost: ``nodes`` in all, ``per_k`` as one ``(k, nodes)``
+    row per k searched (chi_exact only), ``clique`` the size of the
+    clique the color-count cut used (0 when none), and ``wall_ms``.
+    Only ``wall_ms`` depends on the machine."""
+
     nodes: int
     wall_ms: float
+    per_k: tuple = ()
+    clique: int = 0
 
 
 @dataclass(frozen=True)
@@ -124,20 +159,43 @@ class _SearchPlan:
 
     ``order`` is the coloring order, built in one greedy pass: each
     step colors the uncolored vertex with the highest score
-    ``closes * B**2 + seen * B + rank`` (``B = n + 1``), where
-    ``closes`` counts the constrained pairs whose ``N[u] | N[v]`` that
-    vertex would complete, ``seen`` its colored neighbors, and ``rank``
-    its position in the degeneracy elimination order (later is
-    higher), so ties fall back to reverse degeneracy order.
+    ``forced * F + closes * B**2 + seen * B + rank`` (``B = n + 1``,
+    ``F`` above any ``closes * B**2``), where ``forced`` counts its
+    colored neighbors in the forced-difference graph D (below),
+    ``closes`` the constrained pairs whose ``N[u] | N[v]`` that vertex
+    would complete, ``seen`` its colored neighbors, and ``rank`` its
+    position in the degeneracy elimination order (later is higher), so
+    ties fall back to reverse degeneracy order.
 
-    ``earlier[i]`` lists the neighbors of ``order[i]`` colored before
-    it (proper and lid modes only).  ``checks[i]`` holds one
+    ``earlier[i]`` lists the vertices colored before ``order[i]`` that
+    must get another color: its D-neighbors, and in proper and lid
+    modes its graph neighbors too.  ``checks[i]`` holds one
     ``(common, only_u, only_v)`` triple of vertex tuples per pair whose
     last member is ``order[i]``: ``N[u] & N[v]``, ``N[u] - N[v]`` and
     ``N[v] - N[u]``.
+
+    Two cuts hold in every valid coloring, and both only count or
+    compare colors, so renaming colors keeps them:
+
+    - Forced differences.  A check with ``only_u = {a}`` and
+      ``only_v = {b}`` compares C(common) + c(a) with C(common) + c(b),
+      so c(a) != c(b).  One with ``only_u = {a}`` and ``only_v`` empty
+      compares C(N[v]) + c(a) with C(N[v]), so c(a) differs from every
+      color on N[v].  D holds these pairs.
+    - Clique color count.  ``clique`` is a maximum clique K of
+      pairwise non-twins (over twin-class representatives), kept when
+      |K| >= 3.  Every member's N[] contains K, so its color set
+      contains C(K), the colors on K; the |K| sets differ, and k colors
+      offer 2^(k - |C(K)|) supersets of C(K).  So |C(K)| <= k - ``slack``
+      with ``slack = ceil(log2 |K|)``, and C(K) only grows as the search
+      colors more of K.  ``clique_before[i]`` lists the members colored
+      before ``order[i]`` when it is a member, else None.  The clique
+      search runs only when an adjacent constrained pair has a common
+      neighbor (a triangle of non-twins needs one), and gives up
+      without a cut past ``PLAN_CLIQUE_NODE_BUDGET`` nodes.
     """
 
-    __slots__ = ("g", "mode", "n", "order", "earlier", "checks")
+    __slots__ = ("g", "mode", "n", "order", "earlier", "checks", "clique", "slack", "clique_before")
 
     def __init__(self, g: Graph, spec: Parameter):
         if spec.twin_free:
@@ -158,14 +216,46 @@ class _SearchPlan:
         left = []          # per pair: its members not colored yet
         layout = []        # per pair: its check triple
         member_of = [[] for _ in range(n)]
+        forced = [0] * n   # D's adjacency masks
+        triangle = False
         for p, (u, v) in enumerate(pairs):
             cu, cv = closed[u], closed[v]
+            both = cu & cv
+            ou, ov = cu ^ both, cv ^ both
             left.append(cu | cv)
-            check = (tuple(bits(cu & cv)), tuple(bits(cu & ~cv)), tuple(bits(cv & ~cu)))
+            check = (tuple(bits(both)), tuple(bits(ou)), tuple(bits(ov)))
             layout.append(check)
             for part in check:
                 for w in part:
                     member_of[w].append(p)
+            if not (ou & (ou - 1) or ov & (ov - 1)):
+                if ou and ov:
+                    forced[ou.bit_length() - 1] |= ov
+                    forced[ov.bit_length() - 1] |= ou
+                else:
+                    # one side is a single vertex a, the other N[] is all common
+                    a = (ou | ov).bit_length() - 1
+                    forced[a] |= both
+                    for w in check[0]:
+                        forced[w] |= ou | ov
+            if not triangle and len(check[0]) > 2 and adj[u] >> v & 1:
+                triangle = True
+
+        self.clique = ()
+        if triangle:
+            # the smallest vertex of each twin class
+            reps, seen = 0, set()
+            for v in range(n):
+                if closed[v] not in seen:
+                    seen.add(closed[v])
+                    reps |= 1 << v
+            try:
+                found = max_clique(g, Budget(PLAN_CLIQUE_NODE_BUDGET), reps)
+            except BudgetExceeded:
+                found = ()
+            if len(found) >= 3:
+                self.clique = found
+        self.slack = (len(self.clique) - 1).bit_length() if self.clique else 0
 
         _, elim = degeneracy(g)
         score = [0] * n
@@ -173,7 +263,14 @@ class _SearchPlan:
             score[v] = rank
         seen_step = n + 1
         closes_step = seen_step * seen_step
+        forced_step = closes_step * (len(layout) + 1)
         need_proper = mode in ("proper", "lid")
+        if not need_proper:
+            differ = forced
+        elif layout:
+            differ = [a | d for a, d in zip(adj, forced)]
+        else:
+            differ = adj
         uncolored = set(range(n))
         colored = 0
         order, earlier, checks = [], [], []
@@ -181,10 +278,15 @@ class _SearchPlan:
             v = max(uncolored, key=score.__getitem__)
             uncolored.remove(v)
             order.append(v)
-            earlier.append(tuple(bits(adj[v] & colored)) if need_proper else ())
+            must = differ[v] & colored
+            earlier.append(tuple(bits(must)) if must else ())
             colored |= 1 << v
             for w in bits(adj[v] & ~colored):
                 score[w] += seen_step
+            pushed = forced[v] & ~colored
+            if pushed:
+                for w in bits(pushed):
+                    score[w] += forced_step
             done = []
             for p in member_of[v]:
                 rest = left[p] ^ (1 << v)
@@ -197,6 +299,14 @@ class _SearchPlan:
         self.order = tuple(order)
         self.earlier = tuple(earlier)
         self.checks = tuple(checks)
+        before = [None] * n
+        if self.clique:
+            members = []
+            for i, v in enumerate(order):
+                if v in self.clique:
+                    before[i] = tuple(members)
+                    members.append(v)
+        self.clique_before = tuple(before)
 
 
 def _search(plan: _SearchPlan, k: int, budget: Budget):
@@ -205,15 +315,22 @@ def _search(plan: _SearchPlan, k: int, budget: Budget):
     Backtracking with an explicit stack, so the depth is not bounded
     by the interpreter's recursion limit: step i colors ``order[i]``,
     ``trial[i]`` is the next color it tries and ``used[i]`` the
-    number of colors in use before it.
+    number of colors in use before it.  A color is cut when an earlier
+    vertex of ``earlier[i]`` has it, when it would put more than
+    ``k - slack`` colors on the plan's clique, or when a pair check it
+    completes finds equal color sets.
     """
     n = plan.n
     if n == 0:
         return []
+    limit = k - plan.slack
+    if plan.clique and limit < 1:
+        return None
     col = [0] * n
     order = plan.order
     earlier = plan.earlier
     checks = plan.checks
+    clique_before = plan.clique_before
     spend = budget.spend
     trial = [1] * n
     used = [0] * n
@@ -225,28 +342,39 @@ def _search(plan: _SearchPlan, k: int, budget: Budget):
         top = used[i] + 1
         if top > k:
             top = k
+        # colors the clique count allows: all (-1), or only those
+        # already on the clique once it carries ``limit`` of them
+        allowed = -1
+        members = clique_before[i]
+        if members is not None:
+            on_clique = 0
+            for w in members:
+                on_clique |= 1 << col[w]
+            if on_clique.bit_count() >= limit:
+                allowed = on_clique
         c = trial[i]
         while c <= top:
             spend()
-            for w in enbrs:
-                if col[w] == c:
-                    break
-            else:  # no earlier neighbor has c
-                col[v] = c
-                for common, lu, lv in pair_checks:
-                    m = 0
-                    for w in common:
-                        m |= 1 << col[w]
-                    mu = m
-                    for w in lu:
-                        mu |= 1 << col[w]
-                    mv = m
-                    for w in lv:
-                        mv |= 1 << col[w]
-                    if mu == mv:
+            if allowed >> c & 1:
+                for w in enbrs:
+                    if col[w] == c:
                         break
-                else:  # every check passed: v keeps c
-                    break
+                else:  # no earlier vertex that must differ has c
+                    col[v] = c
+                    for common, lu, lv in pair_checks:
+                        m = 0
+                        for w in common:
+                            m |= 1 << col[w]
+                        mu = m
+                        for w in lu:
+                            mu |= 1 << col[w]
+                        mv = m
+                        for w in lv:
+                            mv |= 1 << col[w]
+                        if mu == mv:
+                            break
+                    else:  # every check passed: v keeps c
+                        break
             c += 1
         if c > top:
             # no color fits order[i]: back up one step
@@ -324,15 +452,22 @@ def chi_exact(g: Graph, parameter: str = "rlid", budget=None, *, search_two: boo
     ks = list(range(1, g.n + 1))
     if parameter == "rlid" and not search_two and g.n >= 2:
         ks.remove(2)
+    per_k = []
+
+    def stats():
+        wall_ms = (time.perf_counter() - start) * 1000
+        return SolveStats(budget.nodes, wall_ms, tuple(per_k), len(plan.clique))
+
     for k in ks:
+        before = budget.nodes
         try:
             found = _search(plan, k, budget)
         except BudgetExceeded:
-            stats = SolveStats(budget.nodes, (time.perf_counter() - start) * 1000)
-            return SolveResult(parameter, None, None, "budget-exceeded", stats)
+            per_k.append((k, budget.nodes - before))
+            return SolveResult(parameter, None, None, "budget-exceeded", stats())
+        per_k.append((k, budget.nodes - before))
         if found is not None:
-            stats = SolveStats(budget.nodes, (time.perf_counter() - start) * 1000)
-            return SolveResult(parameter, k, Coloring(found), "exact", stats)
+            return SolveResult(parameter, k, Coloring(found), "exact", stats())
     raise AssertionError("deepening ran out at k = n; rainbow fallback should exist")
 
 

@@ -19,6 +19,11 @@ def star_graph(leaves):
     return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def wheel(rim):
+    """A cycle on 0..rim-1 plus a hub rim adjacent to all of it."""
+    return build_graph(rim + 1, [(i, (i + 1) % rim) for i in range(rim)] + [(i, rim) for i in range(rim)])
+
+
 def threshold_graph(clique):
     """Clique 0..clique-1 plus stable vertices clique + i seeing 0..i.
 

@@ -158,6 +158,45 @@ def brute_max_clique(n, edges):
     return 1
 
 
+def brute_forced_differences(n, edges, mode):
+    """Vertex pairs that every valid coloring of the mode colors apart.
+
+    A constrained pair u, v (none in proper mode, every pair in id mode,
+    adjacent non-twins otherwise) with N[u] - N[v] = {a} and
+    N[v] - N[u] = {b} forces c(a) != c(b); with N[u] - N[v] = {a} and
+    N[v] inside N[u], it forces c(a) off every color on N[v].  Returns
+    the set of forced pairs as frozensets.
+    """
+    closed = closed_neighborhoods(n, edges)
+    if mode == "proper":
+        pairs = []
+    elif mode == "id":
+        pairs = list(combinations(range(n), 2))
+    else:
+        pairs = [(u, v) for u, v in edges if closed[u] != closed[v]]
+    out = set()
+    for u, v in pairs:
+        for x, y in ((u, v), (v, u)):
+            only_x, only_y = closed[x] - closed[y], closed[y] - closed[x]
+            if len(only_x) != 1:
+                continue
+            (a,) = only_x
+            if len(only_y) == 1:
+                out.add(frozenset((a, next(iter(only_y)))))
+            elif not only_y:
+                out.update(frozenset((a, w)) for w in closed[y])
+    return out
+
+
+def brute_quotient(n, edges):
+    """The graph induced on the smallest vertex of each closed-neighborhood
+    class, renumbered 0.. in increasing order: ``(order, edges)``."""
+    closed = closed_neighborhoods(n, edges)
+    reps = sorted({min(w for w in range(n) if closed[w] == closed[v]) for v in range(n)})
+    index = {v: i for i, v in enumerate(reps)}
+    return len(reps), [(index[u], index[v]) for u, v in edges if u in index and v in index]
+
+
 def brute_split_partition(n, edges):
     """Clique side of a clique/stable split, or None when there is none.
 

@@ -103,6 +103,15 @@ class TestBoundsReport:
         r = bounds_report(threshold_graph(1050), budget=Budget(20_000))
         assert r.best_lower <= r.best_upper == 1052
 
+    def test_threshold_graph_report_skips_the_quotient_rebuild(self):
+        # twin-free, so the quotient is the graph itself; the report is
+        # the one computed through a rebuilt quotient
+        r = bounds_report(threshold_graph(1050), budget=Budget(20_000))
+        assert r.lower_bounds == ((3, "no-two-rule"), (12, "log-omega-quotient"))
+        assert r.upper_bounds == ((2099, "order-n"), (1052, "split-omega-plus-2"))
+        assert (r.best_lower, r.best_upper, r.exact) == (12, 1052, None)
+        assert r.notes == ("gamma-id-plus-1 skipped: budget exceeded",)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_soundness_on_all_small_connected_graphs(self, n):
         for g in enumerate_graphs(n, lambda g: g.is_connected()):

@@ -12,6 +12,7 @@ from rlid import (
     is_isomorphic,
     is_twin_free,
     join,
+    max_clique,
     max_clique_size,
     quotient,
     twin_partition,
@@ -21,7 +22,12 @@ from rlid.graph import bits
 from rlid.solvers import Budget
 
 from _helpers import complete, cycle, path, star_graph
-from _oracles import all_labeled_graphs, brute_degeneracy, closed_neighborhoods
+from _oracles import (
+    all_labeled_graphs,
+    brute_degeneracy,
+    brute_max_clique,
+    closed_neighborhoods,
+)
 
 
 class TestBuildGraph:
@@ -89,6 +95,12 @@ class TestTwins:
         assert part.t == 0
         assert is_isomorphic(q, path(4))
 
+    def test_quotient_of_twin_free_graph_is_the_graph_itself(self):
+        g = path(5)
+        q, part = quotient(g)
+        assert q is g
+        assert part.classes == tuple((v,) for v in range(5))
+
     def test_quotient_output_is_twin_free(self):
         g = build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)])
         q, _ = quotient(g)
@@ -116,6 +128,21 @@ class TestCliqueAndBipartition:
         from rlid.families import h_p
 
         assert max_clique_size(h_p(2).graph) == 4
+
+    def test_max_clique_returns_pairwise_adjacent_vertices(self):
+        for n in range(6):
+            for edges in all_labeled_graphs(n):
+                g = build_graph(n, edges)
+                clique = max_clique(g)
+                assert list(clique) == sorted(set(clique))
+                assert all(g.has_edge(u, v) for i, u in enumerate(clique) for v in clique[i + 1 :])
+                assert len(clique) == max_clique_size(g) == brute_max_clique(n, edges)
+
+    def test_max_clique_within_a_mask(self):
+        g = build_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (2, 4)])
+        assert max_clique(g, within=0b00111) == (0, 1, 2)
+        assert max_clique(g, within=0b11100) == (2, 3, 4)
+        assert len(max_clique(g, within=0b11011)) == 2
 
     def test_clique_budget_exhaustion_raises(self):
         with pytest.raises(BudgetExceeded):

@@ -112,6 +112,15 @@ class TestWriteResult:
         assert len(obj["witness"]) == 4
         assert obj["stats"]["nodes"] >= 1
 
+    def test_solve_result_json_has_per_k_rows_and_clique(self):
+        res = chi_exact(h_p(4).graph, "rlid")
+        obj = json.loads(write_result(res, "json"))
+        assert obj["stats"]["per_k"] == [list(row) for row in res.stats.per_k]
+        assert sum(nodes for _, nodes in obj["stats"]["per_k"]) == obj["stats"]["nodes"]
+        assert obj["stats"]["clique"] == 16
+        # node counts only: the same solve serializes to the same bytes
+        assert write_result(chi_exact(h_p(4).graph, "rlid"), "json") == write_result(res, "json")
+
     def test_bounds_report_json(self):
         obj = json.loads(write_result(bounds_report(path(4)), "json"))
         assert obj["bounds"]["lower"]

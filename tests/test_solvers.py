@@ -18,20 +18,28 @@ from rlid import (
     is_identifying_code,
     is_rlid,
     is_twin_free,
+    max_clique_size,
+    quotient,
     random_split_graph,
 )
-from rlid.families import g_star, h_p
+from rlid.families import g_star, h_p, power_path, q1, q2
 from rlid.solvers import PARAMETERS, _SearchPlan
 
-from _helpers import complete, cycle, path, star_graph
+from _helpers import complete, cycle, path, star_graph, wheel
 from _oracles import (
     adjacency,
     all_labeled_graphs,
     brute_bipartite,
     brute_chi,
     brute_connected,
+    brute_forced_differences,
     brute_gamma_id,
+    brute_is_id,
+    brute_is_lid,
+    brute_is_proper,
     brute_is_rlid,
+    brute_max_clique,
+    brute_quotient,
     brute_twin_free,
     closed_neighborhoods,
 )
@@ -76,11 +84,37 @@ class TestSearchPlan:
                         got.append(check)
                 assert sorted(got) == _expected_checks(n, edges, spec.mode)
                 nbrs = adjacency(n, edges)
+                forced = brute_forced_differences(n, edges, spec.mode)
                 for i, v in enumerate(plan.order):
-                    want = []
+                    want = {w for w in range(n) if pos[w] < i and frozenset((v, w)) in forced}
                     if spec.mode in ("proper", "lid"):
-                        want = sorted(w for w in nbrs[v] if pos[w] < i)
-                    assert sorted(plan.earlier[i]) == want
+                        want.update(w for w in nbrs[v] if pos[w] < i)
+                    assert sorted(plan.earlier[i]) == sorted(want)
+                # the cut's clique: pairwise adjacent non-twins, as large
+                # as the quotient's maximum clique, and only from size 3
+                closed = closed_neighborhoods(n, edges)
+                for a, b in combinations(plan.clique, 2):
+                    assert b in nbrs[a] and closed[a] != closed[b]
+                omega = brute_max_clique(*brute_quotient(n, edges))
+                if spec.mode == "proper" or omega < 3:
+                    assert plan.clique == ()
+                else:
+                    assert len(plan.clique) == omega
+                members = [v for v in plan.order if v in plan.clique]
+                for i, v in enumerate(plan.order):
+                    if v in plan.clique:
+                        assert plan.clique_before[i] == tuple(members[: members.index(v)])
+                    else:
+                        assert plan.clique_before[i] is None
+
+    def test_clique_search_past_its_budget_leaves_no_cut(self, monkeypatch):
+        g = h_p(3).graph
+        assert len(_SearchPlan(g, PARAMETERS["rlid"]).clique) == 8
+        monkeypatch.setattr("rlid.solvers.PLAN_CLIQUE_NODE_BUDGET", 1)
+        plan = _SearchPlan(g, PARAMETERS["rlid"])
+        assert (plan.clique, plan.slack) == ((), 0)
+        assert set(plan.clique_before) == {None}
+        assert chi_exact(g, "rlid").value == 4
 
     def test_gadget_sweep_node_guard(self):
         # proper 3-coloring of every connected twin-free graph of order 3..5
@@ -166,6 +200,49 @@ class TestChiExact:
     def test_rlid_matches_brute_force(self, g):
         want = brute_chi(g.n, list(g.edges()), brute_is_rlid)
         assert chi_exact(g, "rlid", search_two=True).value == want
+
+    @pytest.mark.parametrize(
+        "name, predicate",
+        [("lid", brute_is_lid), ("id", brute_is_id), ("chromatic", brute_is_proper)],
+        ids=["lid", "id", "chromatic"],
+    )
+    def test_matches_brute_force_on_twin_free_graphs(self, name, predicate):
+        # the forced-difference and clique cuts reach these modes too
+        checked = 0
+        for n in range(6):
+            for edges in all_labeled_graphs(n):
+                if not brute_twin_free(n, edges):
+                    continue
+                res = chi_exact(build_graph(n, edges), name)
+                assert res.value == brute_chi(n, edges, predicate), edges
+                checked += 1
+        assert checked == 627
+
+    @pytest.mark.parametrize(
+        "g, value",
+        [
+            (h_p(4).graph, 5),
+            (h_p(5).graph, 6),
+            (q1(5).graph, 6),
+            (q2(8).graph, 9),
+            (g_star(wheel(5)).graph, 4),
+            (g_star(complete(5)).graph, 5),
+            (power_path(6), 11),
+        ],
+        ids=["h_p4", "h_p5", "q1_5", "q2_8", "g_star_W5", "g_star_K5", "power_path6"],
+    )
+    def test_node_guard(self, g, value):
+        # each needs over 5,000 nodes without the clique and forced-difference cuts
+        res = chi_exact(g, "rlid", Budget(max_nodes=5_000))
+        assert (res.status, res.value) == ("exact", value)
+        assert is_rlid(g, res.witness)
+
+    def test_per_k_rows_and_clique_of_h4(self):
+        g = h_p(4).graph
+        res = chi_exact(g, "rlid")
+        assert [k for k, _ in res.stats.per_k] == [1, 3, 4, 5]
+        assert sum(nodes for _, nodes in res.stats.per_k) == res.stats.nodes
+        assert res.stats.clique == 16 == max_clique_size(quotient(g)[0])
 
 
 class TestGammaId:
