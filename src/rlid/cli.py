@@ -184,7 +184,7 @@ def _print_solve_plain(res: solvers.SolveResult, args):
         lines.append("%s = %d" % (res.parameter, res.value))
     else:
         lines.append("%s unresolved: node budget exhausted" % res.parameter)
-    lines.append("# nodes=%d wall_ms=%.1f" % (res.stats.nodes, res.stats.wall_ms))
+    lines.append("# nodes=%d" % res.stats.nodes)
     if isinstance(res.witness, Coloring):
         lines += ["%d %d" % (v, k) for v, k in enumerate(res.witness.colors)]
     elif isinstance(res.witness, frozenset):
@@ -214,8 +214,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_decide(args) -> int:
     g = _load_graph(args)
-    if args.k < 0:
-        raise UsageError("decide needs --k >= 0")
+    if args.k < 1:
+        raise UsageError("decide needs --k >= 1")
     decide = getattr(solvers, solvers.PARAMETERS[args.parameter].decider)
     found = decide(g, args.k, _budget(args))
     if found is None:
@@ -654,7 +654,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
-    except (io.ParseError, GraphError, ColoringError, OSError) as exc:
+    except (io.ParseError, GraphError, ColoringError, OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

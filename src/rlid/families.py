@@ -9,7 +9,6 @@ canonical coloring with the verifier before handing the instance out.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
 
 from .coloring import Coloring, ColoringError, is_proper, is_rlid, verify_rlid
@@ -23,14 +22,9 @@ from .graph import (
     mask_of,
     quotient,
 )
-from .solvers import decide_k_rlid
-
-log = logging.getLogger(__name__)
-
 
 class TheoremCounterexample(RuntimeError):
-    """A constructive algorithm failed, after its exact fallback where
-    it has one.
+    """A constructive algorithm failed.
 
     This is never raised for ordinary invalid input; seeing it means a
     guaranteed bound did not hold on a validated instance, which would
@@ -554,20 +548,37 @@ def _maximalize_split(g: Graph, part: SplitPartition) -> SplitPartition:
 
 def _split_case_colors(g: Graph, part: SplitPartition) -> list:
     """The case table on a connected twin-free split graph whose clique
-    side is maximal.
+    side K is maximal, so |K| = omega.
 
-    Separator vertices get 1..|S'| by index and every other vertex gets
-    e1 = |S'| + 1.  Each case then overrides at most a few vertices
-    with e2 = e1 + 1 or e3 = e1 + 2.  Let u be the first clique vertex
-    with no separator neighbor (at most one exists), A its stable
-    neighborhood, and K1 the clique vertices with exactly one separator
-    neighbor.  With u: A empty gives u -> e2; else y = the first K1
-    vertex touching A or, if there is none and |A| = 1, the first
-    clique vertex missing A's vertex gets e2 and u gets e3; otherwise
-    A[0] -> e2 and A[1:] -> e3.
-    Without u: x1 = K1[0] -> e2, and a clique vertex y missing x1's
-    separator neighbor, preferably one with two or more separator
-    neighbors, gets e3.
+    Separator vertices S' get 1..|S'| by index and every other vertex
+    gets e1 = |S'| + 1; at most three vertices are then overridden with
+    e2 = e1 + 1 or e3 = e1 + 2, so at most omega + 2 colors are used.
+    Overrides never touch S', so S' separates every clique pair, and
+    the base coloring fails only on the clique/stable pairs (x, s)
+    where s is x's one separator neighbor, or x has none and s is not
+    in S'.  Let u be the clique vertex with no separator neighbor (two
+    such would not be separated) and A its stable neighbors.
+
+    With u: if A is empty, u -> e2.  Else, if some clique vertex y
+    misses all of A, u -> e2 and the first such y -> e3.  Else u keeps
+    e1, A[0] -> e2 and A[1:] -> e3.  Giving u e2 puts e2 in every
+    clique set and in no separator set, since u has no separator
+    neighbor, which separates every clique/separator pair; each other
+    clique vertex sees a separator color that no non-separator set
+    holds, and y's e3 separates u from each a in A.  The last branch
+    runs only when every clique vertex but u touches A, so |A| >= 2,
+    since a lone a in A would see all of K.  There every clique vertex
+    but u has a separator color and e2 or e3, while a separator
+    vertex's set is its own color and e1, and u's set holds e1, e2 and
+    e3 while each a in A has only e1 and its own color.
+
+    Without u: x1, the first clique vertex with exactly one separator
+    neighbor s1, gets e2, and the first clique vertex missing s1 (one
+    exists, since s1 does not see all of K) gets e3.  Every clique set
+    then holds e2 and e3; e2 on x1 reaches only s1 among the separator
+    sets, and e3 on a vertex missing s1 separates (x1, s1).
+    Non-separator stable sets hold no separator color, which every
+    clique set does.  With no x1 the base coloring is already valid.
     """
     sep = split_separator(g, part)
     adj = g.adj
@@ -578,34 +589,25 @@ def _split_case_colors(g: Graph, part: SplitPartition) -> list:
         colors[v] = i
 
     clique = sorted(part.clique)
-    sep_count = {x: (adj[x] & sep_mask).bit_count() for x in clique}
-    k_one = [x for x in clique if sep_count[x] == 1]
-    no_sep = [x for x in clique if sep_count[x] == 0]
-    if no_sep:
-        u = no_sep[0]
+    u = next((x for x in clique if not adj[x] & sep_mask), None)
+    if u is not None:
         a_mask = adj[u] & mask_of(part.stable)
-        a_list = sorted(bits(a_mask))
-        touching = [x for x in k_one if adj[x] & a_mask]
-        if not a_list:
+        y = next((x for x in clique if not adj[x] & a_mask), None)
+        if y is not None:
             colors[u] = e2
-        elif touching or len(a_list) == 1:
-            y = touching[0] if touching else min(
-                x for x in clique if not (adj[x] >> a_list[0] & 1)
-            )
-            colors[y] = e2
-            colors[u] = e3
+            if a_mask:
+                colors[y] = e3
         else:
-            colors[a_list[0]] = e2
-            for v in a_list[1:]:
+            first, *rest = bits(a_mask)
+            colors[first] = e2
+            for v in rest:
                 colors[v] = e3
-    elif k_one:
-        x1 = k_one[0]
+        return colors
+    x1 = next((x for x in clique if (adj[x] & sep_mask).bit_count() == 1), None)
+    if x1 is not None:
         s1_mask = adj[x1] & sep_mask
-        y_cands = [x for x in clique if sep_count[x] >= 2 and not (adj[x] & s1_mask)]
-        y_cands += [x for x in clique if x != x1 and not (adj[x] & s1_mask)]
         colors[x1] = e2
-        if y_cands:
-            colors[y_cands[0]] = e3
+        colors[next(x for x in clique if not adj[x] & s1_mask)] = e3
     return colors
 
 
@@ -618,9 +620,9 @@ def split_rlid_coloring(g: Graph, part: SplitPartition) -> Coloring:
     the clique side, are handled by coloring the quotient and copying
     each class representative's color back; a twin-free graph gets the
     case table of _split_case_colors, which spends at most three colors
-    beyond the separator's.  The result is verified; on failure an
-    exact search with omega + 2 colors runs, and if that also failed a
-    TheoremCounterexample is raised.
+    beyond the separator's.  No search runs.  The result is verified,
+    and a TheoremCounterexample is raised rather than return an invalid
+    coloring quietly.
     """
     _validate_split(g, part, for_separator=False)
     part = _maximalize_split(g, part)
@@ -638,10 +640,6 @@ def split_rlid_coloring(g: Graph, part: SplitPartition) -> Coloring:
     candidate = Coloring(colors)
     if is_rlid(g, candidate):
         return candidate
-    log.debug("split coloring failed on %r; falling back to exact search", g)
-    fallback = decide_k_rlid(g, len(part.clique) + 2)
-    if fallback is not None:
-        return fallback
     raise TheoremCounterexample(
-        "connected split graph with no omega+2 coloring: edges=%r" % (g.edges(),)
+        "split case table gave an invalid coloring: edges=%r" % (g.edges(),)
     )

