@@ -10,6 +10,7 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import operator
 import os
@@ -565,7 +566,16 @@ def _command(sub, name, handler, help, outputs=None, *, budget=False):
     return s
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``rlid`` argument parser, built once per process.
+
+    Every call returns the same shared parser, so callers must not
+    mutate it.  It depends on nothing that changes at run time: the
+    ``choices`` are module constants, handlers look up solvers and
+    verifiers by module attribute when they run, and each
+    ``parse_args`` call returns a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="rlid",
         description="Relaxed locally identifying colorings: exact solvers, "

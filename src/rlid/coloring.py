@@ -97,11 +97,27 @@ def _check_sizes(g: Graph, c: Coloring):
         )
 
 
-def _colorset_mask(g: Graph, colors, v: int) -> int:
-    m = 0
-    for w in bits(g.closed[v]):
-        m |= 1 << colors[w]
-    return m
+def _colorset_masks(g: Graph, colors):
+    """Every closed-neighborhood color set as a mask over color ranks.
+
+    Returns ``(sets, palette)``: bit i of a mask stands for the color
+    ``palette[i]``, so a mask is at most as wide as the number of
+    distinct colors, however large the colors are.
+    """
+    palette = sorted(set(colors))
+    rank = {c: i for i, c in enumerate(palette)}
+    ranks = [rank[c] for c in colors]
+    sets = []
+    for v in range(g.n):
+        m = 0
+        for w in bits(g.closed[v]):
+            m |= 1 << ranks[w]
+        sets.append(m)
+    return sets, palette
+
+
+def _colors_of(palette, mask) -> frozenset:
+    return frozenset(palette[i] for i in bits(mask))
 
 
 def neighborhood_color_set(g: Graph, c: Coloring, v: int) -> frozenset:
@@ -126,10 +142,10 @@ def _report(mode: str, violations) -> VerificationReport:
 
 def _rlid_violations(g: Graph, c: Coloring):
     _check_sizes(g, c)
-    sets = [_colorset_mask(g, c.colors, v) for v in range(g.n)]
+    sets, palette = _colorset_masks(g, c.colors)
     for u, v in g.edges():
         if sets[u] == sets[v] and g.closed[u] != g.closed[v]:
-            yield Violation(u, v, True, "colorset", frozenset(bits(sets[u])))
+            yield Violation(u, v, True, "colorset", _colors_of(palette, sets[u]))
 
 
 def _proper_violations(g: Graph, c: Coloring):
@@ -143,14 +159,14 @@ def _proper_violations(g: Graph, c: Coloring):
 def _lid_violations(g: Graph, c: Coloring):
     _check_sizes(g, c)
     colors = c.colors
-    sets = [_colorset_mask(g, colors, v) for v in range(g.n)]
+    sets, palette = _colorset_masks(g, colors)
     for u, v in g.edges():
         if colors[u] == colors[v]:
             yield Violation(u, v, True, "proper", frozenset((colors[u],)))
         if g.closed[u] == g.closed[v]:
             yield Violation(u, v, True, "twins", frozenset(bits(g.closed[u])))
         elif sets[u] == sets[v]:
-            yield Violation(u, v, True, "colorset", frozenset(bits(sets[u])))
+            yield Violation(u, v, True, "colorset", _colors_of(palette, sets[u]))
 
 
 def _id_violations(g: Graph, c: Coloring):
@@ -162,10 +178,10 @@ def _id_violations(g: Graph, c: Coloring):
             yield Violation(u, v, g.has_edge(u, v), "twins", frozenset(bits(g.closed[u])))
     if twins:
         return
-    sets = [_colorset_mask(g, c.colors, v) for v in range(g.n)]
+    sets, palette = _colorset_masks(g, c.colors)
     for u, v in itertools.combinations(range(g.n), 2):
         if sets[u] == sets[v]:
-            yield Violation(u, v, g.has_edge(u, v), "colorset", frozenset(bits(sets[u])))
+            yield Violation(u, v, g.has_edge(u, v), "colorset", _colors_of(palette, sets[u]))
 
 
 def _code_violations(g: Graph, code):

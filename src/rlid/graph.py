@@ -7,6 +7,7 @@ differences cost a constant number of word operations.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -374,20 +375,28 @@ def degeneracy(g: Graph):
     Returns ``(k, order)`` where ``order`` repeatedly removes a
     minimum-degree vertex (smallest index on ties).
     """
-    alive = (1 << g.n) - 1
-    deg = [a.bit_count() for a in g.adj]
-    left = list(range(g.n))  # ascending, so min() breaks ties by index
+    n, adj = g.n, g.adj
+    alive = (1 << n) - 1
+    deg = [a.bit_count() for a in adj]
+    # a lazy heap of degree * n + vertex, so the smallest key is a
+    # minimum-degree vertex of smallest index; degrees only fall and a
+    # removed vertex gets degree -1, so a key is live iff it holds deg[v]
+    heap = [d * n + v for v, d in enumerate(deg)]
+    heapq.heapify(heap)
     order = []
     k = 0
-    for _ in range(g.n):
-        v = min(left, key=deg.__getitem__)
-        left.remove(v)
-        if deg[v] > k:
-            k = deg[v]
+    for _ in range(n):
+        d, v = divmod(heapq.heappop(heap), n)
+        while d != deg[v]:
+            d, v = divmod(heapq.heappop(heap), n)
+        if d > k:
+            k = d
         order.append(v)
+        deg[v] = -1
         alive ^= 1 << v
-        for w in bits(g.adj[v] & alive):
+        for w in bits(adj[v] & alive):
             deg[w] -= 1
+            heapq.heappush(heap, deg[w] * n + w)
     return k, order
 
 

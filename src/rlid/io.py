@@ -47,7 +47,7 @@ def _significant_lines(text: str, comment_prefixes):
         line = raw.strip()
         if not line:
             continue
-        if any(line.startswith(p) for p in comment_prefixes):
+        if line.startswith(comment_prefixes):
             continue
         yield lineno, line
 

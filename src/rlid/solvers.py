@@ -549,11 +549,20 @@ def _min_hitting_set(sets: list, n: int, floor: int, best: int, spend) -> int:
     """
     best_size = best.bit_count()
 
-    def evaluate(chosen, excluded, unmet):
-        # the allowed vertices of the tightest unmet set, or None to cut
-        allowed = ~excluded
+    def expand(size, unmet, taken, barred):
+        """One pass over the parent's unmet sets, each already cut down
+        to the parent's allowed vertices: drop the sets ``taken`` meets,
+        bar ``barred`` from the rest, and evaluate the node.  Returns
+        ``(rest, pick)``, where ``pick`` holds the allowed vertices of
+        the tightest set in ``rest``, or None to cut the node.  Packing
+        only grows, so the cut is taken as soon as it is certain."""
+        room = best_size - size if floor < best_size else 0
+        allowed = ~barred
+        rest = []
         pick, fewest, used, packing = 0, n + 1, 0, 0
         for s in unmet:
+            if s & taken:
+                continue
             a = s & allowed
             k = a.bit_count()
             if k < fewest:
@@ -563,17 +572,18 @@ def _min_hitting_set(sets: list, n: int, floor: int, best: int, spend) -> int:
             if not a & used:
                 used |= a
                 packing += 1
-        if max(chosen.bit_count() + packing, floor) >= best_size:
-            return None
-        return list(bits(pick))
+                if packing >= room:
+                    return None
+            rest.append(a)
+        return rest, pick
 
-    # explicit stack of [chosen, excluded, unmet, candidates, next index]
+    # explicit stack of [chosen, unmet, pick, candidates, next index]
     spend()
-    root = evaluate(0, 0, sets)
-    stack = [] if root is None else [[0, 0, sets, root, 0]]
+    root = expand(0, sets, 0, 0)
+    stack = [] if root is None else [[0, root[0], root[1], list(bits(root[1])), 0]]
     while stack:
         frame = stack[-1]
-        chosen, excluded, unmet, cands, i = frame
+        chosen, unmet, pick, cands, i = frame
         if i == len(cands):
             stack.pop()
             continue
@@ -581,16 +591,16 @@ def _min_hitting_set(sets: list, n: int, floor: int, best: int, spend) -> int:
         spend()
         bit = 1 << cands[i]
         child = chosen | bit
-        rest = [s for s in unmet if not s & bit]
-        if not rest:
-            if child.bit_count() < best_size:
-                best, best_size = child, child.bit_count()
+        size = child.bit_count()
+        node = expand(size, unmet, bit, pick & (bit - 1))
+        if node is None:
             continue
-        for w in cands[:i]:
-            excluded |= 1 << w
-        nxt = evaluate(child, excluded, rest)
-        if nxt is not None:
-            stack.append([child, excluded, rest, nxt, 0])
+        rest, nxt = node
+        if not rest:
+            if size < best_size:
+                best, best_size = child, size
+            continue
+        stack.append([child, rest, nxt, list(bits(nxt)), 0])
     return best
 
 

@@ -242,3 +242,64 @@ def all_labeled_graphs(n):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         yield [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+
+
+def _mask_bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def reference_min_hitting_set(sets, n, floor, best, spend):
+    """The identifying-code branch and bound in its first, plain form.
+
+    Same contract and node order as ``rlid.solvers._min_hitting_set``:
+    every node filters the raw unmet sets, then a separate pass restricts
+    them to the allowed vertices and scores the cut.  Kept as the parity
+    reference for the fused search, which must return the same mask
+    after the same number of ``spend`` calls.
+    """
+    best_size = best.bit_count()
+
+    def evaluate(chosen, excluded, unmet):
+        allowed = ~excluded
+        pick, fewest, used, packing = 0, n + 1, 0, 0
+        for s in unmet:
+            a = s & allowed
+            k = a.bit_count()
+            if k < fewest:
+                if not k:
+                    return None
+                pick, fewest = a, k
+            if not a & used:
+                used |= a
+                packing += 1
+        if max(chosen.bit_count() + packing, floor) >= best_size:
+            return None
+        return list(_mask_bits(pick))
+
+    spend()
+    root = evaluate(0, 0, sets)
+    stack = [] if root is None else [[0, 0, sets, root, 0]]
+    while stack:
+        frame = stack[-1]
+        chosen, excluded, unmet, cands, i = frame
+        if i == len(cands):
+            stack.pop()
+            continue
+        frame[4] = i + 1
+        spend()
+        bit = 1 << cands[i]
+        child = chosen | bit
+        rest = [s for s in unmet if not s & bit]
+        if not rest:
+            if child.bit_count() < best_size:
+                best, best_size = child, child.bit_count()
+            continue
+        for w in cands[:i]:
+            excluded |= 1 << w
+        nxt = evaluate(child, excluded, rest)
+        if nxt is not None:
+            stack.append([child, excluded, rest, nxt, 0])
+    return best

@@ -1,7 +1,9 @@
 """File formats, result serialization, DOT export, and the CLI surface."""
 
+import argparse
 import json
 import logging
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,6 +26,7 @@ from rlid import (
     write_graph_edgelist,
     write_result,
 )
+from rlid import cli
 from rlid.cli import main
 from rlid.families import g_star, h_p
 from rlid.io import MAX_ORDER, ParseError
@@ -470,6 +473,61 @@ class TestCli:
             assert err.startswith("error: ") and "utf-8" in err
 
 
+def _run_cli(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process call; argparse's
+    own usage errors and --help exit through SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserIsBuiltOnce:
+    def test_only_the_first_call_builds_parsers(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        cli.build_parser.cache_clear()
+        assert main(["construct", "hp", "--p", "2"]) == 0
+        # the top-level parser and one per subcommand
+        assert len(built) == 11
+        assert main(["construct", "hp", "--p", "2"]) == 0
+        assert len(built) == 11
+
+    def test_a_shared_parser_answers_like_a_fresh_one(self, tmp_path, capsys):
+        p4 = _write(tmp_path, "p4.txt", P4_EDGELIST)
+        cert = _write(tmp_path, "cert.txt", "0 1\n1 1\n2 2\n3 2\n")
+        sequence = [
+            ["construct", "hp", "--p", "2", "--dot"],
+            ["construct", "hp", "--p", "2", "-o", "json"],
+            ["construct", "hp", "--p", "2"],
+            ["sweep", "--family", "connected", "--max-n", "4", "--params", "rlid,omega,t"],
+            ["solve", "-i", p4, "-o", "json"],
+            ["solve", "-i", p4, "-o", "tsv", "--parameter", "gammaid"],
+            ["bounds", "-i", p4],
+            ["verify", "-i", p4, "--certificate", cert, "-o", "json"],
+            ["decide", "-i", p4, "--k", "0"],
+            ["solve", "-i", p4, "-o", "dot"],
+            ["sweep", "--params", "rlid,nonsense", "--max-n", "3"],
+            ["quotient", "--help"],
+            ["sweep", "--max-n", "3"],
+        ]
+        fresh = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()
+            fresh.append(_run_cli(argv, capsys))
+        shared = [_run_cli(argv, capsys) for argv in sequence]
+        assert shared == fresh
+        assert {code for code, _, _ in fresh} == {0, 1, 2}
+
+
 # arbitrary bytes, plus token soup close enough to the formats to get
 # past the first line
 _HOSTILE_BYTES = st.binary(max_size=48) | st.lists(
@@ -504,6 +562,24 @@ class TestHostileInput:
         p = tmp_path / "g"
         p.write_bytes(data)
         assert main(argv + ["-i", str(p)]) in (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("mode", ["rlid", "lid", "id"])
+    def test_huge_certificate_color(self, tmp_path, capsys, mode):
+        # 1 << 10**11 would be a 12 GB integer; colors are ranked first
+        huge = 10**11
+        g = _write(tmp_path, "p4.txt", P4_EDGELIST)
+        reports = []
+        for top in (huge, 2):
+            cert = _write(tmp_path, "cert.txt", "0 %d\n1 1\n2 1\n3 1\n" % top)
+            start = time.perf_counter()
+            assert main(["verify", "-i", g, "--mode", mode, "--certificate", cert, "-o", "json"]) == 1
+            assert time.perf_counter() - start < 5
+            reports.append(json.loads(capsys.readouterr().out))
+        big, small = reports
+        for x in small["violations"]:
+            x["witness"] = sorted(huge if c == 2 else c for c in x["witness"])
+        assert big == small
+        assert any(huge in x["witness"] for x in big["violations"])
 
     @_FUZZ
     @given(data=_HOSTILE_BYTES, mode=st.sampled_from(["rlid", "lid", "code"]))

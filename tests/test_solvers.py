@@ -23,7 +23,8 @@ from rlid import (
     random_split_graph,
 )
 from rlid.families import g_star, h_p, power_path, q1, q2
-from rlid.solvers import PARAMETERS, _SearchPlan
+from rlid.graph import bits
+from rlid.solvers import PARAMETERS, _SearchPlan, _code_constraints, _greedy_code, _min_hitting_set
 
 from _helpers import complete, cycle, path, star_graph, wheel
 from _oracles import (
@@ -42,6 +43,7 @@ from _oracles import (
     brute_quotient,
     brute_twin_free,
     closed_neighborhoods,
+    reference_min_hitting_set,
 )
 
 
@@ -298,6 +300,62 @@ class TestGammaId:
         res = gamma_id_exact(path(100))
         assert (res.status, res.value) == ("exact", 51)
         assert is_identifying_code(path(100), res.witness)
+
+    @pytest.mark.parametrize(
+        "name,g,value,nodes",
+        [
+            ("P100", path(100), 51, 202),
+            ("C10", cycle(10), 5, 23),
+            ("g*(W5)", g_star(wheel(5)).graph, 16, 3193),
+        ],
+    )
+    def test_pinned_node_counts(self, name, g, value, nodes):
+        res = gamma_id_exact(g)
+        assert (res.status, res.value, res.stats.nodes) == ("exact", value, nodes), name
+
+    def test_search_matches_the_reference_node_for_node(self):
+        """The fused search returns the reference's mask after exactly as
+        many nodes, on small graphs and on seeded random ones, with and
+        without a budget stop."""
+
+        def run(search, sets, n, greedy, budget):
+            spent = 0
+
+            def spend():
+                nonlocal spent
+                spent += 1
+                if spent > budget:
+                    raise BudgetExceeded("stop")
+
+            try:
+                found = search(sets, n, n.bit_length(), greedy, spend)
+            except BudgetExceeded:
+                found = None
+            return found, spent
+
+        graphs = [
+            build_graph(n, edges)
+            for n in range(1, 6)
+            for edges in all_labeled_graphs(n)
+            if brute_connected(n, edges) and brute_twin_free(n, edges)
+        ]
+        rng = random.Random(19)
+        while len(graphs) < 485 + 40:
+            n = rng.randint(7, 30)
+            p = rng.uniform(0.05, 0.6)
+            g = build_graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+            if is_twin_free(g):
+                graphs.append(g)
+        stops = 0
+        for g in graphs:
+            sets, containing, live = _code_constraints(g, lambda: None)
+            kept = [sets[i] for i in bits(live)]
+            greedy = _greedy_code(containing, live)
+            for budget in (300, 20000):
+                got = run(_min_hitting_set, kept, g.n, greedy, budget)
+                assert got == run(reference_min_hitting_set, kept, g.n, greedy, budget), g.adj
+                stops += got[0] is None
+        assert stops > 0
 
     def test_tiny_budget_is_budget_exceeded(self):
         budget = Budget(max_nodes=50)
