@@ -26,7 +26,11 @@ for every valid coloring:
   These pairs form a graph D that every valid coloring colors
   properly; on a gadget g*(G), D contains G.  The search treats D's
   edges like graph edges of a proper coloring, and colors next the
-  vertex with the most colored D-neighbors.
+  vertex with the most colored D-neighbors.  It colors a greedy
+  clique of D before anything else when the clique has three or more
+  members, as Brelaz's DSATUR (CACM 1979) colors a clique first: the
+  clique needs pairwise distinct colors, so a palette too small for it
+  fails within the first few steps instead of deep in the tree.
 - Clique color count (the log-omega bound on partial colorings).  Take
   a clique K of pairwise non-twins.  Each member's closed neighborhood
   contains K, so its color set contains C(K), the colors used on K;
@@ -160,13 +164,24 @@ class _SearchPlan:
 
     ``order`` is the coloring order, built in one greedy pass: each
     step colors the uncolored vertex with the highest score
-    ``forced * F + closes * B**2 + seen * B + rank`` (``B = n + 1``,
-    ``F`` above any ``closes * B**2``), where ``forced`` counts its
-    colored neighbors in the forced-difference graph D (below),
-    ``closes`` the constrained pairs whose ``N[u] | N[v]`` that vertex
-    would complete, ``seen`` its colored neighbors, and ``rank`` its
-    position in the degeneracy elimination order (later is higher), so
-    ties fall back to reverse degeneracy order.
+    ``lead * L + forced * F + closes * B**2 + seen * B + rank``
+    (``B = n + 1``, ``F`` above any ``closes * B**2``, ``L = n * F``
+    above every other term), where ``forced`` counts its colored
+    neighbors in the forced-difference graph D (below), ``closes`` the
+    constrained pairs whose ``N[u] | N[v]`` that vertex would complete,
+    ``seen`` its colored neighbors, and ``rank`` its position in the
+    degeneracy elimination order (later is higher), so ties fall back
+    to reverse degeneracy order.  ``lead`` is 1 on a greedy clique of
+    D and 0 elsewhere: starting from every vertex as a candidate, the
+    clique takes the candidate with the most D-neighbors among the
+    candidates (higher rank on ties) and keeps only its D-neighbors as
+    candidates, until none is left.  Every valid coloring gives the
+    clique pairwise distinct colors, so coloring it first refutes a
+    too-small k in a few steps.  The lead applies only to a clique of
+    three or more members, and the clique is grown only when some
+    vertex has two or more D-neighbors.  Any fixed order keeps the
+    search exact and the at-most-one-new-color rule valid; proper mode
+    has no D, so its order is unchanged.
 
     ``earlier[i]`` lists the vertices colored before ``order[i]`` that
     must get another color: its D-neighbors, and in proper and lid
@@ -213,7 +228,17 @@ class _SearchPlan:
         elif mode == "id":
             pairs = itertools.combinations(range(n), 2)
         else:
-            pairs = [(u, v) for u, v in g.edges() if closed[u] != closed[v]]
+            # the edges u < v whose closed neighborhoods differ
+            pairs = []
+            for u in range(n):
+                cu = closed[u]
+                rest = adj[u] >> (u + 1)
+                while rest:
+                    low = rest & -rest
+                    v = u + low.bit_length()
+                    if closed[v] != cu:
+                        pairs.append((u, v))
+                    rest ^= low
         left = []          # per pair: its members not colored yet
         layout = []        # per pair: its check triple
         member_of = [[] for _ in range(n)]
@@ -223,12 +248,21 @@ class _SearchPlan:
             cu, cv = closed[u], closed[v]
             both = cu & cv
             ou, ov = cu ^ both, cv ^ both
-            left.append(cu | cv)
-            check = (tuple(bits(both)), tuple(bits(ou)), tuple(bits(ov)))
-            layout.append(check)
-            for part in check:
-                for w in part:
-                    member_of[w].append(p)
+            rest = cu | cv
+            left.append(rest)
+            common, lu, lv = [], [], []
+            while rest:
+                low = rest & -rest
+                w = low.bit_length() - 1
+                member_of[w].append(p)
+                if low & both:
+                    common.append(w)
+                elif low & ou:
+                    lu.append(w)
+                else:
+                    lv.append(w)
+                rest ^= low
+            layout.append((tuple(common), tuple(lu), tuple(lv)))
             if not (ou & (ou - 1) or ov & (ov - 1)):
                 if ou and ov:
                     forced[ou.bit_length() - 1] |= ov
@@ -237,9 +271,9 @@ class _SearchPlan:
                     # one side is a single vertex a, the other N[] is all common
                     a = (ou | ov).bit_length() - 1
                     forced[a] |= both
-                    for w in check[0]:
+                    for w in common:
                         forced[w] |= ou | ov
-            if not triangle and len(check[0]) > 2 and adj[u] >> v & 1:
+            if not triangle and len(common) > 2 and adj[u] >> v & 1:
                 triangle = True
 
         self.clique = ()
@@ -265,6 +299,27 @@ class _SearchPlan:
         seen_step = n + 1
         closes_step = seen_step * seen_step
         forced_step = closes_step * (len(layout) + 1)
+        if any(f & (f - 1) for f in forced):
+            # a greedy clique of D, led by the vertex with the most
+            # D-neighbors among the candidates (higher score on ties)
+            lead = []
+            cand = (1 << n) - 1
+            while cand:
+                best = best_key = -1
+                rest = cand
+                while rest:
+                    low = rest & -rest
+                    w = low.bit_length() - 1
+                    key = (forced[w] & cand).bit_count() * seen_step + score[w]
+                    if key > best_key:
+                        best, best_key = w, key
+                    rest ^= low
+                lead.append(best)
+                cand &= forced[best]
+            if len(lead) >= 3:
+                lead_step = forced_step * n
+                for v in lead:
+                    score[v] += lead_step
         need_proper = mode in ("proper", "lid")
         if not need_proper:
             differ = forced
@@ -282,12 +337,16 @@ class _SearchPlan:
             must = differ[v] & colored
             earlier.append(tuple(bits(must)) if must else ())
             colored |= 1 << v
-            for w in bits(adj[v] & ~colored):
-                score[w] += seen_step
-            pushed = forced[v] & ~colored
-            if pushed:
-                for w in bits(pushed):
-                    score[w] += forced_step
+            rest = adj[v] & ~colored
+            while rest:
+                low = rest & -rest
+                score[low.bit_length() - 1] += seen_step
+                rest ^= low
+            rest = forced[v] & ~colored
+            while rest:
+                low = rest & -rest
+                score[low.bit_length() - 1] += forced_step
+                rest ^= low
             done = []
             for p in member_of[v]:
                 rest = left[p] ^ (1 << v)

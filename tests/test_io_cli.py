@@ -28,7 +28,7 @@ from rlid import (
 )
 from rlid import cli
 from rlid.cli import main
-from rlid.families import g_star, h_p
+from rlid.families import g_star, h_p, prop1_graph
 from rlid.io import MAX_ORDER, ParseError
 
 from _helpers import cycle, path, star_graph, threshold_graph
@@ -240,6 +240,17 @@ class TestCli:
         p = _write(tmp_path, "p1200.txt", "1200\n" + edges)
         assert main(["solve", "-i", p, "-o", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == 3
+
+    def test_solve_prop1_graph_and_verify_its_witness(self, tmp_path, capsys):
+        # a budget stop until the search colored the forced-difference clique first
+        p = tmp_path / "prop1.dimacs"
+        p.write_bytes(write_graph_dimacs(prop1_graph(4).graph))
+        argv = ["solve", "-i", str(p), "--parameter", "rlid", "--node-budget", "200000"]
+        assert main(argv + ["--output", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["status"], obj["value"]) == ("exact", 4)
+        cert = _write(tmp_path, "witness.txt", "".join("%d %d\n" % (v, c) for v, c in obj["witness"]))
+        assert main(["verify", "-i", str(p), "--mode", "rlid", "--certificate", cert]) == 0
 
     def test_verify_valid_and_invalid(self, tmp_path, capsys):
         g = _write(tmp_path, "c4.txt", "4\n0 1\n1 2\n2 3\n0 3\n")

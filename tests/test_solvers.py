@@ -22,7 +22,7 @@ from rlid import (
     quotient,
     random_split_graph,
 )
-from rlid.families import g_star, h_p, power_path, q1, q2
+from rlid.families import g_star, h_p, power_path, prop1_graph, q1, q2
 from rlid.graph import bits
 from rlid.solvers import PARAMETERS, _SearchPlan, _code_constraints, _greedy_code, _min_hitting_set
 
@@ -108,6 +108,18 @@ class TestSearchPlan:
                         assert plan.clique_before[i] == tuple(members[: members.index(v)])
                     else:
                         assert plan.clique_before[i] is None
+
+    @pytest.mark.parametrize(
+        "g, size",
+        [(prop1_graph(4).graph, 4), (g_star(wheel(5)).graph, 3), (g_star(complete(5)).graph, 5)],
+        ids=["prop1_4", "g_star_W5", "g_star_K5"],
+    )
+    def test_forced_difference_clique_is_colored_first(self, g, size):
+        edges = list(g.edges())
+        forced = brute_forced_differences(g.n, edges, "rlid")
+        head = _SearchPlan(g, PARAMETERS["rlid"]).order[:size]
+        for a, b in combinations(head, 2):
+            assert frozenset((a, b)) in forced
 
     def test_clique_search_past_its_budget_leaves_no_cut(self, monkeypatch):
         g = h_p(3).graph
@@ -230,11 +242,13 @@ class TestChiExact:
             (g_star(wheel(5)).graph, 4),
             (g_star(complete(5)).graph, 5),
             (power_path(6), 11),
+            (prop1_graph(4).graph, 4),
         ],
-        ids=["h_p4", "h_p5", "q1_5", "q2_8", "g_star_W5", "g_star_K5", "power_path6"],
+        ids=["h_p4", "h_p5", "q1_5", "q2_8", "g_star_W5", "g_star_K5", "power_path6", "prop1_4"],
     )
     def test_node_guard(self, g, value):
-        # each needs over 5,000 nodes without the clique and forced-difference cuts
+        # each needs over 5,000 nodes without the clique and forced-difference
+        # cuts; prop1_graph(4) also needs D's clique colored first
         res = chi_exact(g, "rlid", Budget(max_nodes=5_000))
         assert (res.status, res.value) == ("exact", value)
         assert is_rlid(g, res.witness)
