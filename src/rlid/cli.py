@@ -284,29 +284,27 @@ def _cmd_quotient(args) -> int:
     return 0
 
 
-_FAMILIES = ("star", "power-path", "hp", "q1", "q2", "prop1", "gstar")
-
-
-def _make_family(args):
-    if args.family == "gstar":
-        return families.g_star(_load_graph(args))
+def _size(args) -> int:
     if args.size is None:
         raise UsageError("construct needs --size for family %r" % (args.family,))
-    p = args.size
-    if args.family == "star":
-        return families.star(p)
-    if args.family == "power-path":
-        g = families.power_path(p)
-        return families.FamilyInstance(g, None, None, None, dict(enumerate(g.labels)))
-    if args.family == "hp":
-        return families.h_p(p)
-    if args.family == "q1":
-        return families.q1(p)
-    if args.family == "q2":
-        return families.q2(p)
-    if args.family == "prop1":
-        return families.prop1_graph(p)
-    raise UsageError("unknown family %r (choose from %s)" % (args.family, ", ".join(_FAMILIES)))
+    return args.size
+
+
+def _power_path_instance(k):
+    g = families.power_path(k)
+    return families.FamilyInstance(g, None, None, None, dict(enumerate(g.labels)))
+
+
+# construct's families: name -> builder of the instance from the options
+_FAMILIES = {
+    "star": lambda args: families.star(_size(args)),
+    "power-path": lambda args: _power_path_instance(_size(args)),
+    "hp": lambda args: families.h_p(_size(args)),
+    "q1": lambda args: families.q1(_size(args)),
+    "q2": lambda args: families.q2(_size(args)),
+    "prop1": lambda args: families.prop1_graph(_size(args)),
+    "gstar": lambda args: families.g_star(_load_graph(args)),
+}
 
 
 def _emit_instance(inst, args, family: str, comments):
@@ -330,7 +328,7 @@ def _emit_instance(inst, args, family: str, comments):
 
 
 def _cmd_construct(args) -> int:
-    inst = _make_family(args)
+    inst = _FAMILIES[args.family](args)
     g = inst.graph
     comments = ["family %s  order %d" % (args.family, g.n)]
     if inst.expected_chi_rlid is not None:
@@ -604,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
              ("plain", "dot"))
 
     s = _command(sub, "construct", _cmd_construct, "emit a named family instance", _COLORING)
-    s.add_argument("family", choices=_FAMILIES)
+    s.add_argument("family", choices=tuple(_FAMILIES))
     s.add_argument("--size", "--p", "-p", type=int, default=None,
                    help="family size parameter (leaves, clique exponent, ...)")
     s.add_argument("--dot", dest="output", action="store_const", const="dot",

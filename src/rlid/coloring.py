@@ -9,7 +9,6 @@ distinct neighborhood color sets for all vertex pairs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .graph import Graph, GraphError, bits
@@ -97,27 +96,30 @@ def _check_sizes(g: Graph, c: Coloring):
         )
 
 
-def _colorset_masks(g: Graph, colors):
-    """Every closed-neighborhood color set as a mask over color ranks.
+def _colorsets(g: Graph, colors):
+    """For each vertex v, the frozenset of the colors on N[v]."""
+    return [frozenset([colors[w] for w in bits(m)]) for m in g.closed]
 
-    Returns ``(sets, palette)``: bit i of a mask stands for the color
-    ``palette[i]``, so a mask is at most as wide as the number of
-    distinct colors, however large the colors are.
+
+def _equal_pairs(keys):
+    """Yield each pair u < v with ``keys[u] == keys[v]``, in
+    ``itertools.combinations`` order.
+
+    One dict groups the vertices by key, noting where each vertex sits
+    in its group; the walk then takes u upward and pairs it with the
+    later members of its group, so the cost is linear plus one step per
+    pair, and a caller that stops at the first pair pays for the
+    grouping and nothing more.
     """
-    palette = sorted(set(colors))
-    rank = {c: i for i, c in enumerate(palette)}
-    ranks = [rank[c] for c in colors]
-    sets = []
-    for v in range(g.n):
-        m = 0
-        for w in bits(g.closed[v]):
-            m |= 1 << ranks[w]
-        sets.append(m)
-    return sets, palette
-
-
-def _colors_of(palette, mask) -> frozenset:
-    return frozenset(palette[i] for i in bits(mask))
+    groups = {}
+    place = []
+    for v, key in enumerate(keys):
+        group = groups.setdefault(key, [])
+        place.append((group, len(group)))
+        group.append(v)
+    for u, (group, i) in enumerate(place):
+        for j in range(i + 1, len(group)):
+            yield u, group[j]
 
 
 def neighborhood_color_set(g: Graph, c: Coloring, v: int) -> frozenset:
@@ -142,10 +144,10 @@ def _report(mode: str, violations) -> VerificationReport:
 
 def _rlid_violations(g: Graph, c: Coloring):
     _check_sizes(g, c)
-    sets, palette = _colorset_masks(g, c.colors)
+    sets = _colorsets(g, c.colors)
     for u, v in g.edges():
         if sets[u] == sets[v] and g.closed[u] != g.closed[v]:
-            yield Violation(u, v, True, "colorset", _colors_of(palette, sets[u]))
+            yield Violation(u, v, True, "colorset", sets[u])
 
 
 def _proper_violations(g: Graph, c: Coloring):
@@ -159,29 +161,27 @@ def _proper_violations(g: Graph, c: Coloring):
 def _lid_violations(g: Graph, c: Coloring):
     _check_sizes(g, c)
     colors = c.colors
-    sets, palette = _colorset_masks(g, colors)
+    sets = _colorsets(g, colors)
     for u, v in g.edges():
         if colors[u] == colors[v]:
             yield Violation(u, v, True, "proper", frozenset((colors[u],)))
         if g.closed[u] == g.closed[v]:
             yield Violation(u, v, True, "twins", frozenset(bits(g.closed[u])))
         elif sets[u] == sets[v]:
-            yield Violation(u, v, True, "colorset", _colors_of(palette, sets[u]))
+            yield Violation(u, v, True, "colorset", sets[u])
 
 
 def _id_violations(g: Graph, c: Coloring):
     _check_sizes(g, c)
     twins = False
-    for u, v in itertools.combinations(range(g.n), 2):
-        if g.closed[u] == g.closed[v]:
-            twins = True
-            yield Violation(u, v, g.has_edge(u, v), "twins", frozenset(bits(g.closed[u])))
+    for u, v in _equal_pairs(g.closed):
+        twins = True
+        yield Violation(u, v, g.has_edge(u, v), "twins", frozenset(bits(g.closed[u])))
     if twins:
         return
-    sets, palette = _colorset_masks(g, c.colors)
-    for u, v in itertools.combinations(range(g.n), 2):
-        if sets[u] == sets[v]:
-            yield Violation(u, v, g.has_edge(u, v), "colorset", _colors_of(palette, sets[u]))
+    sets = _colorsets(g, c.colors)
+    for u, v in _equal_pairs(sets):
+        yield Violation(u, v, g.has_edge(u, v), "colorset", sets[u])
 
 
 def _code_violations(g: Graph, code):
@@ -194,9 +194,8 @@ def _code_violations(g: Graph, code):
     for v in range(g.n):
         if not inter[v]:
             yield Violation(v, v, False, "undominated", frozenset())
-    for u, v in itertools.combinations(range(g.n), 2):
-        if inter[u] == inter[v]:
-            yield Violation(u, v, g.has_edge(u, v), "code-equal", frozenset(bits(inter[u])))
+    for u, v in _equal_pairs(inter):
+        yield Violation(u, v, g.has_edge(u, v), "code-equal", frozenset(bits(inter[u])))
 
 
 def verify_rlid(g: Graph, c: Coloring) -> VerificationReport:

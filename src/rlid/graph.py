@@ -90,12 +90,6 @@ class Graph:
 
     # -- basic accessors ------------------------------------------------
 
-    def vertices(self):
-        return range(self.n)
-
-    def neighbors(self, v: int):
-        return list(bits(self.adj[v]))
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
@@ -356,8 +350,7 @@ def bipartition(g: Graph):
         root = comp[0]
         color[root] = 0
         queue = [root]
-        while queue:
-            v = queue.pop(0)
+        for v in queue:  # the walk reads the list while it grows
             for w in bits(g.adj[v]):
                 if color[w] == -1:
                     color[w] = 1 - color[v]
@@ -421,7 +414,7 @@ def join(g1: Graph, g2: Graph) -> Graph:
 # -- isomorphism --------------------------------------------------------
 
 
-def _refine_classes(g1: Graph, g2: Graph, rounds=None):
+def _refine_classes(g1: Graph, g2: Graph):
     """Joint 1-dimensional color refinement of both vertex sets.
 
     Returns (colors1, colors2) with comparable integer classes, or None
@@ -430,9 +423,7 @@ def _refine_classes(g1: Graph, g2: Graph, rounds=None):
     n = g1.n
     col1 = [g1.degree(v) for v in range(n)]
     col2 = [g2.degree(v) for v in range(n)]
-    if rounds is None:
-        rounds = n
-    for _ in range(rounds):
+    for _ in range(n):
         sig = {}
         new1, new2 = [], []
         for g, col, new in ((g1, col1, new1), (g2, col2, new2)):
@@ -484,32 +475,41 @@ def is_isomorphic(g1: Graph, g2: Graph, budget=None) -> bool:
         remaining.remove(v)
         placed |= 1 << v
 
+    # explicit stack of [vertex, images of its mapped neighbors, images
+    # used before it, next candidate index], one frame per mapped prefix
+    # position, so an order deeper than the recursion limit needs no
+    # recursion
     image = [-1] * n
-    used2 = 0
+    stack = []
 
-    def match(i):
-        nonlocal used2
-        if i == n:
-            return True
-        v = order[i]
+    def push(v, used2):
         adj_imaged = 0
         for w in bits(g1.adj[v]):
             if image[w] >= 0:
                 adj_imaged |= 1 << image[w]
-        mapped_mask = used2
-        for w in candidates[col1[v]]:
+        stack.append([v, adj_imaged, used2, 0])
+
+    push(order[0], 0)
+    while stack:
+        frame = stack[-1]
+        v, adj_imaged, used2, j = frame
+        image[v] = -1
+        cands = candidates[col1[v]]
+        while j < len(cands):
+            w = cands[j]
+            j += 1
             if used2 >> w & 1:
                 continue
             if budget is not None:
                 budget.spend()
-            if g2.adj[w] & mapped_mask != adj_imaged:
-                continue
-            image[v] = w
-            used2 |= 1 << w
-            if match(i + 1):
-                return True
-            image[v] = -1
-            used2 &= ~(1 << w)
-        return False
-
-    return match(0)
+            if g2.adj[w] & used2 == adj_imaged:
+                break
+        else:
+            stack.pop()
+            continue
+        frame[3] = j
+        image[v] = w
+        if len(stack) == n:
+            return True
+        push(order[len(stack)], used2 | 1 << w)
+    return False

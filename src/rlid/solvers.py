@@ -52,7 +52,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .coloring import Coloring
+from .coloring import Coloring, is_identifying_code
 from .families import SplitPartition, _maximalize_split
 from .graph import (
     BudgetExceeded,
@@ -688,12 +688,10 @@ def gamma_id_exact(g: Graph, budget=None) -> SolveResult:
     except BudgetExceeded:
         stats = SolveStats(budget.nodes, (time.perf_counter() - start) * 1000)
         return SolveResult("gamma-id", None, None, "budget-exceeded", stats)
-    # an O(n) check of the witness; is_identifying_code costs O(n^2)
-    traces = {g.closed[v] & code_mask for v in range(n)}
-    if len(traces) != n or 0 in traces:
+    witness = frozenset(bits(code_mask))
+    if not is_identifying_code(g, witness):
         raise AssertionError("hitting set %r is not an identifying code" % (code_mask,))
     stats = SolveStats(budget.nodes, (time.perf_counter() - start) * 1000)
-    witness = frozenset(bits(code_mask))
     return SolveResult("gamma-id", len(witness), witness, "exact", stats)
 
 

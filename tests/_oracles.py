@@ -56,6 +56,55 @@ def brute_is_id(n, edges, colors):
     return all(sets[u] != sets[v] for u, v in combinations(range(n), 2))
 
 
+def reference_violations(mode, n, edges, colors=None, code=None):
+    """Every violation of a mode as ``(u, v, adjacent, kind, witness)``
+    tuples, in the order the package's verifiers report them.
+
+    Modes "proper", "rlid" and "lid" walk the edges in lexicographic
+    order; "id" and "code" scan every vertex pair in
+    ``combinations`` order.  id reports only its twin pairs when there
+    are any; code reports its undominated vertices (u == v) first.
+    Witnesses are the shared set: a color set, the one color of a
+    monochromatic edge, the closed neighborhood of twins or the code
+    trace.  The plain pair scan is the reference for the verifiers'
+    grouping of equal keys.
+    """
+    closed = closed_neighborhoods(n, edges)
+    edge_set = {frozenset(e) for e in edges}
+    edge_list = sorted({tuple(sorted(e)) for e in edges})
+    out = []
+    if mode == "code":
+        code = set(code)
+        traces = [frozenset(closed[v] & code) for v in range(n)]
+        out += [(v, v, False, "undominated", frozenset()) for v in range(n) if not traces[v]]
+        out += [
+            (u, v, frozenset((u, v)) in edge_set, "code-equal", traces[u])
+            for u, v in combinations(range(n), 2)
+            if traces[u] == traces[v]
+        ]
+        return out
+    sets = [color_set(closed, colors, v) for v in range(n)]
+    if mode == "id":
+        twins = [
+            (u, v, frozenset((u, v)) in edge_set, "twins", frozenset(closed[u]))
+            for u, v in combinations(range(n), 2)
+            if closed[u] == closed[v]
+        ]
+        return twins or [
+            (u, v, frozenset((u, v)) in edge_set, "colorset", sets[u])
+            for u, v in combinations(range(n), 2)
+            if sets[u] == sets[v]
+        ]
+    for u, v in edge_list:
+        if mode in ("proper", "lid") and colors[u] == colors[v]:
+            out.append((u, v, True, "proper", frozenset((colors[u],))))
+        if mode == "lid" and closed[u] == closed[v]:
+            out.append((u, v, True, "twins", frozenset(closed[u])))
+        elif mode in ("rlid", "lid") and sets[u] == sets[v] and closed[u] != closed[v]:
+            out.append((u, v, True, "colorset", sets[u]))
+    return out
+
+
 def brute_chi(n, edges, predicate):
     """Smallest k admitting a coloring with predicate(n, edges, colors)."""
     if n == 0:

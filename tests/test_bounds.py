@@ -142,6 +142,10 @@ class TestFullPaletteCharacterization:
         with pytest.raises(GraphError):
             characterize_full_palette(build_graph(4, [(0, 1), (2, 3)]))
 
+    def test_power_path_factor_deeper_than_the_recursion_limit(self):
+        # the 1,020-vertex factor is matched against power_path(510)
+        assert characterize_full_palette(join(complete(1), power_path(510)))
+
 
 # A connected twin-free split graph with clique {0..4} and chi_rlid = 4,
 # below the ceil(log2 omega) + 2 = 5 that the split bound once claimed.

@@ -1,6 +1,7 @@
 """Coloring container and the five verification modes."""
 
 import itertools
+import random
 
 import pytest
 
@@ -30,6 +31,7 @@ from _oracles import (
     brute_is_lid,
     brute_is_proper,
     brute_is_rlid,
+    reference_violations,
 )
 
 
@@ -206,3 +208,50 @@ class TestAgainstOracle:
     def test_id_matches(self, g, colors):
         edges = list(g.edges())
         assert verify_id(g, Coloring(colors)).valid == brute_is_id(g.n, edges, colors)
+
+
+class TestViolationTuplesMatchReference:
+    """Every verifier reports exactly the pair-scan reference's
+    violations: the same pairs, kinds, witnesses and order."""
+
+    COLORING_VERIFIERS = {
+        "proper": verify_proper,
+        "rlid": verify_rlid,
+        "lid": verify_lid,
+        "id": verify_id,
+    }
+
+    @staticmethod
+    def tuples(report):
+        return [(x.u, x.v, x.adjacent, x.kind, x.witness) for x in report.violations]
+
+    def check(self, n, edges, colors, code):
+        g = build_graph(n, edges)
+        c = Coloring(colors)
+        for mode, verify in self.COLORING_VERIFIERS.items():
+            want = reference_violations(mode, n, edges, colors=colors)
+            assert self.tuples(verify(g, c)) == want, (mode, edges, colors)
+        want = reference_violations("code", n, edges, code=code)
+        assert self.tuples(verify_identifying_code(g, code)) == want, (edges, code)
+
+    def test_every_labeled_graph_up_to_order_five(self):
+        rng = random.Random(11)
+        for n in range(6):
+            for edges in all_labeled_graphs(n):
+                for scale in (1, 10**12):
+                    k = rng.randint(1, max(n, 1))
+                    colors = [scale * rng.randint(1, k) for _ in range(n)]
+                    code = [v for v in range(n) if rng.random() < 0.6]
+                    self.check(n, edges, colors, code)
+
+    def test_sparse_graph_of_three_thousand_vertices(self):
+        rng = random.Random(5)
+        n = 3000
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        while len(edges) < 2 * n:
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        edges = sorted(edges)
+        colors = [rng.randint(1, 12) for _ in range(n)]
+        code = [v for v in range(n) if rng.random() < 0.5]
+        self.check(n, edges, colors, code)

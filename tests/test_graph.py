@@ -202,6 +202,12 @@ class TestDegeneracyJoinIso:
     def test_identity(self, g):
         assert is_isomorphic(g, g)
 
+    def test_matching_deeper_than_the_recursion_limit(self):
+        # the matching goes 1,501 vertices deep, past the default recursion limit
+        leaves = 1500
+        moved_center = build_graph(leaves + 1, [(leaves, v) for v in range(leaves)])
+        assert is_isomorphic(star_graph(leaves), moved_center)
+
 
 def test_quotient_of_prop1_instance_matches_gadget_of_k7():
     inst = prop1_graph(4)
