@@ -21,7 +21,8 @@ from .graph import (
     max_clique_size,
     quotient,
 )
-from .solvers import Budget, gamma_id_exact
+from .coloring import Coloring, is_rlid
+from .solvers import PARAMETERS, Budget, _search, _SearchPlan, gamma_id_exact
 
 
 @dataclass(frozen=True)
@@ -106,24 +107,85 @@ def characterize_full_palette(g: Graph) -> bool:
     return True
 
 
-# node budget of the gamma-id search behind the gamma-id + 1 upper bound
+# node budget of the gamma-id search behind the gamma-id + 1 upper
+# bound, and separately of the forced-difference step
 GAMMA_ID_NODE_BUDGET = 20_000
 
 
-def bounds_report(g: Graph, *, budget=None) -> BoundsReport:
-    """Cheap certified bounds on the rlid optimum.
+def _forced_difference_bounds(g: Graph, lower: int):
+    """The forced-difference step: ``(lowers, uppers, notes)``.
 
-    Upper bounds: order, 3 for bipartite graphs of order >= 3, omega + 2
-    for connected twin-free split graphs, gamma-id + 1 (twin-free, under
-    its own GAMMA_ID_NODE_BUDGET), and the quotient's best upper bound
-    when twins exist.  Lower bounds: the quotient-clique log bound, the
-    one-color rule (clique unions are exactly the 1-graphs) and the
-    impossibility of 2.  The code search runs last, and only when its
-    bound could beat the best upper bound so far: gamma-id >=
-    ceil(log2(n+1)), so it is skipped, with a "not run" note, when
-    the other bounds meet or n.bit_length() + 1 is not below the best
-    upper bound.  A bound whose computation busts its budget is
-    skipped with a note, never fatal.
+    Every rlid coloring properly colors the forced-difference graph D
+    of the rlid search plan (the ``rlid.solvers`` docstring has the
+    proof), so chi(D) is a lower bound.  It is found by deepening a
+    proper coloring of D from max(omega(D), lower); a budget stop
+    during the deepening keeps the last proven value.  Then one rlid
+    search at L, the best lower bound so far, on the same plan: a
+    witness (checked by ``is_rlid``) proves L an upper bound, a proof
+    of infeasibility proves L + 1 a lower one.
+
+    Everything runs under one GAMMA_ID_NODE_BUDGET: one node per edge,
+    charged before the plan is built (each constrained pair is an
+    edge), then the clique and search nodes.  A graph with more edges
+    than the budget is skipped without building the plan.
+    """
+    budget = Budget(GAMMA_ID_NODE_BUDGET)
+    skipped = [], [], ["forced-difference skipped: budget exceeded"]
+    if g.edge_count > budget.max_nodes:
+        return skipped
+    budget.nodes = g.edge_count
+    plan = _SearchPlan(g, PARAMETERS["rlid"])
+    d = Graph.from_adj_masks(g.n, plan.forced)
+    try:
+        proven = max_clique_size(d, budget)
+    except BudgetExceeded:
+        return skipped
+    coloring_d = _SearchPlan(d, PARAMETERS["chromatic"])
+    k = max(proven, lower)
+    try:
+        while _search(coloring_d, k, budget) is None:
+            proven = k = k + 1
+    except BudgetExceeded:
+        pass
+    lowers, uppers, notes = [(proven, "forced-difference")], [], []
+    at = max(proven, lower)
+    try:
+        found = _search(plan, at, budget)
+    except BudgetExceeded:
+        notes.append("search at %d skipped: budget exceeded" % at)
+    else:
+        if found is None:
+            lowers.append((at + 1, "search-infeasible"))
+        elif is_rlid(g, Coloring(found)):
+            uppers.append((at, "search-witness"))
+        else:
+            raise AssertionError("search witness %r is not an rlid coloring" % (found,))
+    return lowers, uppers, notes
+
+
+def bounds_report(g: Graph, *, budget=None) -> BoundsReport:
+    """Certified bounds on the rlid optimum, cheapest first.
+
+    1. The cheap bounds.  Upper: order, 3 for bipartite graphs of
+       order >= 3, omega + 2 for connected twin-free split graphs.
+       Lower: the quotient-clique log bound, the one-color rule (clique
+       unions are exactly the 1-graphs) and the impossibility of 2.
+    2. While best lower L < best upper: the forced-difference step
+       (``_forced_difference_bounds``), under its own
+       GAMMA_ID_NODE_BUDGET.  It adds chi(D) as ``forced-difference``
+       and runs one rlid search at the new L, which adds either
+       ``search-witness`` (upper L) or ``search-infeasible`` (lower
+       L + 1).  A graph with more edges than that budget gets the note
+       ``forced-difference skipped: budget exceeded``.
+    3. On twin-free graphs, gamma-id + 1 from the identifying-code
+       search, under its own GAMMA_ID_NODE_BUDGET, only when it could
+       beat the best upper bound U: gamma-id >= ceil(log2(n+1)), so it
+       is skipped, with a "not run" note, when L == U or
+       n.bit_length() + 1 is not below U.
+    4. With twins and L < U: the quotient's best upper bound.
+
+    A bound whose computation busts its budget is skipped with a note,
+    never fatal.
     """
     if g.n == 0:
         return BoundsReport(((0, "order-n"),), ((0, "order-n"),), 0, 0, 0)
@@ -156,9 +218,17 @@ def bounds_report(g: Graph, *, budget=None) -> BoundsReport:
         # partition meets the hypothesis of the omega + 2 bound
         uppers.append((len(part.clique) + 2, "split-omega-plus-2"))
 
-    if twin_free:
+    lower = max(v for v, _ in lowers)
+    upper = min(v for v, _ in uppers)
+    if lower < upper:
+        more_lowers, more_uppers, more_notes = _forced_difference_bounds(g, lower)
+        lowers += more_lowers
+        uppers += more_uppers
+        notes += more_notes
         lower = max(v for v, _ in lowers)
         upper = min(v for v, _ in uppers)
+
+    if twin_free:
         if lower < upper and g.n.bit_length() + 1 < upper:
             res = gamma_id_exact(g, Budget(GAMMA_ID_NODE_BUDGET))
             if res.status == "exact":
@@ -167,8 +237,7 @@ def bounds_report(g: Graph, *, budget=None) -> BoundsReport:
                 notes.append("gamma-id-plus-1 skipped: budget exceeded")
         else:
             notes.append("gamma-id-plus-1 not run: cannot tighten %d..%d" % (lower, upper))
-
-    if not twin_free:
+    elif lower < upper:
         q, partn = quotient(g)
         sub = bounds_report(q, budget=budget)
         uppers.append((sub.best_upper, "quotient"))

@@ -101,15 +101,17 @@ def _colorsets(g: Graph, colors):
     return [frozenset([colors[w] for w in bits(m)]) for m in g.closed]
 
 
-def _equal_pairs(keys):
-    """Yield each pair u < v with ``keys[u] == keys[v]``, in
-    ``itertools.combinations`` order.
+def _equal_pairs(keys, witness):
+    """Yield ``(u, v, shared)`` for each pair u < v with ``keys[u] ==
+    keys[v]``, in ``itertools.combinations`` order, where ``shared`` is
+    ``witness(keys[u])``, built once per group and the same object for
+    every pair of that group.
 
     One dict groups the vertices by key, noting where each vertex sits
     in its group; the walk then takes u upward and pairs it with the
     later members of its group, so the cost is linear plus one step per
     pair, and a caller that stops at the first pair pays for the
-    grouping and nothing more.
+    grouping and one witness and nothing more.
     """
     groups = {}
     place = []
@@ -117,9 +119,20 @@ def _equal_pairs(keys):
         group = groups.setdefault(key, [])
         place.append((group, len(group)))
         group.append(v)
+    shared = {}  # first member of a group -> its witness
     for u, (group, i) in enumerate(place):
+        if i + 1 == len(group):
+            continue
+        if i:
+            w = shared[group[0]]
+        else:
+            w = shared[u] = witness(keys[u])
         for j in range(i + 1, len(group)):
-            yield u, group[j]
+            yield u, group[j], w
+
+
+def _mask_set(mask):
+    return frozenset(bits(mask))
 
 
 def neighborhood_color_set(g: Graph, c: Coloring, v: int) -> frozenset:
@@ -162,11 +175,16 @@ def _lid_violations(g: Graph, c: Coloring):
     _check_sizes(g, c)
     colors = c.colors
     sets = _colorsets(g, colors)
+    twin_sets = {}  # vertex -> its twin witness, shared by its twin class
     for u, v in g.edges():
         if colors[u] == colors[v]:
             yield Violation(u, v, True, "proper", frozenset((colors[u],)))
         if g.closed[u] == g.closed[v]:
-            yield Violation(u, v, True, "twins", frozenset(bits(g.closed[u])))
+            shared = twin_sets.get(u)
+            if shared is None:
+                shared = twin_sets[u] = _mask_set(g.closed[u])
+            twin_sets[v] = shared
+            yield Violation(u, v, True, "twins", shared)
         elif sets[u] == sets[v]:
             yield Violation(u, v, True, "colorset", sets[u])
 
@@ -174,14 +192,15 @@ def _lid_violations(g: Graph, c: Coloring):
 def _id_violations(g: Graph, c: Coloring):
     _check_sizes(g, c)
     twins = False
-    for u, v in _equal_pairs(g.closed):
+    for u, v, shared in _equal_pairs(g.closed, _mask_set):
         twins = True
-        yield Violation(u, v, g.has_edge(u, v), "twins", frozenset(bits(g.closed[u])))
+        yield Violation(u, v, g.has_edge(u, v), "twins", shared)
     if twins:
         return
     sets = _colorsets(g, c.colors)
-    for u, v in _equal_pairs(sets):
-        yield Violation(u, v, g.has_edge(u, v), "colorset", sets[u])
+    # the keys are frozensets already, and frozenset(s) is s itself
+    for u, v, shared in _equal_pairs(sets, frozenset):
+        yield Violation(u, v, g.has_edge(u, v), "colorset", shared)
 
 
 def _code_violations(g: Graph, code):
@@ -194,8 +213,8 @@ def _code_violations(g: Graph, code):
     for v in range(g.n):
         if not inter[v]:
             yield Violation(v, v, False, "undominated", frozenset())
-    for u, v in _equal_pairs(inter):
-        yield Violation(u, v, g.has_edge(u, v), "code-equal", frozenset(bits(inter[u])))
+    for u, v, shared in _equal_pairs(inter, _mask_set):
+        yield Violation(u, v, g.has_edge(u, v), "code-equal", shared)
 
 
 def verify_rlid(g: Graph, c: Coloring) -> VerificationReport:

@@ -414,21 +414,22 @@ def join(g1: Graph, g2: Graph) -> Graph:
 # -- isomorphism --------------------------------------------------------
 
 
-def _refine_classes(g1: Graph, g2: Graph):
-    """Joint 1-dimensional color refinement of both vertex sets.
+def _refine_classes(nbrs1, nbrs2):
+    """Joint 1-dimensional color refinement of both vertex sets, given
+    each graph's neighbor tuples.
 
     Returns (colors1, colors2) with comparable integer classes, or None
     when the class multisets already separate the graphs.
     """
-    n = g1.n
-    col1 = [g1.degree(v) for v in range(n)]
-    col2 = [g2.degree(v) for v in range(n)]
+    n = len(nbrs1)
+    col1 = [len(t) for t in nbrs1]
+    col2 = [len(t) for t in nbrs2]
     for _ in range(n):
         sig = {}
         new1, new2 = [], []
-        for g, col, new in ((g1, col1, new1), (g2, col2, new2)):
+        for nbrs, col, new in ((nbrs1, col1, new1), (nbrs2, col2, new2)):
             for v in range(n):
-                key = (col[v], tuple(sorted(col[w] for w in bits(g.adj[v]))))
+                key = (col[v], tuple(sorted([col[w] for w in nbrs[v]])))
                 new.append(sig.setdefault(key, len(sig)))
         if sorted(new1) != sorted(new2):
             return None
@@ -451,7 +452,8 @@ def is_isomorphic(g1: Graph, g2: Graph, budget=None) -> bool:
         return True
     if sorted(map(int.bit_count, g1.adj)) != sorted(map(int.bit_count, g2.adj)):
         return False
-    refined = _refine_classes(g1, g2)
+    nbrs1 = [tuple(bits(a)) for a in g1.adj]
+    refined = _refine_classes(nbrs1, [tuple(bits(a)) for a in g2.adj])
     if refined is None:
         return False
     col1, col2 = refined
@@ -484,7 +486,7 @@ def is_isomorphic(g1: Graph, g2: Graph, budget=None) -> bool:
 
     def push(v, used2):
         adj_imaged = 0
-        for w in bits(g1.adj[v]):
+        for w in nbrs1[v]:
             if image[w] >= 0:
                 adj_imaged |= 1 << image[w]
         stack.append([v, adj_imaged, used2, 0])

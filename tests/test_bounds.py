@@ -18,10 +18,10 @@ from rlid import (
     split_lower_bound,
     verify_rlid,
 )
-from rlid.families import find_split_partition, g_star, h_p, power_path, q1, q2
+from rlid.families import find_split_partition, g_star, h_p, power_path, prop1_graph, q1, q2
 from rlid.solvers import enumerate_graphs
 
-from _helpers import complete, cycle, path, threshold_graph
+from _helpers import complete, cycle, path, threshold_graph, wheel
 from _oracles import brute_is_rlid
 
 
@@ -52,7 +52,9 @@ class TestBoundsReport:
         r = bounds_report(q2(3).graph)
         assert (5, "split-omega-plus-2") in r.upper_bounds
         assert (3, "log-omega-quotient") in r.lower_bounds
-        assert r.best_lower == 3
+        # no rlid 3-coloring exists, so the search certifies 4
+        assert (4, "search-infeasible") in r.lower_bounds
+        assert r.best_lower == 4
         assert r.best_lower <= chi_exact(q2(3).graph, "rlid").value == 4
 
     def test_k5_exact_one(self):
@@ -70,11 +72,54 @@ class TestBoundsReport:
         assert r.exact == 3
         assert r.notes == ("gamma-id-plus-1 not run: cannot tighten 3..3",)
 
-    def test_gadget_of_w5_gets_the_code_bound(self):
-        wheel = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]
-        r = bounds_report(g_star(build_graph(6, wheel)).graph)
-        assert (17, "gamma-id-plus-1") in r.upper_bounds
-        assert r.best_upper == 17
+    def test_q1_4_gets_the_code_bound(self):
+        # the search proves 5 from below and leaves the gap 5..10 that
+        # only the code bound closes
+        r = bounds_report(q1(4).graph)
+        assert (5, "search-infeasible") in r.lower_bounds
+        assert (10, "split-omega-plus-2") in r.upper_bounds
+        assert (5, "gamma-id-plus-1") in r.upper_bounds
+        assert r.exact == 5 == chi_exact(q1(4).graph, "rlid").value
+
+    def test_gadget_of_w5_closes_on_the_forced_difference_graph(self):
+        r = bounds_report(g_star(wheel(5)).graph)
+        assert (4, "forced-difference") in r.lower_bounds
+        assert (4, "search-witness") in r.upper_bounds
+        assert r.exact == 4
+
+    def test_forced_difference_step_under_small_budgets(self, monkeypatch):
+        # On g*(W5), chi(D) = 4 > omega(D) = 3.  As the budget grows the
+        # step goes from skipped, to omega(D) with the deepening cut, to
+        # chi(D), to closed; every budget stop leaves a note and never
+        # a false bound.
+        g = g_star(wheel(5)).graph
+        steps = []
+        for nodes in range(0, 200, 5):
+            monkeypatch.setattr(bounds_mod, "GAMMA_ID_NODE_BUDGET", nodes)
+            r = bounds_report(g)
+            assert all(v <= 4 for v, _ in r.lower_bounds)
+            assert all(v >= 4 for v, _ in r.upper_bounds)
+            fd = [v for v, p in r.lower_bounds if p == "forced-difference"]
+            if r.exact is None:
+                assert any(n.endswith("skipped: budget exceeded") for n in r.notes)
+            step = (fd[0] if fd else 0, r.exact is not None)
+            if not steps or steps[-1] != step:
+                steps.append(step)
+        assert steps == [(0, False), (3, False), (4, False), (4, True)]
+
+    def test_prop1_closes_without_the_code_search(self, monkeypatch):
+        calls = []
+
+        def recording(g, budget=None):
+            calls.append(g)
+            return gamma_id_exact(g, budget)
+
+        monkeypatch.setattr(bounds_mod, "gamma_id_exact", recording)
+        r = bounds_report(prop1_graph(4).graph)
+        assert (4, "forced-difference") in r.lower_bounds
+        assert (4, "search-witness") in r.upper_bounds
+        assert r.exact == 4
+        assert calls == []
 
     def test_code_search_runs_only_when_it_can_tighten(self, monkeypatch):
         calls = []
@@ -110,7 +155,22 @@ class TestBoundsReport:
         assert r.lower_bounds == ((3, "no-two-rule"), (12, "log-omega-quotient"))
         assert r.upper_bounds == ((2099, "order-n"), (1052, "split-omega-plus-2"))
         assert (r.best_lower, r.best_upper, r.exact) == (12, 1052, None)
-        assert r.notes == ("gamma-id-plus-1 skipped: budget exceeded",)
+        assert r.notes == (
+            "forced-difference skipped: budget exceeded",
+            "gamma-id-plus-1 skipped: budget exceeded",
+        )
+
+    def test_forced_difference_step_skips_a_graph_over_its_budget(self, monkeypatch):
+        # over 500k edges: the step must not build a search plan at all
+        def refuse(*args):
+            raise AssertionError("search plan built")
+
+        monkeypatch.setattr(bounds_mod, "_SearchPlan", refuse)
+        g = threshold_graph(1050)
+        assert g.edge_count > bounds_mod.GAMMA_ID_NODE_BUDGET
+        r = bounds_report(g, budget=Budget(20_000))
+        assert "forced-difference skipped: budget exceeded" in r.notes
+        assert (r.best_lower, r.best_upper) == (12, 1052)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_soundness_on_all_small_connected_graphs(self, n):
@@ -118,6 +178,16 @@ class TestBoundsReport:
             r = bounds_report(g)
             truth = chi_exact(g, "rlid", search_two=True).value
             assert r.best_lower <= truth <= r.best_upper
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_listed_bound_is_sound(self, n):
+        for g in enumerate_graphs(n, lambda g: g.is_connected()):
+            r = bounds_report(g)
+            truth = chi_exact(g, "rlid", search_two=True).value
+            for value, prov in r.lower_bounds:
+                assert value <= truth, (prov, value, truth, list(g.edges()))
+            for value, prov in r.upper_bounds:
+                assert value >= truth, (prov, value, truth, list(g.edges()))
 
 
 class TestFullPaletteCharacterization:
