@@ -107,59 +107,70 @@ def characterize_full_palette(g: Graph) -> bool:
     return True
 
 
-# node budget of the gamma-id search behind the gamma-id + 1 upper
-# bound, and separately of the forced-difference step
+# node budget of each search step of bounds_report: the rlid search,
+# and the gamma-id search behind the gamma-id + 1 upper bound
 GAMMA_ID_NODE_BUDGET = 20_000
 
 
-def _forced_difference_bounds(g: Graph, lower: int):
-    """The forced-difference step: ``(lowers, uppers, notes)``.
+def _step_budget(budget):
+    """A GAMMA_ID_NODE_BUDGET budget for one search step, cut to what is
+    left of the caller's ``budget`` when one is given."""
+    cap = GAMMA_ID_NODE_BUDGET
+    if budget is not None:
+        cap = min(cap, max(0, budget.max_nodes - budget.nodes))
+    return Budget(cap)
 
-    Every rlid coloring properly colors the forced-difference graph D
-    of the rlid search plan (the ``rlid.solvers`` docstring has the
-    proof), so chi(D) is a lower bound.  It is found by deepening a
-    proper coloring of D from max(omega(D), lower); a budget stop
-    during the deepening keeps the last proven value.  Then one rlid
-    search at L, the best lower bound so far, on the same plan: a
-    witness (checked by ``is_rlid``) proves L an upper bound, a proof
-    of infeasibility proves L + 1 a lower one.
 
-    Everything runs under one GAMMA_ID_NODE_BUDGET: one node per edge,
-    charged before the plan is built (each constrained pair is an
-    edge), then the clique and search nodes.  A graph with more edges
-    than the budget is skipped without building the plan.
+def _charge(budget, step):
+    """Charge a finished step's nodes to the caller's ``budget``."""
+    if budget is not None:
+        budget.nodes += step.nodes
+
+
+def _plan_cost(g: Graph) -> int:
+    """Nodes charged for building the rlid search plan of ``g``.
+
+    Its pair loop stores each vertex of N[u] | N[v] for every
+    constrained pair, an edge, so at most deg u + deg v + 2 per edge:
+    sum(deg^2) + 2m in all.  Its order loop scans the uncolored
+    vertices once per step: n(n + 1) / 2.
     """
-    budget = Budget(GAMMA_ID_NODE_BUDGET)
-    skipped = [], [], ["forced-difference skipped: budget exceeded"]
-    if g.edge_count > budget.max_nodes:
-        return skipped
-    budget.nodes = g.edge_count
+    square = sum(a.bit_count() ** 2 for a in g.adj)
+    return square + 2 * g.edge_count + g.n * (g.n + 1) // 2
+
+
+def _search_bounds(g: Graph, lower: int, upper: int, budget: Budget):
+    """The rlid search step: ``(lowers, uppers, notes)``.
+
+    On one rlid search plan, searches k = lower, lower + 1, ... while
+    k < upper.  Each k without an rlid k-coloring lifts the lower bound
+    to k + 1, listed once as ``search-infeasible`` with the last value;
+    the first witness, checked by ``is_rlid``, is the upper bound
+    ``search-witness``.  The plan build is charged to ``budget`` first
+    (``_plan_cost``), and a graph whose build alone exceeds it is
+    skipped without building the plan.  A budget stop keeps what was
+    proven and adds a note.
+    """
+    cost = _plan_cost(g)
+    if cost > budget.max_nodes:
+        return [], [], ["search skipped: budget exceeded"]
+    budget.nodes += cost
     plan = _SearchPlan(g, PARAMETERS["rlid"])
-    d = Graph.from_adj_masks(g.n, plan.forced)
+    lowers, uppers, notes = [], [], []
+    k = lower
     try:
-        proven = max_clique_size(d, budget)
+        while k < upper:
+            found = _search(plan, k, budget)
+            if found is not None:
+                if not is_rlid(g, Coloring(found)):
+                    raise AssertionError("search witness %r is not an rlid coloring" % (found,))
+                uppers.append((k, "search-witness"))
+                break
+            k += 1
     except BudgetExceeded:
-        return skipped
-    coloring_d = _SearchPlan(d, PARAMETERS["chromatic"])
-    k = max(proven, lower)
-    try:
-        while _search(coloring_d, k, budget) is None:
-            proven = k = k + 1
-    except BudgetExceeded:
-        pass
-    lowers, uppers, notes = [(proven, "forced-difference")], [], []
-    at = max(proven, lower)
-    try:
-        found = _search(plan, at, budget)
-    except BudgetExceeded:
-        notes.append("search at %d skipped: budget exceeded" % at)
-    else:
-        if found is None:
-            lowers.append((at + 1, "search-infeasible"))
-        elif is_rlid(g, Coloring(found)):
-            uppers.append((at, "search-witness"))
-        else:
-            raise AssertionError("search witness %r is not an rlid coloring" % (found,))
+        notes.append("search at %d skipped: budget exceeded" % k)
+    if k > lower:
+        lowers.append((k, "search-infeasible"))
     return lowers, uppers, notes
 
 
@@ -170,22 +181,21 @@ def bounds_report(g: Graph, *, budget=None) -> BoundsReport:
        order >= 3, omega + 2 for connected twin-free split graphs.
        Lower: the quotient-clique log bound, the one-color rule (clique
        unions are exactly the 1-graphs) and the impossibility of 2.
-    2. While best lower L < best upper: the forced-difference step
-       (``_forced_difference_bounds``), under its own
-       GAMMA_ID_NODE_BUDGET.  It adds chi(D) as ``forced-difference``
-       and runs one rlid search at the new L, which adds either
-       ``search-witness`` (upper L) or ``search-infeasible`` (lower
-       L + 1).  A graph with more edges than that budget gets the note
-       ``forced-difference skipped: budget exceeded``.
+    2. While best lower L < best upper U: the rlid search step
+       (``_search_bounds``), which deepens one rlid search from L and
+       adds ``search-infeasible`` (lower) and ``search-witness``
+       (upper).  A graph whose plan build alone exceeds the step's
+       budget gets the note ``search skipped: budget exceeded``.
     3. On twin-free graphs, gamma-id + 1 from the identifying-code
-       search, under its own GAMMA_ID_NODE_BUDGET, only when it could
-       beat the best upper bound U: gamma-id >= ceil(log2(n+1)), so it
-       is skipped, with a "not run" note, when L == U or
+       search, only when it could beat U: gamma-id >= ceil(log2(n+1)),
+       so it is skipped, with a "not run" note, when L == U or
        n.bit_length() + 1 is not below U.
     4. With twins and L < U: the quotient's best upper bound.
 
-    A bound whose computation busts its budget is skipped with a note,
-    never fatal.
+    Each search step runs under GAMMA_ID_NODE_BUDGET nodes, cut to
+    what is left of ``budget`` when one is given, and its nodes are
+    then charged to ``budget``.  A bound whose computation busts its
+    budget is skipped with a note, never fatal.
     """
     if g.n == 0:
         return BoundsReport(((0, "order-n"),), ((0, "order-n"),), 0, 0, 0)
@@ -221,7 +231,9 @@ def bounds_report(g: Graph, *, budget=None) -> BoundsReport:
     lower = max(v for v, _ in lowers)
     upper = min(v for v, _ in uppers)
     if lower < upper:
-        more_lowers, more_uppers, more_notes = _forced_difference_bounds(g, lower)
+        step = _step_budget(budget)
+        more_lowers, more_uppers, more_notes = _search_bounds(g, lower, upper, step)
+        _charge(budget, step)
         lowers += more_lowers
         uppers += more_uppers
         notes += more_notes
@@ -230,7 +242,9 @@ def bounds_report(g: Graph, *, budget=None) -> BoundsReport:
 
     if twin_free:
         if lower < upper and g.n.bit_length() + 1 < upper:
-            res = gamma_id_exact(g, Budget(GAMMA_ID_NODE_BUDGET))
+            step = _step_budget(budget)
+            res = gamma_id_exact(g, step)
+            _charge(budget, step)
             if res.status == "exact":
                 uppers.append((res.value + 1, "gamma-id-plus-1"))
             else:

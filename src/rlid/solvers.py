@@ -211,9 +211,7 @@ class _SearchPlan:
       without a cut past ``PLAN_CLIQUE_NODE_BUDGET`` nodes.
     """
 
-    __slots__ = (
-        "g", "mode", "n", "order", "earlier", "checks", "clique", "slack", "clique_before", "forced",
-    )
+    __slots__ = ("g", "mode", "n", "order", "earlier", "checks", "clique", "slack", "clique_before")
 
     def __init__(self, g: Graph, spec: Parameter):
         if spec.twin_free:
@@ -277,7 +275,6 @@ class _SearchPlan:
                         forced[w] |= ou | ov
             if not triangle and len(common) > 2 and adj[u] >> v & 1:
                 triangle = True
-        self.forced = tuple(forced)
 
         self.clique = ()
         if triangle:

@@ -72,40 +72,56 @@ class TestBoundsReport:
         assert r.exact == 3
         assert r.notes == ("gamma-id-plus-1 not run: cannot tighten 3..3",)
 
-    def test_q1_4_gets_the_code_bound(self):
-        # the search proves 5 from below and leaves the gap 5..10 that
-        # only the code bound closes
-        r = bounds_report(q1(4).graph)
-        assert (5, "search-infeasible") in r.lower_bounds
-        assert (10, "split-omega-plus-2") in r.upper_bounds
-        assert (5, "gamma-id-plus-1") in r.upper_bounds
-        assert r.exact == 5 == chi_exact(q1(4).graph, "rlid").value
+    def test_odd_cycle_gets_the_code_bound(self):
+        # the rlid search stops at its budget on C51 and leaves the gap
+        # 3..51, which only the code bound narrows
+        r = bounds_report(cycle(51))
+        assert "search at 3 skipped: budget exceeded" in r.notes
+        assert (28, "gamma-id-plus-1") in r.upper_bounds
+        assert (r.best_lower, r.best_upper) == (3, 28)
 
-    def test_gadget_of_w5_closes_on_the_forced_difference_graph(self):
+    def test_gadget_of_w5_closes_in_the_search(self):
         r = bounds_report(g_star(wheel(5)).graph)
-        assert (4, "forced-difference") in r.lower_bounds
+        assert (4, "search-infeasible") in r.lower_bounds
         assert (4, "search-witness") in r.upper_bounds
         assert r.exact == 4
 
-    def test_forced_difference_step_under_small_budgets(self, monkeypatch):
-        # On g*(W5), chi(D) = 4 > omega(D) = 3.  As the budget grows the
-        # step goes from skipped, to omega(D) with the deepening cut, to
-        # chi(D), to closed; every budget stop leaves a note and never
-        # a false bound.
+    def test_search_step_under_small_budgets(self, monkeypatch):
+        # As the budget grows from below the plan cost, the step on
+        # g*(W5) goes from skipped, to a stop in the search at 3, to
+        # lower 4 with a stop in the search at 4, to closed; every
+        # budget stop leaves a note and never a false bound.
         g = g_star(wheel(5)).graph
+        cost = bounds_mod._plan_cost(g)
         steps = []
-        for nodes in range(0, 200, 5):
+        for nodes in range(cost - 10, cost + 200, 2):
             monkeypatch.setattr(bounds_mod, "GAMMA_ID_NODE_BUDGET", nodes)
             r = bounds_report(g)
             assert all(v <= 4 for v, _ in r.lower_bounds)
             assert all(v >= 4 for v, _ in r.upper_bounds)
-            fd = [v for v, p in r.lower_bounds if p == "forced-difference"]
-            if r.exact is None:
-                assert any(n.endswith("skipped: budget exceeded") for n in r.notes)
-            step = (fd[0] if fd else 0, r.exact is not None)
+            if nodes < cost:
+                assert "search skipped: budget exceeded" in r.notes
+            elif r.exact is None:
+                assert "search at %d skipped: budget exceeded" % r.best_lower in r.notes
+            step = (r.best_lower, r.exact is not None)
             if not steps or steps[-1] != step:
                 steps.append(step)
-        assert steps == [(0, False), (3, False), (4, False), (4, True)]
+        assert steps == [(3, False), (4, False), (4, True)]
+
+    def test_caller_budget_caps_the_search_steps(self):
+        g = g_star(wheel(5)).graph
+        cost = bounds_mod._plan_cost(g)
+        roomy = Budget(10**6)
+        assert bounds_report(g, budget=roomy).exact == 4
+        assert roomy.nodes > cost  # the plan and the search are charged
+        # below the plan cost: no plan, and the code search gets only
+        # what is left, so the caller's budget is overrun by at most the
+        # one node that raised
+        tight = Budget(cost - 1)
+        r = bounds_report(g, budget=tight)
+        assert "search skipped: budget exceeded" in r.notes
+        assert "gamma-id-plus-1 skipped: budget exceeded" in r.notes
+        assert tight.nodes <= tight.max_nodes + 1
 
     def test_prop1_closes_without_the_code_search(self, monkeypatch):
         calls = []
@@ -116,7 +132,7 @@ class TestBoundsReport:
 
         monkeypatch.setattr(bounds_mod, "gamma_id_exact", recording)
         r = bounds_report(prop1_graph(4).graph)
-        assert (4, "forced-difference") in r.lower_bounds
+        assert (4, "search-infeasible") in r.lower_bounds
         assert (4, "search-witness") in r.upper_bounds
         assert r.exact == 4
         assert calls == []
@@ -130,17 +146,22 @@ class TestBoundsReport:
 
         monkeypatch.setattr(bounds_mod, "gamma_id_exact", recording)
         ran = 0
-        for n in range(1, 6):
-            for g in enumerate_graphs(n, lambda g: g.is_connected() and is_twin_free(g)):
-                calls.clear()
-                r = bounds_report(g)
-                cheap = [v for v, prov in r.upper_bounds if prov != "gamma-id-plus-1"]
-                can_tighten = r.best_lower < min(cheap) and n.bit_length() + 1 < min(cheap)
-                assert bool(calls) == can_tighten
-                ran += can_tighten
-                if not can_tighten:
-                    note = "gamma-id-plus-1 not run: cannot tighten %d..%d"
-                    assert note % (r.best_lower, min(cheap)) in r.notes
+        # every report of order <= 5 closes in the rlid search; on the
+        # odd cycles C51 and C101 that search stops at its budget
+        graphs = [
+            g for n in range(1, 6)
+            for g in enumerate_graphs(n, lambda g: g.is_connected() and is_twin_free(g))
+        ]
+        for g in graphs + [cycle(51), cycle(101)]:
+            calls.clear()
+            r = bounds_report(g)
+            cheap = [v for v, prov in r.upper_bounds if prov != "gamma-id-plus-1"]
+            can_tighten = r.best_lower < min(cheap) and g.n.bit_length() + 1 < min(cheap)
+            assert bool(calls) == can_tighten
+            ran += can_tighten
+            if not can_tighten:
+                note = "gamma-id-plus-1 not run: cannot tighten %d..%d"
+                assert note % (r.best_lower, min(cheap)) in r.notes
         assert ran > 0
 
     def test_threshold_graph_with_a_deep_clique(self):
@@ -156,21 +177,28 @@ class TestBoundsReport:
         assert r.upper_bounds == ((2099, "order-n"), (1052, "split-omega-plus-2"))
         assert (r.best_lower, r.best_upper, r.exact) == (12, 1052, None)
         assert r.notes == (
-            "forced-difference skipped: budget exceeded",
+            "search skipped: budget exceeded",
             "gamma-id-plus-1 skipped: budget exceeded",
         )
 
-    def test_forced_difference_step_skips_a_graph_over_its_budget(self, monkeypatch):
-        # over 500k edges: the step must not build a search plan at all
+    @pytest.mark.parametrize(
+        "g",
+        [
+            threshold_graph(1050),  # over 500k edges
+            wheel(5000),  # 10k edges, but the hub's pairs cover every vertex
+            build_graph(305, [(i, (i + 1) % 5) for i in range(5)]),  # C5 and 300 isolated
+        ],
+        ids=["threshold_1050", "wheel_5000", "c5_isolated_300"],
+    )
+    def test_search_step_skips_a_plan_over_its_budget(self, monkeypatch, g):
         def refuse(*args):
             raise AssertionError("search plan built")
 
         monkeypatch.setattr(bounds_mod, "_SearchPlan", refuse)
-        g = threshold_graph(1050)
-        assert g.edge_count > bounds_mod.GAMMA_ID_NODE_BUDGET
-        r = bounds_report(g, budget=Budget(20_000))
-        assert "forced-difference skipped: budget exceeded" in r.notes
-        assert (r.best_lower, r.best_upper) == (12, 1052)
+        assert bounds_mod._plan_cost(g) > bounds_mod.GAMMA_ID_NODE_BUDGET
+        r = bounds_report(g)
+        assert "search skipped: budget exceeded" in r.notes
+        assert r.best_lower < r.best_upper
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_soundness_on_all_small_connected_graphs(self, n):

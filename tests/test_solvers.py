@@ -109,17 +109,6 @@ class TestSearchPlan:
                     else:
                         assert plan.clique_before[i] is None
 
-    @pytest.mark.parametrize("name", ["rlid", "lid", "id", "chromatic"])
-    def test_forced_slot_is_the_forced_difference_graph(self, name):
-        spec = PARAMETERS[name]
-        for n in range(6):
-            for edges in all_labeled_graphs(n):
-                if spec.twin_free and not brute_twin_free(n, edges):
-                    continue
-                plan = _SearchPlan(build_graph(n, edges), spec)
-                got = {frozenset((v, w)) for v in range(n) for w in bits(plan.forced[v])}
-                assert got == brute_forced_differences(n, edges, spec.mode)
-
     @pytest.mark.parametrize(
         "g, size",
         [(prop1_graph(4).graph, 4), (g_star(wheel(5)).graph, 3), (g_star(complete(5)).graph, 5)],
