@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, bits
+from .graph import Graph, GraphError
 
 
 class ColoringError(ValueError):
@@ -96,9 +96,26 @@ def _check_sizes(g: Graph, c: Coloring):
         )
 
 
-def _colorsets(g: Graph, colors):
+def _neighbor_lists(g: Graph):
+    """Each vertex's sorted neighbour tuple, read from the form the
+    graph holds; no masks are built."""
+    return list(map(g.neighbors, range(g.n)))
+
+
+def _closed_set(nbrs, v):
+    """N[v] as a frozenset."""
+    return frozenset((v, *nbrs[v]))
+
+
+def _colorsets(nbrs, colors):
     """For each vertex v, the frozenset of the colors on N[v]."""
-    return [frozenset([colors[w] for w in bits(m)]) for m in g.closed]
+    return [frozenset([colors[v], *[colors[w] for w in t]]) for v, t in enumerate(nbrs)]
+
+
+def _adjacent_twins(nbrs, u, v):
+    """N[u] == N[v] for adjacent u and v: then N(u) - v and N(v) - u
+    coincide, so the degrees match first."""
+    return len(nbrs[u]) == len(nbrs[v]) and _closed_set(nbrs, u) == _closed_set(nbrs, v)
 
 
 def _equal_pairs(keys, witness):
@@ -131,16 +148,12 @@ def _equal_pairs(keys, witness):
             yield u, group[j], w
 
 
-def _mask_set(mask):
-    return frozenset(bits(mask))
-
-
 def neighborhood_color_set(g: Graph, c: Coloring, v: int) -> frozenset:
     """Set of colors appearing on the closed neighborhood of v."""
     _check_sizes(g, c)
     if not 0 <= v < g.n:
         raise GraphError("vertex %d out of range" % v)
-    return frozenset(c.colors[w] for w in bits(g.closed[v]))
+    return frozenset([c.colors[v], *[c.colors[w] for w in g.neighbors(v)]])
 
 
 # -- verifiers ----------------------------------------------------------
@@ -157,9 +170,10 @@ def _report(mode: str, violations) -> VerificationReport:
 
 def _rlid_violations(g: Graph, c: Coloring):
     _check_sizes(g, c)
-    sets = _colorsets(g, c.colors)
+    nbrs = _neighbor_lists(g)
+    sets = _colorsets(nbrs, c.colors)
     for u, v in g.edges():
-        if sets[u] == sets[v] and g.closed[u] != g.closed[v]:
+        if sets[u] == sets[v] and not _adjacent_twins(nbrs, u, v):
             yield Violation(u, v, True, "colorset", sets[u])
 
 
@@ -174,46 +188,53 @@ def _proper_violations(g: Graph, c: Coloring):
 def _lid_violations(g: Graph, c: Coloring):
     _check_sizes(g, c)
     colors = c.colors
-    sets = _colorsets(g, colors)
+    nbrs = _neighbor_lists(g)
+    sets = _colorsets(nbrs, colors)
     twin_sets = {}  # vertex -> its twin witness, shared by its twin class
     for u, v in g.edges():
         if colors[u] == colors[v]:
             yield Violation(u, v, True, "proper", frozenset((colors[u],)))
-        if g.closed[u] == g.closed[v]:
+        if len(nbrs[u]) == len(nbrs[v]):
             shared = twin_sets.get(u)
             if shared is None:
-                shared = twin_sets[u] = _mask_set(g.closed[u])
-            twin_sets[v] = shared
-            yield Violation(u, v, True, "twins", shared)
-        elif sets[u] == sets[v]:
+                shared = _closed_set(nbrs, u)
+            if shared == _closed_set(nbrs, v):
+                twin_sets[u] = twin_sets[v] = shared
+                yield Violation(u, v, True, "twins", shared)
+                continue
+        if sets[u] == sets[v]:
             yield Violation(u, v, True, "colorset", sets[u])
 
 
 def _id_violations(g: Graph, c: Coloring):
     _check_sizes(g, c)
+    nbrs = _neighbor_lists(g)
     twins = False
-    for u, v, shared in _equal_pairs(g.closed, _mask_set):
+    # the keys are frozensets already, and frozenset(s) is s itself
+    closed = [_closed_set(nbrs, v) for v in range(g.n)]
+    for u, v, shared in _equal_pairs(closed, frozenset):
         twins = True
         yield Violation(u, v, g.has_edge(u, v), "twins", shared)
     if twins:
         return
-    sets = _colorsets(g, c.colors)
-    # the keys are frozensets already, and frozenset(s) is s itself
+    del closed
+    sets = _colorsets(nbrs, c.colors)
     for u, v, shared in _equal_pairs(sets, frozenset):
         yield Violation(u, v, g.has_edge(u, v), "colorset", shared)
 
 
 def _code_violations(g: Graph, code):
-    code_mask = 0
+    members = set()
     for v in code:
         if not 0 <= v < g.n:
             raise GraphError("code vertex %d out of range" % v)
-        code_mask |= 1 << v
-    inter = [g.closed[v] & code_mask for v in range(g.n)]
+        members.add(v)
+    nbrs = _neighbor_lists(g)
+    traces = [_closed_set(nbrs, v) & members for v in range(g.n)]
     for v in range(g.n):
-        if not inter[v]:
+        if not traces[v]:
             yield Violation(v, v, False, "undominated", frozenset())
-    for u, v, shared in _equal_pairs(inter, _mask_set):
+    for u, v, shared in _equal_pairs(traces, frozenset):
         yield Violation(u, v, g.has_edge(u, v), "code-equal", shared)
 
 

@@ -182,19 +182,24 @@ def g_star(g: Graph) -> FamilyInstance:
     sub0 = n
     pend0 = n + 2 * len(edges_in)
     total = pend0 + n
-    edges = []
+    # each tuple comes out sorted and valid: edges_in is in lexicographic
+    # order, so an original vertex meets its edges, one subdivision
+    # vertex each, in increasing index order, and its pendant last
+    nbrs = [[] for _ in range(n)]
+    subdivisions = []
     roles = ["orig:%d" % v for v in range(n)]
     for idx, (u, v) in enumerate(edges_in):
         a = sub0 + 2 * idx
-        b = a + 1
-        edges += [(u, a), (a, b), (b, v)]
-    for idx, (u, v) in enumerate(edges_in):
+        nbrs[u].append(a)
+        nbrs[v].append(a + 1)
+        subdivisions += [(u, a + 1), (v, a)]
         roles.append("subdiv:%d-%d:near-%d" % (u, v, u))
         roles.append("subdiv:%d-%d:near-%d" % (u, v, v))
     for v in range(n):
-        edges.append((v, pend0 + v))
+        nbrs[v].append(pend0 + v)
         roles.append("pendant:%d" % v)
-    out = build_graph(total, edges, roles)
+    pendants = [(v,) for v in range(n)]
+    out = Graph.from_neighbor_tuples(total, [tuple(t) for t in nbrs] + subdivisions + pendants, roles)
     return FamilyInstance(
         out, None, None,
         "edge subdivision gadget; color it by lifting a proper coloring",

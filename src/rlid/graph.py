@@ -1,14 +1,19 @@
-"""Core graph machinery: bitmask adjacency, twins, quotients, cliques.
+"""Core graph machinery: neighbourhoods, twins, quotients, cliques.
 
-Vertices are dense ints 0..n-1.  Every neighborhood is kept as one int
-bitmask, so closed-neighborhood comparisons, unions and symmetric
-differences cost a constant number of word operations.
+Vertices are dense ints 0..n-1.  A graph built from edges keeps one
+sorted tuple of neighbours per vertex, so parsing and verification
+cost O(n + m).  The searches, clique and plan code read every
+neighbourhood as one int bitmask instead, where closed-neighbourhood
+comparisons, unions and symmetric differences cost a constant number
+of word operations; those masks (n bits each) are built on first use
+and cached.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 
@@ -42,17 +47,23 @@ def mask_of(vertices) -> int:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    ``adj[v]`` is the open-neighborhood bitmask, ``closed[v]`` the closed
-    one (``adj[v] | 1 << v``).  ``labels`` optionally carries a role
-    string per vertex for generated family instances.
+    The graph keeps the form it was built from: ``Graph(n, edges)`` and
+    ``from_neighbor_tuples`` keep a sorted neighbour tuple per vertex,
+    ``from_adj_masks`` the open-neighbourhood bitmasks.  ``adj[v]`` is
+    the open-neighbourhood bitmask and ``closed[v]`` the closed one
+    (``adj[v] | 1 << v``); a graph built from tuples builds both on
+    first read and then keeps them.  ``neighbors(v)``, ``degree``,
+    ``has_edge``, ``edges`` and ``edge_count`` read whichever form the
+    graph holds, and build no masks.  ``labels`` optionally carries a
+    role string per vertex for generated family instances.
     """
 
-    __slots__ = ("n", "adj", "closed", "labels")
+    __slots__ = ("n", "labels", "_nbrs", "adj", "closed")
 
     def __init__(self, n: int, edges=(), labels=None):
         if n < 0:
             raise GraphError("vertex count must be nonnegative, got %r" % (n,))
-        adj = [0] * n
+        nbrs = [[] for _ in range(n)]
         for e in edges:
             try:
                 u, v = e
@@ -62,11 +73,10 @@ class Graph:
                 raise GraphError("edge (%r, %r) out of range for order %d" % (u, v, n))
             if u == v:
                 raise GraphError("self-loop at vertex %d" % u)
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        self.adj = tuple(adj)
-        self.closed = tuple(a | (1 << v) for v, a in enumerate(adj))
+            nbrs[u].append(v)
+            nbrs[v].append(u)
         self.n = n
+        self._nbrs = tuple([tuple(sorted(set(t))) for t in nbrs])
         self.labels = self._check_labels(n, labels)
 
     @staticmethod
@@ -83,20 +93,62 @@ class Graph:
         """Fast constructor from prevalidated open-neighborhood masks."""
         g = cls.__new__(cls)
         g.n = n
+        g._nbrs = None
         g.adj = tuple(adj_masks)
         g.closed = tuple(a | (1 << v) for v, a in enumerate(g.adj))
         g.labels = cls._check_labels(n, labels)
         return g
 
+    @classmethod
+    def from_neighbor_tuples(cls, n, nbrs, labels=None):
+        """Fast constructor from prevalidated, sorted neighbour tuples."""
+        g = cls.__new__(cls)
+        g.n = n
+        g._nbrs = tuple(nbrs)
+        g.labels = cls._check_labels(n, labels)
+        return g
+
+    def __getattr__(self, name):
+        # only unset slots land here: the masks, built on first read
+        if name == "adj":
+            self.adj = tuple([mask_of(t) for t in self._nbrs])
+            return self.adj
+        if name == "closed":
+            self.closed = tuple([a | 1 << v for v, a in enumerate(self.adj)])
+            return self.closed
+        raise AttributeError(
+            "%r object has no attribute %r" % (type(self).__name__, name), name=name, obj=self
+        )
+
     # -- basic accessors ------------------------------------------------
 
+    def neighbors(self, v: int) -> tuple:
+        """The neighbours of v in increasing order; derived from the
+        mask on each call when the graph holds masks."""
+        if self._nbrs is not None:
+            return self._nbrs[v]
+        return tuple(bits(self.adj[v]))
+
+    def _neighbor_tuples(self):
+        if self._nbrs is not None:
+            return self._nbrs
+        return tuple([tuple(bits(a)) for a in self.adj])
+
     def degree(self, v: int) -> int:
+        if self._nbrs is not None:
+            return len(self._nbrs[v])
         return self.adj[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
+        if self._nbrs is not None:
+            t = self._nbrs[u]
+            i = bisect_left(t, v)
+            return i < len(t) and t[i] == v
         return bool(self.adj[u] >> v & 1)
 
     def edges(self):
+        if self._nbrs is not None:
+            return [(u, w) for u, t in enumerate(self._nbrs) for w in t[bisect_right(t, u):]]
         out = []
         for u in range(self.n):
             rest = self.adj[u] >> (u + 1)
@@ -106,17 +158,19 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(self.degree(v) for v in range(self.n)) // 2
+        if self._nbrs is not None:
+            return sum(map(len, self._nbrs)) // 2
+        return sum(a.bit_count() for a in self.adj) // 2
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.adj == other.adj
-        )
+        if not isinstance(other, Graph) or self.n != other.n:
+            return False
+        if self._nbrs is None and other._nbrs is None:
+            return self.adj == other.adj
+        return self._neighbor_tuples() == other._neighbor_tuples()
 
     def __hash__(self):
-        return hash((self.n, self.adj))
+        return hash((self.n, self._neighbor_tuples()))
 
     def __repr__(self):
         return "Graph(n=%d, m=%d)" % (self.n, self.edge_count)
@@ -452,8 +506,8 @@ def is_isomorphic(g1: Graph, g2: Graph, budget=None) -> bool:
         return True
     if sorted(map(int.bit_count, g1.adj)) != sorted(map(int.bit_count, g2.adj)):
         return False
-    nbrs1 = [tuple(bits(a)) for a in g1.adj]
-    refined = _refine_classes(nbrs1, [tuple(bits(a)) for a in g2.adj])
+    nbrs1 = g1._neighbor_tuples()
+    refined = _refine_classes(nbrs1, g2._neighbor_tuples())
     if refined is None:
         return False
     col1, col2 = refined

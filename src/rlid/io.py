@@ -4,9 +4,12 @@ Two graph formats.  "dimacs": optional comment lines "c ...", one
 header "p edge <n> <m>", then edge lines "e <u> <v>" with 1-indexed
 endpoints.  "edgelist": '#' comments, first significant line the
 vertex count, then 0-indexed "u v" pairs.  Parse errors name the line
-number; duplicate edges collapse with a counted warning.  A graph
-holds about n^2/16 bytes of neighbourhood masks, so orders above
-MAX_ORDER are refused before anything is allocated.
+number; duplicate edges collapse with a counted warning.  A parsed
+graph keeps O(n + m) neighbour tuples; the n-bit neighbourhood masks,
+about n^2/4 bytes for both lists, are built only when a solver asks for
+them, and orders above MAX_ORDER are refused before anything is
+allocated.  Parsing, verification and the JSON report of a verification
+run in time and memory linear in the input and the violations.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ _DOT_FILL = (
 )
 
 
-# largest vertex count a graph file may declare (about 160 MB of masks)
+# largest vertex count a graph file may declare; parsing and verifying
+# stay linear, while a solver's masks would take about 625 MB here
 MAX_ORDER = 50_000
 
 
@@ -266,10 +270,65 @@ def _flatten(obj, prefix=""):
         yield prefix.rstrip("."), obj
 
 
+# json.dumps(..., sort_keys=True, indent=2) runs the pure-Python encoder,
+# which costs more than the search or verification it reports; the long
+# lists of a result are laid out here instead, byte for byte alike
+def _int_list_json(items, depth):
+    """A list of ints, or of int lists, laid out as the indenting encoder
+    lays it out ``depth`` levels deep."""
+    if not items:
+        return "[]"
+    if isinstance(items[0], list):
+        items = [_int_list_json(row, depth + 1) for row in items]
+    pad = "\n" + "  " * (depth + 1)
+    return "[%s%s\n%s]" % (pad, ("," + pad).join(map(str, items)), "  " * depth)
+
+
+# one violation of a verification report, two levels deep
+_VIOLATION_ROW = (
+    "    {\n"
+    '      "adjacent": %s,\n'
+    '      "kind": %s,\n'
+    '      "u": %d,\n'
+    '      "v": %d,\n'
+    '      "witness": %s\n'
+    "    }"
+)
+
+
+def _verification_json(report: VerificationReport) -> str:
+    """``json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\\n"``
+    with one template row per violation."""
+    kinds = {}
+    rows = []
+    for x in report.violations:
+        kind = kinds.get(x.kind)
+        if kind is None:
+            kind = kinds[x.kind] = json.dumps(x.kind)
+        witness = _int_list_json(sorted(x.witness), 3)
+        rows.append(_VIOLATION_ROW % ("true" if x.adjacent else "false", kind, x.u, x.v, witness))
+    head = '{\n  "mode": %s,\n  "valid": %s,\n  "violations": ' % (
+        json.dumps(report.mode), "true" if report.valid else "false",
+    )
+    if not rows:
+        return head + "[]\n}\n"
+    # one join builds the text, so it is copied once
+    rows[0] = head + "[\n" + rows[0]
+    rows[-1] += "\n  ]\n}\n"
+    return ",\n".join(rows)
+
+
 def write_result(result, fmt: str = "json") -> bytes:
     """Serialize a solve/bounds/verification result; stable field order."""
+    if fmt == "json" and isinstance(result, VerificationReport):
+        return _verification_json(result).encode()
     obj = _jsonable(result)
     if fmt == "json":
+        if isinstance(result, SolveResult) and obj["witness"] is not None:
+            # "witness" sorts after every other key, so it closes the object
+            witness = _int_list_json(obj.pop("witness"), 1)
+            head = json.dumps(obj, sort_keys=True, indent=2)[:-2]
+            return (head + ',\n  "witness": ' + witness + "\n}\n").encode()
         return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
     if fmt == "tsv":
         pairs = list(_flatten(obj))

@@ -47,6 +47,7 @@ the at-most-one-new-color rule and the values stay exact.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 import time
@@ -585,9 +586,17 @@ def _code_constraints(g: Graph, spend):
 def _greedy_code(containing: list, unmet: int) -> int:
     """Add the vertex meeting the most unmet sets until none is left;
     the smallest index wins ties."""
+    # a lazy heap of (-count, vertex): counts only fall, so a popped
+    # entry whose count still holds is the maximum, smallest index first
+    heap = [(-(c & unmet).bit_count(), v) for v, c in enumerate(containing)]
+    heapq.heapify(heap)
     code = 0
     while unmet:
-        v = max(range(len(containing)), key=lambda w: (containing[w] & unmet).bit_count())
+        key, v = heapq.heappop(heap)
+        count = (containing[v] & unmet).bit_count()
+        if count != -key:
+            heapq.heappush(heap, (-count, v))
+            continue
         code |= 1 << v
         unmet &= ~containing[v]
     return code

@@ -352,3 +352,17 @@ def reference_min_hitting_set(sets, n, floor, best, spend):
         if nxt is not None:
             stack.append([child, excluded, rest, nxt, 0])
     return best
+
+
+def reference_greedy_code(containing, unmet):
+    """The greedy identifying code in its first, plain form: every pick
+    runs ``max`` over all vertices, so the smallest index wins ties.
+
+    Parity reference for the lazy heap in ``rlid.solvers._greedy_code``.
+    """
+    code = 0
+    while unmet:
+        v = max(range(len(containing)), key=lambda w: (containing[w] & unmet).bit_count())
+        code |= 1 << v
+        unmet &= ~containing[v]
+    return code

@@ -38,7 +38,7 @@ from rlid.families import (
 )
 from rlid.solvers import enumerate_graphs
 
-from _helpers import complete, cycle, path, star_graph, threshold_graph
+from _helpers import complete, cycle, path, star_graph, threshold_graph, wheel
 from _oracles import all_labeled_graphs, brute_split_partition
 
 
@@ -130,6 +130,26 @@ class TestGadget:
     def test_roles_cover_all_vertices(self):
         inst = g_star(path(4))
         assert set(inst.roles) == set(range(inst.graph.n))
+
+    def test_gadget_matches_its_edge_list_definition(self):
+        """The gadget's neighbour tuples, written directly, equal the graph
+        built from the edges its docstring numbers, on every connected
+        graph of order 3..5 and on a mask-built input."""
+        inputs = [g for n in (3, 4, 5) for g in enumerate_graphs(n, lambda g: g.is_connected())]
+        inputs += [wheel(6), Graph.from_adj_masks(7, wheel(6).adj)]
+        for g in inputs:
+            edges_in = g.edges()
+            n, m = g.n, len(edges_in)
+            edges = []
+            for idx, (u, v) in enumerate(edges_in):
+                a = n + 2 * idx
+                edges += [(u, a), (a, a + 1), (a + 1, v)]
+            edges += [(v, n + 2 * m + v) for v in range(n)]
+            want = Graph(2 * n + 2 * m, edges)
+            got = g_star(g).graph
+            assert got == want
+            assert [got.neighbors(v) for v in range(got.n)] == [want.neighbors(v) for v in range(got.n)]
+            assert got.adj == want.adj and got.closed == want.closed
 
 
 class TestLiftProject:

@@ -4,6 +4,7 @@ import pytest
 
 from rlid import (
     BudgetExceeded,
+    Coloring,
     GraphError,
     are_twins,
     bipartition,
@@ -16,13 +17,19 @@ from rlid import (
     max_clique_size,
     quotient,
     twin_partition,
+    verify_id,
+    verify_identifying_code,
+    verify_lid,
+    verify_proper,
+    verify_rlid,
 )
 from rlid.families import g_star, power_path, prop1_graph
-from rlid.graph import bits
+from rlid.graph import Graph, bits
 from rlid.solvers import Budget
 
 from _helpers import complete, cycle, path, star_graph
 from _oracles import (
+    adjacency,
     all_labeled_graphs,
     brute_degeneracy,
     brute_max_clique,
@@ -51,6 +58,63 @@ class TestBuildGraph:
     def test_out_of_range_vertex_rejected(self):
         with pytest.raises(GraphError):
             build_graph(3, [(0, 3)])
+
+
+def _built_masks(g):
+    """The names of the mask slots g has filled, read without filling them."""
+    out = []
+    for name in ("adj", "closed"):
+        try:
+            Graph.__dict__[name].__get__(g, Graph)
+        except AttributeError:
+            continue
+        out.append(name)
+    return out
+
+
+class TestGraphForms:
+    def test_edge_and_mask_constructors_agree(self):
+        for n in range(6):
+            for edges in all_labeled_graphs(n):
+                nbrs = adjacency(n, edges)
+                masks = [sum(1 << w for w in nbrs[v]) for v in range(n)]
+                a = Graph(n, edges)
+                b = Graph.from_adj_masks(n, masks)
+                assert a == b and b == a and hash(a) == hash(b), edges
+                assert a.edges() == b.edges() == sorted(edges)
+                assert a.edge_count == b.edge_count == len(edges)
+                for v in range(n):
+                    assert a.degree(v) == b.degree(v) == len(nbrs[v])
+                    assert a.neighbors(v) == b.neighbors(v) == tuple(sorted(nbrs[v]))
+                    for w in range(n):
+                        assert a.has_edge(v, w) == b.has_edge(v, w) == (w in nbrs[v])
+                assert _built_masks(a) == []
+                assert a.adj == b.adj == tuple(masks)
+                assert a.closed == b.closed
+                assert a == b and hash(a) == hash(b)
+
+    def test_unequal_graphs_across_forms(self):
+        a = path(4)
+        b = Graph.from_adj_masks(4, cycle(4).adj)
+        assert a != b and b != a
+        assert a != Graph(5, a.edges())
+
+    def test_masks_are_built_on_first_read_and_kept(self):
+        g = path(5)
+        assert _built_masks(g) == []
+        adj = g.adj
+        assert _built_masks(g) == ["adj"]
+        assert g.adj is adj
+        assert g.closed is g.closed
+        assert _built_masks(g) == ["adj", "closed"]
+
+    def test_verifiers_build_no_masks(self):
+        g = g_star(cycle(5)).graph
+        c = Coloring([1 + v % 3 for v in range(g.n)])
+        for verify in (verify_rlid, verify_lid, verify_proper, verify_id):
+            verify(g, c)
+        verify_identifying_code(g, range(0, g.n, 2))
+        assert _built_masks(g) == []
 
 
 class TestTwins:

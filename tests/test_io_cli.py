@@ -3,7 +3,9 @@
 import argparse
 import json
 import logging
+import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,11 +18,17 @@ from rlid import (
     build_graph,
     chi_exact,
     export_dot,
+    gamma_id_exact,
+    is_twin_free,
     parse_coloring_file,
     parse_graph_file,
     parse_graph_text,
     parse_vertex_set_file,
     random_split_graph,
+    verify_id,
+    verify_identifying_code,
+    verify_lid,
+    verify_proper,
     verify_rlid,
     write_graph_dimacs,
     write_graph_edgelist,
@@ -29,9 +37,10 @@ from rlid import (
 from rlid import cli
 from rlid.cli import main
 from rlid.families import g_star, h_p, prop1_graph
-from rlid.io import MAX_ORDER, ParseError
+from rlid.io import MAX_ORDER, ParseError, _jsonable
 
 from _helpers import cycle, path, star_graph, threshold_graph
+from _oracles import all_labeled_graphs
 
 P4_EDGELIST = "4\n0 1\n1 2\n2 3\n"
 
@@ -148,6 +157,140 @@ class TestWriteResult:
         a = write_result(chi_exact(cycle(5), "rlid"), "json")
         b = write_result(chi_exact(cycle(5), "rlid"), "json")
         assert a == b
+
+
+def _sparse_graph(rng, n):
+    """A random spanning tree plus random extra edges, 2n edges in all."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < 2 * n:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return build_graph(n, edges)
+
+
+_COLORING_VERIFIERS = (verify_rlid, verify_lid, verify_proper, verify_id)
+
+
+class TestJsonTemplates:
+    """The JSON writer lays out violations and solve witnesses with
+    templates; its bytes must be those of the indenting json encoder."""
+
+    @staticmethod
+    def _reference(report):
+        return (json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n").encode()
+
+    @staticmethod
+    def _reports(g, colorings, code):
+        for colors in colorings:
+            for verify in _COLORING_VERIFIERS:
+                yield verify(g, Coloring(colors))
+        yield verify_identifying_code(g, range(g.n))
+        yield verify_identifying_code(g, code)
+
+    def test_json_bytes_match_the_json_encoder(self):
+        rng = random.Random(13)
+        cases = []
+        for n in range(6):
+            for edges in all_labeled_graphs(n):
+                g = build_graph(n, edges)
+                colorings = (range(1, n + 1), [1] * n, [rng.randint(1, 3) for _ in range(n)])
+                cases.append((g, colorings, [v for v in range(n) if rng.random() < 0.5]))
+        for _ in range(3):
+            g = _sparse_graph(rng, 1000)
+            # 40 colours keep id's equal colour-set pairs to a few hundred
+            colorings = (range(1, 1001), [rng.randint(1, 40) for _ in range(1000)])
+            cases.append((g, colorings, [v for v in range(1000) if rng.random() < 0.5]))
+        seen = set()
+        for g, colorings, code in cases:
+            for report in self._reports(g, colorings, code):
+                assert write_result(report, "json") == self._reference(report), (g, report.mode)
+                seen.add((report.mode, report.valid))
+                seen.update((report.mode, x.kind, bool(x.witness)) for x in report.violations)
+        for mode in ("rlid", "lid", "proper", "id", "id-code"):
+            assert (mode, True) in seen and (mode, False) in seen, mode
+        assert ("id-code", "undominated", False) in seen
+        assert ("lid", "twins", True) in seen and ("id", "twins", True) in seen
+
+    def test_solve_json_bytes_match_the_json_encoder(self):
+        """Solve results lay out their witness with the same template:
+        colorings, code sets, empty witnesses and budget stops."""
+        results = []
+        for n in range(5):
+            for edges in all_labeled_graphs(n):
+                g = build_graph(n, edges)
+                for parameter in ("rlid", "chromatic"):
+                    results.append(chi_exact(g, parameter))
+                if is_twin_free(g):
+                    results += [chi_exact(g, "id"), gamma_id_exact(g)]
+        results += [chi_exact(h_p(3).graph, "rlid", Budget(1)), chi_exact(path(100), "rlid")]
+        assert {r.status for r in results} == {"exact", "budget-exceeded"}
+        for r in results:
+            assert write_result(r, "json") == self._reference(r), r
+
+    def test_empty_witness_and_empty_violation_list(self):
+        rep = verify_identifying_code(path(3), [0])
+        assert write_result(rep, "json") == self._reference(rep) == (
+            b'{\n  "mode": "id-code",\n  "valid": false,\n  "violations": [\n    {\n'
+            b'      "adjacent": false,\n      "kind": "undominated",\n      "u": 2,\n'
+            b'      "v": 2,\n      "witness": []\n    },\n    {\n      "adjacent": true,\n'
+            b'      "kind": "code-equal",\n      "u": 0,\n      "v": 1,\n      "witness": [\n'
+            b'        0\n      ]\n    }\n  ]\n}\n'
+        )
+        rep = verify_rlid(path(4), Coloring([1, 2, 3, 4]))
+        assert rep.valid and write_result(rep, "json") == self._reference(rep) == (
+            b'{\n  "mode": "rlid",\n  "valid": true,\n  "violations": []\n}\n'
+        )
+
+    def test_tsv_is_unchanged(self):
+        rep = verify_rlid(path(4), Coloring([1, 2, 2, 1]))
+        assert write_result(rep, "tsv") == (
+            b'mode\tvalid\tviolations\n"rlid"\tfalse\t[{"adjacent": true, "kind": "colorset", '
+            b'"u": 0, "v": 1, "witness": [1, 2]}, {"adjacent": true, "kind": "colorset", '
+            b'"u": 1, "v": 2, "witness": [1, 2]}, {"adjacent": true, "kind": "colorset", '
+            b'"u": 2, "v": 3, "witness": [1, 2]}]\n'
+        )
+        rep = verify_identifying_code(path(3), [0])
+        assert write_result(rep, "tsv") == (
+            b'mode\tvalid\tviolations\n"id-code"\tfalse\t[{"adjacent": false, '
+            b'"kind": "undominated", "u": 2, "v": 2, "witness": []}, {"adjacent": true, '
+            b'"kind": "code-equal", "u": 0, "v": 1, "witness": [0]}]\n'
+        )
+
+
+class TestLargeSparseVerify:
+    def test_parse_verify_and_write_a_50000_vertex_path_in_little_memory(self):
+        """Parsing, four verifiers and the JSON writer stay linear on a
+        50,000-vertex path with shuffled labels: no n-bit masks, so the
+        traced peak stays far below the n^2/4 bytes the masks would take."""
+        n = 50_000
+        order = list(range(n))
+        random.Random(5).shuffle(order)
+        text = "%d\n%s\n" % (n, "\n".join("%d %d" % (order[i], order[i + 1]) for i in range(n - 1)))
+        position = [0] * n
+        for i, v in enumerate(order):
+            position[v] = i
+        alternating = Coloring([1 + position[v] % 2 for v in range(n)])
+        rainbow = Coloring([1 + position[v] for v in range(n)])
+        code = [v for v in range(n) if position[v] % 3 == 1]
+        tracemalloc.start()
+        try:
+            g = parse_graph_text(text, "edgelist")
+            counts = []
+            for verify, certificate in (
+                (verify_rlid, alternating),
+                (verify_lid, alternating),
+                (verify_id, rainbow),
+                (verify_identifying_code, code),
+            ):
+                report = verify(g, certificate)
+                assert write_result(report, "json").startswith(b'{\n  "mode": ')
+                counts.append(len(report.violations))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # every closed neighbourhood sees both colours; each code triple
+        # p(3j), p(3j+1), p(3j+2) meets the code in p(3j+1) alone
+        assert counts == [n - 1, n - 1, 0, 49_999]
+        assert peak < 100 * 2**20, peak
 
 
 class TestExportDot:

@@ -43,6 +43,7 @@ from _oracles import (
     brute_quotient,
     brute_twin_free,
     closed_neighborhoods,
+    reference_greedy_code,
     reference_min_hitting_set,
 )
 
@@ -370,6 +371,24 @@ class TestGammaId:
                 assert got == run(reference_min_hitting_set, kept, g.n, greedy, budget), g.adj
                 stops += got[0] is None
         assert stops > 0
+
+    def test_greedy_code_matches_the_max_scan(self):
+        """The lazy heap picks what a ``max`` over all vertices picks,
+        smallest index first on ties: on every twin-free labeled graph of
+        order <= 6, on odd cycles, and from seeded partial unmet masks."""
+        cases = []
+        for n in range(1, 7):
+            for g in enumerate_graphs(n, is_twin_free):
+                sets, containing, live = _code_constraints(g, lambda: None)
+                cases.append((containing, live))
+        rng = random.Random(23)
+        for g in (cycle(301), cycle(302), path(200), wheel(40)):
+            sets, containing, live = _code_constraints(g, lambda: None)
+            cases.append((containing, live))
+            for _ in range(5):
+                cases.append((containing, rng.getrandbits(len(sets)) & live))
+        for containing, unmet in cases:
+            assert _greedy_code(containing, unmet) == reference_greedy_code(containing, unmet)
 
     def test_tiny_budget_is_budget_exceeded(self):
         budget = Budget(max_nodes=50)
