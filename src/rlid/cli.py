@@ -77,7 +77,7 @@ def _parse_terms(text: str):
     sign, expect_atom = 1, True
     for tok in tokens:
         if expect_atom:
-            if tok.isdigit():
+            if tok.isdecimal():  # isdigit() also takes "²", which int() rejects
                 terms.append((sign, int(tok)))
             elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
                 if tok not in _SWEEP_PARAMS:
@@ -483,6 +483,8 @@ def _sweep_row(task):
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1, got %d" % args.jobs)
     for name in args.params:
         if name not in _SWEEP_PARAMS:
             raise UsageError(
@@ -497,8 +499,10 @@ def _cmd_sweep(args) -> int:
         (fam, index, g.n, edge_mask(g), names, args.node_budget)
         for fam, index, g in _sweep_graphs(args)
     ]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the executor forks all its workers on the first submit
+    workers = min(args.jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_row, tasks, chunksize=64))
     else:
         results = [_sweep_row(t) for t in tasks]
@@ -640,7 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma separated: %s" % ", ".join(_SWEEP_PARAMS))
     s.add_argument("--assert", dest="assertion", default=None,
                    help='per-graph check, e.g. "rlid <= omega + 2"')
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most the CPU count and the row count")
 
     return parser
 

@@ -61,7 +61,7 @@ class Coloring:
         return frozenset(self.colors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One re-checkable verification failure.
 

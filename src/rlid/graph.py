@@ -94,8 +94,8 @@ class Graph:
         g = cls.__new__(cls)
         g.n = n
         g._nbrs = None
-        g.adj = tuple(adj_masks)
-        g.closed = tuple(a | (1 << v) for v, a in enumerate(g.adj))
+        g.adj = adj = tuple(adj_masks)
+        g.closed = tuple([a | 1 << v for v, a in enumerate(adj)])
         g.labels = cls._check_labels(n, labels)
         return g
 
@@ -197,7 +197,19 @@ class Graph:
         return out
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        """One breadth-first search from vertex 0 over the masks, taking
+        the frontier's lowest vertex each step."""
+        if self.n <= 1:
+            return True
+        adj = self.adj
+        seen = frontier = 1
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & ~seen
+            seen |= new
+            frontier |= new
+        return seen.bit_count() == self.n
 
     def induced(self, vertices):
         """Induced subgraph on ``vertices``; old index order is preserved.

@@ -61,7 +61,6 @@ from .graph import (
     GraphError,
     bits,
     degeneracy,
-    graph_from_edge_mask,
     is_isomorphic,
     is_twin_free,
     max_clique,
@@ -710,6 +709,11 @@ def gamma_id_exact(g: Graph, budget=None) -> SolveResult:
 def enumerate_graphs(order: int, filter=None, *, up_to_iso: bool = False):
     """Stream all labeled graphs of the given order, smallest mask first.
 
+    The graph at ``mask`` is ``graph_from_edge_mask(order, mask)``.  One
+    list of adjacency masks is kept and, from ``mask - 1`` to ``mask``,
+    only the pairs of the trailing run ``mask ^ (mask - 1)`` are flipped
+    (two on average); each step yields a fresh copy.
+
     ``filter`` is an optional Graph -> bool predicate applied before
     yielding.  With ``up_to_iso`` only the first representative of each
     isomorphism class (among filtered graphs) is produced; this is a
@@ -719,9 +723,18 @@ def enumerate_graphs(order: int, filter=None, *, up_to_iso: bool = False):
     if not 0 <= order <= 7:
         raise GraphError("exhaustive enumeration supports order 0..7, got %r" % (order,))
     m = order * (order - 1) // 2
+    # pair i of graph_from_edge_mask's numbering as (u, 1 << v, v, 1 << u);
+    # runs[t] holds pairs 0..t-1, those flipped when mask has t - 1
+    # trailing zeros
+    pairs = [(u, 1 << v, v, 1 << u) for u, v in itertools.combinations(range(order), 2)]
+    runs = [pairs[:t] for t in range(m + 1)]
+    adj = [0] * order
     seen_buckets = {}
     for mask in range(1 << m):
-        g = graph_from_edge_mask(order, mask)
+        for u, bit_v, v, bit_u in runs[(mask & -mask).bit_length()]:
+            adj[u] ^= bit_v
+            adj[v] ^= bit_u
+        g = Graph.from_adj_masks(order, adj)
         if filter is not None and not filter(g):
             continue
         if up_to_iso:

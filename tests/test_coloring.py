@@ -1,5 +1,6 @@
 """Coloring container and the five verification modes."""
 
+import dataclasses
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from rlid import (
     Coloring,
     ColoringError,
     GraphError,
+    Violation,
     build_graph,
     is_id,
     is_identifying_code,
@@ -21,6 +23,7 @@ from rlid import (
     verify_lid,
     verify_proper,
     verify_rlid,
+    write_result,
 )
 
 from _helpers import complete, cycle, path, star_graph
@@ -208,6 +211,27 @@ class TestAgainstOracle:
     def test_id_matches(self, g, colors):
         edges = list(g.edges())
         assert verify_id(g, Coloring(colors)).valid == brute_is_id(g.n, edges, colors)
+
+
+class TestViolationRecord:
+    def test_slots_equality_and_hash(self):
+        a = Violation(1, 2, True, "colorset", frozenset({1, 2}))
+        b = Violation(1, 2, True, "colorset", frozenset({2, 1}))
+        assert not hasattr(a, "__dict__")
+        assert a == b and a != Violation(1, 2, False, "colorset", frozenset({1, 2}))
+        # the field tuple's hash, as the dict-backed dataclass had
+        assert hash(a) == hash(b) == hash((1, 2, True, "colorset", frozenset({1, 2})))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.u = 0
+
+    def test_verify_json_bytes(self):
+        report = verify_rlid(path(4), Coloring([1, 1, 2, 2]))
+        assert write_result(report, "json") == (
+            b'{\n  "mode": "rlid",\n  "valid": false,\n  "violations": [\n    {\n'
+            b'      "adjacent": true,\n      "kind": "colorset",\n      "u": 1,\n'
+            b'      "v": 2,\n      "witness": [\n        1,\n        2\n      ]\n'
+            b'    }\n  ]\n}\n'
+        )
 
 
 class TestViolationTuplesMatchReference:

@@ -24,7 +24,7 @@ from rlid import (
     verify_rlid,
 )
 from rlid.families import g_star, power_path, prop1_graph
-from rlid.graph import Graph, bits
+from rlid.graph import Graph, bits, graph_from_edge_mask
 from rlid.solvers import Budget
 
 from _helpers import complete, cycle, path, star_graph
@@ -115,6 +115,22 @@ class TestGraphForms:
             verify(g, c)
         verify_identifying_code(g, range(0, g.n, 2))
         assert _built_masks(g) == []
+
+
+class TestIsConnected:
+    def test_agrees_with_components_on_every_small_graph(self):
+        for n in range(1, 7):
+            for mask, edges in enumerate(all_labeled_graphs(n)):
+                for g in (graph_from_edge_mask(n, mask), Graph(n, edges)):
+                    assert g.is_connected() == (len(g.components()) == 1), (n, edges)
+
+    def test_edge_cases(self):
+        assert Graph(0).is_connected() and Graph(0).components() == []
+        assert Graph(1).is_connected()
+        assert not Graph(2).is_connected()
+        assert not Graph(4, [(0, 1), (1, 2)]).is_connected()  # vertex 3 alone
+        assert not Graph(4, [(1, 2), (2, 3)]).is_connected()  # vertex 0 alone
+        assert path(60).is_connected() and cycle(61).is_connected()
 
 
 class TestTwins:

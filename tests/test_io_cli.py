@@ -582,6 +582,42 @@ class TestCli:
         assert len(errors) == 1
         assert "0 and 1 are twins" in errors.pop()
 
+    def test_sweep_assert_rejects_a_non_decimal_digit(self, capsys):
+        argv = ["sweep", "--family", "connected", "--min-n", "3", "--max-n", "3",
+                "--params", "rlid"]
+        assert main(argv + ["--assert", "rlid <= \u00b2"]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+        # a decimal digit of another script is still a literal: Arabic-Indic 3
+        assert main(argv + ["--assert", "rlid <= \u0663"]) == 0
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_jobs_below_one_is_a_usage_error(self, capsys, jobs):
+        assert main(["sweep", "--max-n", "3", "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "jobs,cpus,max_n,workers",
+        [
+            (1000, 8, 3, 6),  # 6 rows
+            (1000, 2, 3, 2),
+            (3, 8, 4, 3),
+            (1000, 8, 1, None),  # one row: no pool
+            (1000, None, 4, None),  # unknown CPU count counts as one
+        ],
+    )
+    def test_sweep_pool_never_exceeds_the_cpus_or_the_rows(
+        self, monkeypatch, tmp_path, jobs, cpus, max_n, workers
+    ):
+        pools = _record_pools(monkeypatch)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        a, b = str(tmp_path / "a.tsv"), str(tmp_path / "b.tsv")
+        argv = ["sweep", "--family", "connected", "--max-n", str(max_n),
+                "--params", "rlid,omega,t"]
+        assert main(argv + ["--jobs", str(jobs), "--out", a]) == 0
+        assert pools == ([] if workers is None else [workers])
+        assert main(argv + ["--out", b]) == 0
+        assert open(a, "rb").read() == open(b, "rb").read()
+
     def test_sweep_jobs_deterministic(self, tmp_path):
         a = str(tmp_path / "a.tsv")
         b = str(tmp_path / "b.tsv")
@@ -625,6 +661,28 @@ class TestCli:
             assert main(argv) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "utf-8" in err
+
+
+def _record_pools(monkeypatch):
+    """Replace the sweep's process pool by an in-process one; returns the
+    list of the max_workers values it was built with."""
+    pools = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    return pools
 
 
 def _run_cli(argv, capsys):
@@ -700,6 +758,16 @@ _FUZZ = settings(
 )
 
 
+# mostly well formed sides, so that many cases get past the parser
+_ASSERT_SIDE = st.lists(
+    st.sampled_from(["rlid", "omega", "n", "m", "t", "lid", "2", "07", "\u0663",
+                     "nope", "\u00b2", "("]),
+    min_size=1, max_size=3,
+).flatmap(lambda atoms: st.lists(st.sampled_from([" + ", "-", " - ", " * "]),
+                                 min_size=len(atoms) - 1, max_size=len(atoms) - 1)
+          .map(lambda ops: atoms[0] + "".join(o + a for o, a in zip(ops, atoms[1:]))))
+
+
 class TestHostileInput:
     """No input file, however malformed, ends in a traceback."""
 
@@ -742,3 +810,21 @@ class TestHostileInput:
         cert = tmp_path / "cert"
         cert.write_bytes(data)
         assert main(["verify", "-i", g, "--mode", mode, "--certificate", str(cert)]) in (0, 1, 2, 3)
+
+    @_FUZZ
+    @given(
+        assertion=st.text(max_size=24) | st.tuples(
+            _ASSERT_SIDE, st.sampled_from(["<=", ">=", "==", "!=", "<", ">", "=", ""]), _ASSERT_SIDE
+        ).map("".join),
+        min_n=st.integers(-1, 4),
+        max_n=st.integers(-1, 4),
+        jobs=st.integers(1, 3),
+    )
+    def test_sweep_options(self, monkeypatch, capsys, assertion, min_n, max_n, jobs):
+        pools = _record_pools(monkeypatch)
+        code = main(["sweep", "--family", "connected", "--min-n", str(min_n),
+                     "--max-n", str(max_n), "--jobs", str(jobs), "--node-budget", "2000",
+                     "--assert=" + assertion])
+        capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert all(2 <= w <= jobs for w in pools)

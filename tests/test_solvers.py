@@ -1,7 +1,7 @@
 """Exact decision and optimization procedures against the brute oracle."""
 
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -23,7 +23,7 @@ from rlid import (
     random_split_graph,
 )
 from rlid.families import g_star, h_p, power_path, prop1_graph, q1, q2
-from rlid.graph import bits
+from rlid.graph import Graph, bits, edge_mask, graph_from_edge_mask, is_isomorphic
 from rlid.solvers import PARAMETERS, _SearchPlan, _code_constraints, _greedy_code, _min_hitting_set
 
 from _helpers import complete, cycle, path, star_graph, wheel
@@ -431,6 +431,40 @@ class TestEnumerate:
     def test_up_to_iso_reduces_three_vertex_connected(self):
         reps = list(enumerate_graphs(3, lambda g: g.is_connected(), up_to_iso=True))
         assert len(reps) == 2  # the path and the triangle
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_stream_follows_the_edge_mask_numbering(self, n):
+        # every graph is kept before any is compared, so a flip made for
+        # a later mask would show in an earlier graph
+        graphs = list(enumerate_graphs(n))
+        assert len(graphs) == 1 << n * (n - 1) // 2
+        assert len({id(g) for g in graphs}) == len(graphs)
+        for mask, g in enumerate(graphs):
+            want = graph_from_edge_mask(n, mask)
+            assert (g.n, g.adj, g.closed) == (want.n, want.adj, want.closed), mask
+            assert edge_mask(g) == mask
+
+    def test_order_seven_prefix(self):
+        graphs = list(islice(enumerate_graphs(7), 1 << 16))
+        assert [g.adj for g in graphs] == [graph_from_edge_mask(7, k).adj for k in range(1 << 16)]
+
+    def test_filter_sees_the_stream_in_mask_order(self):
+        keep = lambda g: g.is_connected() and is_twin_free(g)
+        for n in range(7):
+            stream = (graph_from_edge_mask(n, mask) for mask in range(1 << n * (n - 1) // 2))
+            want = [h.adj for h in stream if keep(h)]
+            assert [g.adj for g in enumerate_graphs(n, keep)] == want
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_up_to_iso_keeps_the_first_of_each_class(self, n):
+        reps = []
+        for mask in range(1 << n * (n - 1) // 2):
+            h = graph_from_edge_mask(n, mask)
+            if brute_connected(n, h.edges()) and not any(is_isomorphic(h, r) for r in reps):
+                reps.append(h)
+        got = list(enumerate_graphs(n, Graph.is_connected, up_to_iso=True))
+        assert [g.adj for g in got] == [r.adj for r in reps]
+        assert len(got) == [1, 1, 1, 2, 6, 21][n]  # OEIS A001349
 
 
 class TestRandomSplit:
