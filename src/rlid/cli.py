@@ -16,7 +16,6 @@ import operator
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 
 from . import bounds as bounds_mod
@@ -37,7 +36,6 @@ from .graph import (
     bipartition,
     bits,
     edge_mask,
-    graph_from_edge_mask,
     is_twin_free,
     max_clique_size,
     quotient,
@@ -131,16 +129,28 @@ def _budget(args) -> solvers.Budget:
     return solvers.Budget(args.node_budget)
 
 
+_FIELD = re.compile(r"\S+")
+# the characters at which str.splitlines ends a line
+_LINE_END = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
 def _sniff_format(text: str) -> str:
     # dimacs always opens with "c ..." or "p edge ..."; an edgelist opens
-    # with "#" comments or the vertex count, so the first line settles it
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head = line.split(None, 1)[0]
-        return "dimacs" if head in ("c", "p") else "edgelist"
-    return "edgelist"
+    # with "#" comments or the vertex count, so the first line that is
+    # neither blank nor a "#" comment settles it.  Line ends are
+    # whitespace, so the first field after ``start`` opens that line.
+    start = 0
+    while True:
+        field = _FIELD.search(text, start)
+        if field is None:
+            return "edgelist"
+        head = field.group()
+        if not head.startswith("#"):
+            return "dimacs" if head in ("c", "p") else "edgelist"
+        end = _LINE_END.search(text, field.end())
+        if end is None:
+            return "edgelist"
+        start = end.end()
 
 
 def _load_graph(args) -> Graph:
@@ -453,8 +463,8 @@ def _sweep_graphs(args):
 
 def _sweep_row(task):
     """Compute one row; module-level so a process pool can pickle it."""
-    fam, index, n, mask, names, node_budget = task
-    g = graph_from_edge_mask(n, mask)
+    fam, index, n, mask, adj, names, node_budget = task
+    g = Graph.from_adj_masks(n, adj)
     row = {}
     for name in names:
         try:
@@ -485,6 +495,11 @@ def _sweep_row(task):
 def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1, got %d" % args.jobs)
+    if args.family in _ENUMERATED_FAMILIES:
+        top = solvers.MAX_ENUMERATION_ORDER
+        for flag, order in (("--min-n", args.min_n), ("--max-n", args.max_n)):
+            if not 0 <= order <= top:
+                raise UsageError("%s must be in 0..%d, got %d" % (flag, top, order))
     for name in args.params:
         if name not in _SWEEP_PARAMS:
             raise UsageError(
@@ -496,12 +511,15 @@ def _cmd_sweep(args) -> int:
         needed, check = parse_assertion(args.assertion)
         names += tuple(x for x in sorted(needed) if x not in names)
     tasks = [
-        (fam, index, g.n, edge_mask(g), names, args.node_budget)
+        (fam, index, g.n, edge_mask(g), g.adj, names, args.node_budget)
         for fam, index, g in _sweep_graphs(args)
     ]
     # the executor forks all its workers on the first submit
     workers = min(args.jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
+        # imported here: it costs every other command its start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_row, tasks, chunksize=64))
     else:

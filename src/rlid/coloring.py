@@ -168,21 +168,30 @@ def _report(mode: str, violations) -> VerificationReport:
     return VerificationReport(mode, not bad, bad)
 
 
+# The edge walks take each vertex u upward and its neighbours v > u in
+# increasing order, which is the order of ``g.edges()``, without
+# building that list.
+
+
 def _rlid_violations(g: Graph, c: Coloring):
     _check_sizes(g, c)
     nbrs = _neighbor_lists(g)
     sets = _colorsets(nbrs, c.colors)
-    for u, v in g.edges():
-        if sets[u] == sets[v] and not _adjacent_twins(nbrs, u, v):
-            yield Violation(u, v, True, "colorset", sets[u])
+    for u, t in enumerate(nbrs):
+        su = sets[u]
+        for v in t:
+            if v > u and sets[v] == su and not _adjacent_twins(nbrs, u, v):
+                yield Violation(u, v, True, "colorset", su)
 
 
 def _proper_violations(g: Graph, c: Coloring):
     _check_sizes(g, c)
     colors = c.colors
-    for u, v in g.edges():
-        if colors[u] == colors[v]:
-            yield Violation(u, v, True, "proper", frozenset((colors[u],)))
+    for u, t in enumerate(_neighbor_lists(g)):
+        cu = colors[u]
+        for v in t:
+            if v > u and colors[v] == cu:
+                yield Violation(u, v, True, "proper", frozenset((cu,)))
 
 
 def _lid_violations(g: Graph, c: Coloring):
@@ -191,19 +200,23 @@ def _lid_violations(g: Graph, c: Coloring):
     nbrs = _neighbor_lists(g)
     sets = _colorsets(nbrs, colors)
     twin_sets = {}  # vertex -> its twin witness, shared by its twin class
-    for u, v in g.edges():
-        if colors[u] == colors[v]:
-            yield Violation(u, v, True, "proper", frozenset((colors[u],)))
-        if len(nbrs[u]) == len(nbrs[v]):
-            shared = twin_sets.get(u)
-            if shared is None:
-                shared = _closed_set(nbrs, u)
-            if shared == _closed_set(nbrs, v):
-                twin_sets[u] = twin_sets[v] = shared
-                yield Violation(u, v, True, "twins", shared)
+    for u, t in enumerate(nbrs):
+        cu = colors[u]
+        for v in t:
+            if v < u:
                 continue
-        if sets[u] == sets[v]:
-            yield Violation(u, v, True, "colorset", sets[u])
+            if colors[v] == cu:
+                yield Violation(u, v, True, "proper", frozenset((cu,)))
+            if len(t) == len(nbrs[v]):
+                shared = twin_sets.get(u)
+                if shared is None:
+                    shared = _closed_set(nbrs, u)
+                if shared == _closed_set(nbrs, v):
+                    twin_sets[u] = twin_sets[v] = shared
+                    yield Violation(u, v, True, "twins", shared)
+                    continue
+            if sets[u] == sets[v]:
+                yield Violation(u, v, True, "colorset", sets[u])
 
 
 def _id_violations(g: Graph, c: Coloring):

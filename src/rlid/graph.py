@@ -44,6 +44,17 @@ def mask_of(vertices) -> int:
     return m
 
 
+def check_vertex_count(n: int):
+    if n < 0:
+        raise GraphError("vertex count must be nonnegative, got %r" % (n,))
+
+
+def neighbor_tuples(nbrs) -> tuple:
+    """Each vertex's neighbour list as a sorted tuple without repeats,
+    the form ``Graph.from_neighbor_tuples`` takes."""
+    return tuple(map(tuple, map(sorted, map(set, nbrs))))
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
@@ -61,8 +72,7 @@ class Graph:
     __slots__ = ("n", "labels", "_nbrs", "adj", "closed")
 
     def __init__(self, n: int, edges=(), labels=None):
-        if n < 0:
-            raise GraphError("vertex count must be nonnegative, got %r" % (n,))
+        check_vertex_count(n)
         nbrs = [[] for _ in range(n)]
         for e in edges:
             try:
@@ -76,7 +86,7 @@ class Graph:
             nbrs[u].append(v)
             nbrs[v].append(u)
         self.n = n
-        self._nbrs = tuple([tuple(sorted(set(t))) for t in nbrs])
+        self._nbrs = neighbor_tuples(nbrs)
         self.labels = self._check_labels(n, labels)
 
     @staticmethod
@@ -264,10 +274,12 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
 def edge_mask(g: Graph) -> int:
     """Inverse of graph_from_edge_mask: ``graph_from_edge_mask(g.n, edge_mask(g))``
     rebuilds g without its labels."""
-    mask = 0
-    for i, (u, v) in enumerate(itertools.combinations(range(g.n), 2)):
-        if g.adj[u] >> v & 1:
-            mask |= 1 << i
+    # the pairs (u, u + 1), ..., (u, n - 1) are numbered consecutively
+    # from ``first``, in the order of the bits of adj[u] above u
+    mask = first = 0
+    for u, a in enumerate(g.adj):
+        mask |= a >> (u + 1) << first
+        first += g.n - u - 1
     return mask
 
 

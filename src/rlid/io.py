@@ -3,13 +3,17 @@
 Two graph formats.  "dimacs": optional comment lines "c ...", one
 header "p edge <n> <m>", then edge lines "e <u> <v>" with 1-indexed
 endpoints.  "edgelist": '#' comments, first significant line the
-vertex count, then 0-indexed "u v" pairs.  Parse errors name the line
-number; duplicate edges collapse with a counted warning.  A parsed
-graph keeps O(n + m) neighbour tuples; the n-bit neighbourhood masks,
-about n^2/4 bytes for both lists, are built only when a solver asks for
-them, and orders above MAX_ORDER are refused before anything is
-allocated.  Parsing, verification and the JSON report of a verification
-run in time and memory linear in the input and the violations.
+vertex count, then 0-indexed "u v" pairs.  Each parser walks the lines
+once: every line is validated once and its edge appended straight to
+per-vertex neighbour lists, which ``graph.neighbor_tuples`` sorts and
+de-duplicates, as it does for ``Graph(n, edges)``.  Parse errors name
+the line number and quote the stripped line; duplicate edges collapse
+with a counted warning.  A parsed graph keeps O(n + m) neighbour
+tuples; the n-bit neighbourhood masks, about n^2/4 bytes for both
+lists, are built only when a solver asks for them, and orders above
+MAX_ORDER are refused before anything is allocated.  Parsing, verification and the JSON report of a verification
+run in time and memory linear in the input and the violations; the
+report formats each distinct witness once.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import logging
 
 from .bounds import BoundsReport
 from .coloring import Coloring, VerificationReport
-from .graph import Graph, build_graph
+from .graph import Graph, check_vertex_count, neighbor_tuples
 from .solvers import SolveResult
 
 log = logging.getLogger(__name__)
@@ -46,16 +50,6 @@ def _check_order(n: int, lineno: int):
         )
 
 
-def _significant_lines(text: str, comment_prefixes):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(comment_prefixes):
-            continue
-        yield lineno, line
-
-
 def parse_graph_text(text: str, fmt: str, strict: bool = True) -> Graph:
     if fmt == "dimacs":
         return _parse_dimacs(text, strict)
@@ -70,83 +64,109 @@ def parse_graph_file(path, fmt: str = "edgelist", strict: bool = True) -> Graph:
         return parse_graph_text(fh.read(), fmt, strict)
 
 
+# A line is blank when it has no fields and a comment when its first
+# field starts with the prefix: the tests its stripped form would pass.
+# Messages quote the stripped line, built only when one is raised.
+
+
 def _parse_dimacs(text: str, strict: bool) -> Graph:
     n = None
     declared_m = None
-    edges = []
-    for lineno, line in _significant_lines(text, ("c",)):
-        fields = line.split()
-        if fields[0] == "p":
-            if n is not None:
-                raise ParseError("line %d: second problem line" % lineno)
-            if len(fields) != 4 or fields[1] != "edge":
-                raise ParseError("line %d: malformed problem line %r" % (lineno, line))
-            try:
-                n, declared_m = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise ParseError("line %d: non-numeric problem line %r" % (lineno, line)) from None
-            _check_order(n, lineno)
-        elif fields[0] == "e":
+    nbrs = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields:
+            continue
+        head = fields[0]
+        if head == "e":
             if n is None:
                 raise ParseError("line %d: edge before problem line" % lineno)
             if len(fields) != 3:
-                raise ParseError("line %d: malformed edge line %r" % (lineno, line))
+                raise ParseError("line %d: malformed edge line %r" % (lineno, raw.strip()))
             try:
                 u, v = int(fields[1]), int(fields[2])
             except ValueError:
-                raise ParseError("line %d: non-numeric edge %r" % (lineno, line)) from None
+                raise ParseError("line %d: non-numeric edge %r" % (lineno, raw.strip())) from None
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(
-                    "line %d: endpoint out of range 1..%d in %r" % (lineno, n, line)
+                    "line %d: endpoint out of range 1..%d in %r" % (lineno, n, raw.strip())
                 )
             if u == v:
-                raise ParseError("line %d: self-loop %r" % (lineno, line))
-            edges.append((u - 1, v - 1))
+                raise ParseError("line %d: self-loop %r" % (lineno, raw.strip()))
+            nbrs[u - 1].append(v - 1)
+            nbrs[v - 1].append(u - 1)
+        elif head[0] == "c":
+            continue
+        elif head == "p":
+            if n is not None:
+                raise ParseError("line %d: second problem line" % lineno)
+            if len(fields) != 4 or fields[1] != "edge":
+                raise ParseError("line %d: malformed problem line %r" % (lineno, raw.strip()))
+            try:
+                n, declared_m = int(fields[2]), int(fields[3])
+            except ValueError:
+                raise ParseError(
+                    "line %d: non-numeric problem line %r" % (lineno, raw.strip())
+                ) from None
+            _check_order(n, lineno)
+            nbrs = [[] for _ in range(n)]
         else:
-            raise ParseError("line %d: unrecognized line %r" % (lineno, line))
+            raise ParseError("line %d: unrecognized line %r" % (lineno, raw.strip()))
     if n is None:
         raise ParseError("no problem line found")
-    if strict and len(edges) != declared_m:
+    edge_lines = sum(map(len, nbrs)) // 2
+    if strict and edge_lines != declared_m:
         raise ParseError(
             "edge count mismatch: header declares %d, found %d edge lines"
-            % (declared_m, len(edges))
+            % (declared_m, edge_lines)
         )
-    return _build_deduplicated(n, edges)
+    return _build_deduplicated(n, nbrs, edge_lines)
 
 
 def _parse_edgelist(text: str) -> Graph:
     n = None
-    edges = []
-    for lineno, line in _significant_lines(text, ("#",)):
-        fields = line.split()
+    nbrs = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
+            continue
         if n is None:
             if len(fields) != 1:
-                raise ParseError("line %d: expected the vertex count, got %r" % (lineno, line))
+                raise ParseError(
+                    "line %d: expected the vertex count, got %r" % (lineno, raw.strip())
+                )
             try:
                 n = int(fields[0])
             except ValueError:
-                raise ParseError("line %d: non-numeric vertex count %r" % (lineno, line)) from None
+                raise ParseError(
+                    "line %d: non-numeric vertex count %r" % (lineno, raw.strip())
+                ) from None
             _check_order(n, lineno)
+            nbrs = [[] for _ in range(n)]
             continue
         if len(fields) != 2:
-            raise ParseError("line %d: expected 'u v', got %r" % (lineno, line))
+            raise ParseError("line %d: expected 'u v', got %r" % (lineno, raw.strip()))
         try:
             u, v = int(fields[0]), int(fields[1])
         except ValueError:
-            raise ParseError("line %d: non-numeric edge %r" % (lineno, line)) from None
+            raise ParseError("line %d: non-numeric edge %r" % (lineno, raw.strip())) from None
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError("line %d: endpoint out of range 0..%d" % (lineno, n - 1))
         if u == v:
             raise ParseError("line %d: self-loop" % lineno)
-        edges.append((u, v))
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     if n is None:
         raise ParseError("empty graph file")
-    return _build_deduplicated(n, edges)
+    return _build_deduplicated(n, nbrs, sum(map(len, nbrs)) // 2)
 
 
-def _build_deduplicated(n: int, edges) -> Graph:
-    g = build_graph(n, edges)
-    dupes = len(edges) - g.edge_count
+def _build_deduplicated(n: int, nbrs, edge_lines: int) -> Graph:
+    """The graph of validated neighbour lists holding ``edge_lines``
+    edges with repeats."""
+    check_vertex_count(n)
+    g = Graph.from_neighbor_tuples(n, neighbor_tuples(nbrs))
+    dupes = edge_lines - g.edge_count
     if dupes:
         log.warning("collapsed %d duplicate edge declarations", dupes)
     return g
@@ -169,40 +189,49 @@ def write_graph_dimacs(g: Graph, comments=()) -> bytes:
 
 def parse_coloring_file(path, n: int) -> Coloring:
     """Two-column "vertex color" file, 0-indexed vertices, total on 0..n-1."""
-    assigned = {}
+    colors = [None] * n
+    assigned = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in _significant_lines(fh.read(), ("#",)):
-            fields = line.split()
-            if len(fields) != 2:
-                raise ParseError("line %d: expected 'vertex color', got %r" % (lineno, line))
-            try:
-                v, c = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise ParseError("line %d: non-numeric entry %r" % (lineno, line)) from None
-            if not 0 <= v < n:
-                raise ParseError("line %d: vertex %d out of range 0..%d" % (lineno, v, n - 1))
-            if v in assigned:
-                raise ParseError("line %d: vertex %d assigned twice" % (lineno, v))
-            assigned[v] = c
-    missing = [v for v in range(n) if v not in assigned]
-    if missing:
+        text = fh.read()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
+            continue
+        if len(fields) != 2:
+            raise ParseError("line %d: expected 'vertex color', got %r" % (lineno, raw.strip()))
+        try:
+            v, c = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ParseError("line %d: non-numeric entry %r" % (lineno, raw.strip())) from None
+        if not 0 <= v < n:
+            raise ParseError("line %d: vertex %d out of range 0..%d" % (lineno, v, n - 1))
+        if colors[v] is not None:
+            raise ParseError("line %d: vertex %d assigned twice" % (lineno, v))
+        colors[v] = c
+        assigned += 1
+    if assigned != n:
+        missing = [v for v, c in enumerate(colors) if c is None]
         raise ParseError("no color for vertices %r" % (missing[:10],))
-    return Coloring(tuple(assigned[v] for v in range(n)))
+    return Coloring(colors)
 
 
 def parse_vertex_set_file(path, n: int) -> frozenset:
     """Whitespace-separated vertex indices, '#' comments."""
     out = set()
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in _significant_lines(fh.read(), ("#",)):
-            for tok in line.split():
-                try:
-                    v = int(tok)
-                except ValueError:
-                    raise ParseError("line %d: non-numeric vertex %r" % (lineno, tok)) from None
-                if not 0 <= v < n:
-                    raise ParseError("line %d: vertex %d out of range" % (lineno, v))
-                out.add(v)
+        text = fh.read()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
+            continue
+        for tok in fields:
+            try:
+                v = int(tok)
+            except ValueError:
+                raise ParseError("line %d: non-numeric vertex %r" % (lineno, tok)) from None
+            if not 0 <= v < n:
+                raise ParseError("line %d: vertex %d out of range" % (lineno, v))
+            out.add(v)
     return frozenset(out)
 
 
@@ -298,14 +327,18 @@ _VIOLATION_ROW = (
 
 def _verification_json(report: VerificationReport) -> str:
     """``json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\\n"``
-    with one template row per violation."""
+    with one template row per violation; each distinct kind and witness
+    is formatted once per call."""
     kinds = {}
+    witnesses = {}
     rows = []
     for x in report.violations:
         kind = kinds.get(x.kind)
         if kind is None:
             kind = kinds[x.kind] = json.dumps(x.kind)
-        witness = _int_list_json(sorted(x.witness), 3)
+        witness = witnesses.get(x.witness)
+        if witness is None:
+            witness = witnesses[x.witness] = _int_list_json(sorted(x.witness), 3)
         rows.append(_VIOLATION_ROW % ("true" if x.adjacent else "false", kind, x.u, x.v, witness))
     head = '{\n  "mode": %s,\n  "valid": %s,\n  "violations": ' % (
         json.dumps(report.mode), "true" if report.valid else "false",

@@ -706,6 +706,10 @@ def gamma_id_exact(g: Graph, budget=None) -> SolveResult:
 # -- exhaustive enumeration ---------------------------------------------
 
 
+# 2^21 labeled graphs at order 7
+MAX_ENUMERATION_ORDER = 7
+
+
 def enumerate_graphs(order: int, filter=None, *, up_to_iso: bool = False):
     """Stream all labeled graphs of the given order, smallest mask first.
 
@@ -718,10 +722,12 @@ def enumerate_graphs(order: int, filter=None, *, up_to_iso: bool = False):
     yielding.  With ``up_to_iso`` only the first representative of each
     isomorphism class (among filtered graphs) is produced; this is a
     convenience for reporting, the full labeled stream is the primary
-    contract.  Order is capped at 7.
+    contract.  Order is capped at MAX_ENUMERATION_ORDER.
     """
-    if not 0 <= order <= 7:
-        raise GraphError("exhaustive enumeration supports order 0..7, got %r" % (order,))
+    if not 0 <= order <= MAX_ENUMERATION_ORDER:
+        raise GraphError(
+            "exhaustive enumeration supports order 0..%d, got %r" % (MAX_ENUMERATION_ORDER, order)
+        )
     m = order * (order - 1) // 2
     # pair i of graph_from_edge_mask's numbering as (u, 1 << v, v, 1 << u);
     # runs[t] holds pairs 0..t-1, those flipped when mask has t - 1

@@ -1,6 +1,7 @@
 """File formats, result serialization, DOT export, and the CLI surface."""
 
 import argparse
+import concurrent.futures
 import json
 import logging
 import random
@@ -595,6 +596,17 @@ class TestCli:
         assert main(["sweep", "--max-n", "3", "--jobs", jobs]) == 2
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,order", [("--min-n", "-1"), ("--max-n", "8")])
+    def test_sweep_order_out_of_range_is_a_usage_error(self, capsys, flag, order):
+        assert main(["sweep", "--family", "connected", flag, order]) == 2
+        err = capsys.readouterr().err
+        assert err == "usage error: %s must be in 0..7, got %s\n" % (flag, order)
+
+    def test_sweep_random_families_ignore_the_order_bounds(self, capsys):
+        argv = ["sweep", "--family", "random-twins", "--count", "2", "--params", "n",
+                "--min-n", "-1", "--max-n", "8"]
+        assert main(argv) == 0
+
     @pytest.mark.parametrize(
         "jobs,cpus,max_n,workers",
         [
@@ -681,7 +693,8 @@ def _record_pools(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    # the sweep imports the pool class from here when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     return pools
 
 
