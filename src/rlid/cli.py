@@ -294,10 +294,30 @@ def _cmd_quotient(args) -> int:
     return 0
 
 
-def _size(args) -> int:
+def _size(args, order_of) -> int:
+    """--size p, refused before anything is built when the instance,
+    of ``order_of(p)`` vertices, would be larger than io.MAX_ORDER."""
     if args.size is None:
         raise UsageError("construct needs --size for family %r" % (args.family,))
-    return args.size
+    p = args.size
+    # every family's smallest size is positive, below it its builder raises GraphError
+    if p > 0 and order_of(p) > io.MAX_ORDER:
+        raise UsageError(
+            "construct %s --size %d exceeds the maximum order %d" % (args.family, p, io.MAX_ORDER)
+        )
+    return p
+
+
+def _pow2(e: int) -> int:
+    """2^e, or just past io.MAX_ORDER without forming 2^e for a larger e."""
+    return 1 << e if e <= io.MAX_ORDER.bit_length() else io.MAX_ORDER + 1
+
+
+def _prop1_order(p: int) -> int:
+    """The order of ``prop1_graph(p)``: g* of K_m, m^2 + m vertices, and t twins."""
+    t = (p - 1) * (p - 2) // 2
+    m = p + t
+    return m * m + m + t
 
 
 def _power_path_instance(k):
@@ -307,12 +327,12 @@ def _power_path_instance(k):
 
 # construct's families: name -> builder of the instance from the options
 _FAMILIES = {
-    "star": lambda args: families.star(_size(args)),
-    "power-path": lambda args: _power_path_instance(_size(args)),
-    "hp": lambda args: families.h_p(_size(args)),
-    "q1": lambda args: families.q1(_size(args)),
-    "q2": lambda args: families.q2(_size(args)),
-    "prop1": lambda args: families.prop1_graph(_size(args)),
+    "star": lambda args: families.star(_size(args, lambda p: p + 1)),
+    "power-path": lambda args: _power_path_instance(_size(args, lambda k: 2 * k)),
+    "hp": lambda args: families.h_p(_size(args, lambda p: _pow2(p) + 3 * p)),
+    "q1": lambda args: families.q1(_size(args, lambda p: _pow2(p - 1) + p - 1)),
+    "q2": lambda args: families.q2(_size(args, lambda p: 2 * p - 1)),
+    "prop1": lambda args: families.prop1_graph(_size(args, _prop1_order)),
     "gstar": lambda args: families.g_star(_load_graph(args)),
 }
 
@@ -500,6 +520,8 @@ def _cmd_sweep(args) -> int:
         for flag, order in (("--min-n", args.min_n), ("--max-n", args.max_n)):
             if not 0 <= order <= top:
                 raise UsageError("%s must be in 0..%d, got %d" % (flag, top, order))
+    elif args.count < 0:
+        raise UsageError("--count must be at least 0, got %d" % args.count)
     for name in args.params:
         if name not in _SWEEP_PARAMS:
             raise UsageError(

@@ -464,8 +464,9 @@ def find_split_partition(g: Graph) -> SplitPartition | None:
     clique side is the first maximum one in subset-mask order.  Returns
     None when the graph is not split.
     """
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    deg = [g.degree(v) for v in order]
+    degree = [a.bit_count() for a in g.adj]
+    order = sorted(range(g.n), key=lambda v: (-degree[v], v))
+    deg = [degree[v] for v in order]
     m = sum(1 for i, d in enumerate(deg) if d >= i)
     if sum(deg[:m]) != m * (m - 1) + sum(deg[m:]):
         return None

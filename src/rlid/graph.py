@@ -5,8 +5,10 @@ sorted tuple of neighbours per vertex, so parsing and verification
 cost O(n + m).  The searches, clique and plan code read every
 neighbourhood as one int bitmask instead, where closed-neighbourhood
 comparisons, unions and symmetric differences cost a constant number
-of word operations; those masks (n bits each) are built on first use
-and cached.
+of word operations.  Two rules keep the stored form in one place:
+``Graph.neighbors`` is the only accessor that reads it, and
+``Graph.__getattr__`` is the only code that derives the masks (n bits
+each), on first read, and keeps them.
 """
 
 from __future__ import annotations
@@ -60,13 +62,17 @@ class Graph:
 
     The graph keeps the form it was built from: ``Graph(n, edges)`` and
     ``from_neighbor_tuples`` keep a sorted neighbour tuple per vertex,
-    ``from_adj_masks`` the open-neighbourhood bitmasks.  ``adj[v]`` is
-    the open-neighbourhood bitmask and ``closed[v]`` the closed one
-    (``adj[v] | 1 << v``); a graph built from tuples builds both on
-    first read and then keeps them.  ``neighbors(v)``, ``degree``,
-    ``has_edge``, ``edges`` and ``edge_count`` read whichever form the
-    graph holds, and build no masks.  ``labels`` optionally carries a
-    role string per vertex for generated family instances.
+    ``from_adj_masks`` the open-neighbourhood bitmasks.  Two rules keep
+    that choice in one place.  ``neighbors(v)`` is the only accessor
+    that reads the stored form: it returns the stored tuple, or derives
+    one from the mask on each call and keeps none, so a graph built from
+    masks never holds tuples; ``degree``, ``has_edge``, ``edges``,
+    ``edge_count``, equality and hashing read neighbourhoods through it.
+    ``__getattr__`` is the only code that derives masks: ``adj[v]``, the
+    open-neighbourhood bitmask, and ``closed[v]``, the closed one
+    (``adj[v] | 1 << v``), are built on first read and then kept.
+    ``labels`` optionally carries a role string per vertex for generated
+    family instances.
     """
 
     __slots__ = ("n", "labels", "_nbrs", "adj", "closed")
@@ -104,8 +110,7 @@ class Graph:
         g = cls.__new__(cls)
         g.n = n
         g._nbrs = None
-        g.adj = adj = tuple(adj_masks)
-        g.closed = tuple([a | 1 << v for v, a in enumerate(adj)])
+        g.adj = tuple(adj_masks)
         g.labels = cls._check_labels(n, labels)
         return g
 
@@ -140,43 +145,27 @@ class Graph:
         return tuple(bits(self.adj[v]))
 
     def _neighbor_tuples(self):
-        if self._nbrs is not None:
-            return self._nbrs
-        return tuple([tuple(bits(a)) for a in self.adj])
+        return tuple(map(self.neighbors, range(self.n)))
 
     def degree(self, v: int) -> int:
-        if self._nbrs is not None:
-            return len(self._nbrs[v])
-        return self.adj[v].bit_count()
+        return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        if self._nbrs is not None:
-            t = self._nbrs[u]
-            i = bisect_left(t, v)
-            return i < len(t) and t[i] == v
-        return bool(self.adj[u] >> v & 1)
+        t = self.neighbors(u)
+        i = bisect_left(t, v)
+        return i < len(t) and t[i] == v
 
     def edges(self):
-        if self._nbrs is not None:
-            return [(u, w) for u, t in enumerate(self._nbrs) for w in t[bisect_right(t, u):]]
-        out = []
-        for u in range(self.n):
-            rest = self.adj[u] >> (u + 1)
-            for off in bits(rest):
-                out.append((u, u + 1 + off))
-        return out
+        nbrs = self._neighbor_tuples()
+        return [(u, w) for u, t in enumerate(nbrs) for w in t[bisect_right(t, u):]]
 
     @property
     def edge_count(self) -> int:
-        if self._nbrs is not None:
-            return sum(map(len, self._nbrs)) // 2
-        return sum(a.bit_count() for a in self.adj) // 2
+        return sum(map(len, self._neighbor_tuples())) // 2
 
     def __eq__(self, other):
         if not isinstance(other, Graph) or self.n != other.n:
             return False
-        if self._nbrs is None and other._nbrs is None:
-            return self.adj == other.adj
         return self._neighbor_tuples() == other._neighbor_tuples()
 
     def __hash__(self):
@@ -187,39 +176,31 @@ class Graph:
 
     # -- structure ------------------------------------------------------
 
-    def components(self):
-        """Connected components as sorted vertex lists, ordered by minimum."""
-        seen = 0
-        out = []
-        for s in range(self.n):
-            if seen >> s & 1:
-                continue
-            comp = 1 << s
-            frontier = 1 << s
-            while frontier:
-                nxt = 0
-                for v in bits(frontier):
-                    nxt |= self.adj[v]
-                frontier = nxt & ~comp
-                comp |= nxt
-            seen |= comp
-            out.append(list(bits(comp)))
-        return out
-
-    def is_connected(self) -> bool:
-        """One breadth-first search from vertex 0 over the masks, taking
-        the frontier's lowest vertex each step."""
-        if self.n <= 1:
-            return True
+    def reach(self, s: int) -> int:
+        """The mask of the vertices reachable from s, by one search over
+        the masks that expands the frontier's lowest vertex each step."""
         adj = self.adj
-        seen = frontier = 1
+        seen = frontier = 1 << s
         while frontier:
             low = frontier & -frontier
             frontier ^= low
             new = adj[low.bit_length() - 1] & ~seen
             seen |= new
             frontier |= new
-        return seen.bit_count() == self.n
+        return seen
+
+    def components(self):
+        """Connected components as sorted vertex lists, ordered by minimum."""
+        out = []
+        rest = (1 << self.n) - 1
+        while rest:
+            comp = self.reach((rest & -rest).bit_length() - 1)
+            rest ^= comp
+            out.append(list(bits(comp)))
+        return out
+
+    def is_connected(self) -> bool:
+        return self.n <= 1 or self.reach(0).bit_count() == self.n
 
     def induced(self, vertices):
         """Induced subgraph on ``vertices``; old index order is preserved.
@@ -523,11 +504,12 @@ def is_isomorphic(g1: Graph, g2: Graph, budget=None) -> bool:
     Intended for small graphs; ``budget`` caps assignment attempts and
     exhaustion raises BudgetExceeded instead of answering wrongly.
     """
-    if g1.n != g2.n or g1.edge_count != g2.edge_count:
+    if g1.n != g2.n:
         return False
     n = g1.n
     if n == 0:
         return True
+    # equal degree sequences also mean equal edge counts
     if sorted(map(int.bit_count, g1.adj)) != sorted(map(int.bit_count, g2.adj)):
         return False
     nbrs1 = g1._neighbor_tuples()

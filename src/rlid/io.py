@@ -11,9 +11,10 @@ the line number and quote the stripped line; duplicate edges collapse
 with a counted warning.  A parsed graph keeps O(n + m) neighbour
 tuples; the n-bit neighbourhood masks, about n^2/4 bytes for both
 lists, are built only when a solver asks for them, and orders above
-MAX_ORDER are refused before anything is allocated.  Parsing, verification and the JSON report of a verification
-run in time and memory linear in the input and the violations; the
-report formats each distinct witness once.
+MAX_ORDER are refused before anything is allocated.  Parsing,
+verification and the JSON report of a verification run in time and
+memory linear in the input and the violations; the report formats
+each distinct witness once.
 """
 
 from __future__ import annotations

@@ -211,7 +211,7 @@ class _SearchPlan:
       without a cut past ``PLAN_CLIQUE_NODE_BUDGET`` nodes.
     """
 
-    __slots__ = ("g", "mode", "n", "order", "earlier", "checks", "clique", "slack", "clique_before")
+    __slots__ = ("n", "order", "earlier", "checks", "clique", "slack", "clique_before")
 
     def __init__(self, g: Graph, spec: Parameter):
         if spec.twin_free:
@@ -219,8 +219,6 @@ class _SearchPlan:
         mode = spec.mode
         n = g.n
         adj, closed = g.adj, g.closed
-        self.g = g
-        self.mode = mode
         self.n = n
 
         if mode == "proper":
@@ -320,13 +318,8 @@ class _SearchPlan:
                 lead_step = forced_step * n
                 for v in lead:
                     score[v] += lead_step
-        need_proper = mode in ("proper", "lid")
-        if not need_proper:
-            differ = forced
-        elif layout:
-            differ = [a | d for a, d in zip(adj, forced)]
-        else:
-            differ = adj
+        # proper mode has no pairs, so its forced masks are all zero
+        differ = [a | d for a, d in zip(adj, forced)] if mode in ("proper", "lid") else forced
         uncolored = set(range(n))
         colored = 0
         order, earlier, checks = [], [], []
@@ -744,11 +737,9 @@ def enumerate_graphs(order: int, filter=None, *, up_to_iso: bool = False):
         if filter is not None and not filter(g):
             continue
         if up_to_iso:
-            degs = tuple(sorted(map(int.bit_count, g.adj)))
-            nbr_degs = tuple(
-                sorted(tuple(sorted(g.degree(w) for w in bits(g.adj[v]))) for v in range(order))
-            )
-            key = (degs, nbr_degs)
+            deg = [a.bit_count() for a in g.adj]
+            nbr_degs = tuple(sorted(tuple(sorted(deg[w] for w in bits(a))) for a in g.adj))
+            key = (tuple(sorted(deg)), nbr_degs)
             reps = seen_buckets.setdefault(key, [])
             if any(is_isomorphic(g, r) for r in reps):
                 continue

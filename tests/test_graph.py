@@ -108,6 +108,21 @@ class TestGraphForms:
         assert g.closed is g.closed
         assert _built_masks(g) == ["adj", "closed"]
 
+    def test_mask_graph_builds_closed_on_first_read_and_keeps_it(self):
+        g = Graph.from_adj_masks(5, path(5).adj)
+        assert _built_masks(g) == ["adj"]
+        closed = g.closed
+        assert _built_masks(g) == ["adj", "closed"]
+        assert g.closed is closed
+        assert closed == path(5).closed
+
+    def test_mask_graph_accessors_keep_no_tuples(self):
+        g = Graph.from_adj_masks(5, cycle(5).adj)
+        verify_rlid(g, Coloring([1, 2, 3, 1, 2]))
+        assert g.edges() == cycle(5).edges()
+        assert g.degree(0) == 2 and g.has_edge(0, 4) and not g.has_edge(0, 2)
+        assert g._nbrs is None
+
     def test_verifiers_build_no_masks(self):
         g = g_star(cycle(5)).graph
         c = Coloring([1 + v % 3 for v in range(g.n)])

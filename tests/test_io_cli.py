@@ -607,6 +607,47 @@ class TestCli:
                 "--min-n", "-1", "--max-n", "8"]
         assert main(argv) == 0
 
+    @pytest.mark.parametrize("family", ["random-split", "random-twins"])
+    def test_sweep_negative_count_is_a_usage_error(self, capsys, family):
+        argv = ["sweep", "--family", family, "--params", "n"]
+        assert main(argv + ["--count", "-1"]) == 2
+        assert capsys.readouterr().err == "usage error: --count must be at least 0, got -1\n"
+        assert main(argv + ["--count", "0"]) == 0
+        assert "sweep: 0 graphs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "family,size,builder",
+        [
+            ("hp", "40", "h_p"),
+            ("prop1", "30", "prop1_graph"),
+            ("star", "100000000", "star"),
+            ("power-path", "1000000", "power_path"),
+            ("q2", "1000000", "q2"),
+            ("q1", "100000000", "q1"),
+        ],
+    )
+    def test_construct_over_the_maximum_order_is_refused_unbuilt(
+        self, monkeypatch, capsys, family, size, builder
+    ):
+        def refuse(p):
+            raise AssertionError("%s(%d) was built" % (builder, p))
+
+        monkeypatch.setattr(cli.families, builder, refuse)
+        assert main(["construct", family, "--size", size]) == 2
+        err = capsys.readouterr().err
+        assert err == "usage error: construct %s --size %s exceeds the maximum order 50000\n" % (
+            family, size
+        )
+
+    def test_construct_at_the_maximum_order_is_built(self, capsys):
+        assert main(["construct", "star", "--size", "49999"]) == 0
+        assert "family star  order 50000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("family,size", [("hp", "1"), ("q1", "-5"), ("prop1", "-100")])
+    def test_construct_below_the_smallest_size_is_a_graph_error(self, capsys, family, size):
+        assert main(["construct", family, "--size", size]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize(
         "jobs,cpus,max_n,workers",
         [
