@@ -693,8 +693,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if "node_budget" in args and args.node_budget is None:
-            args.node_budget = _env_node_budget()
+        if "node_budget" in args:
+            if args.node_budget is None:
+                args.node_budget = _env_node_budget()
+            elif args.node_budget < 1:
+                raise UsageError("--node-budget must be positive, got %d" % args.node_budget)
         return args.handler(args)
     except BrokenPipeError:
         return 0

@@ -26,7 +26,7 @@ class Coloring:
     def __init__(self, colors, palette=None):
         colors = tuple(colors)
         for v, c in enumerate(colors):
-            if not isinstance(c, int) or isinstance(c, bool) or c < 1:
+            if type(c) is not int or c < 1:
                 raise ColoringError("vertex %d has non-positive color %r" % (v, c))
         top = max(colors, default=0)
         if palette is None:

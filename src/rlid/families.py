@@ -15,7 +15,6 @@ from .coloring import Coloring, ColoringError, is_proper, is_rlid, verify_rlid
 from .graph import (
     Graph,
     GraphError,
-    bipartition,
     bits,
     build_graph,
     is_twin_free,
@@ -327,26 +326,18 @@ def prop1_graph(p: int) -> FamilyInstance:
     t = (p - 1) * (p - 2) // 2
     m = p + t
     base = build_graph(m, itertools.combinations(range(m), 2))
-    star_inst = g_star(base)
-    core = star_inst.graph
+    edges_in = base.edges()
+    core = g_star(base).graph
     n = core.n + t
     edges = core.edges()
     for i in range(t):
         twin = core.n + i
         edges.append((twin, i))
-        for w in bits(core.adj[i]):
-            edges.append((twin, w))
-    roles = []
-    for v, r in sorted(star_inst.roles.items()):
-        if r.startswith("orig:"):
-            roles.append("x:%d" % (int(r.split(":")[1]) + 1))
-        elif r.startswith("pendant:"):
-            roles.append("z:%d" % (int(r.split(":")[1]) + 1))
-        else:
-            _, uv, near = r.split(":")
-            u, v2 = uv.split("-")
-            w = near.removeprefix("near-")
-            roles.append("subdiv:%d-%d:near-%d" % (int(u) + 1, int(v2) + 1, int(w) + 1))
+        edges += [(twin, w) for w in core.neighbors(i)]
+    roles = ["x:%d" % i for i in range(1, m + 1)]
+    for u, v in edges_in:
+        roles += ["subdiv:%d-%d:near-%d" % (u + 1, v + 1, w) for w in (u + 1, v + 1)]
+    roles += ["z:%d" % i for i in range(1, m + 1)]
     roles += ["y:%d" % i for i in range(1, t + 1)]
     g = build_graph(n, edges, roles)
 
@@ -358,7 +349,6 @@ def prop1_graph(p: int) -> FamilyInstance:
         colors[core.n + i] = pairs[i][1]
     for i in range(1, p + 1):
         colors[t + i - 1] = i
-    edges_in = base.edges()
     sub0 = m
     # the exceptional pair sits on the edge joining the vertices colored
     # 1 and p; without it the p-colored vertex and its pendant would
@@ -392,7 +382,9 @@ _LEVEL_COLORS = ((1, 1), (1, 2), (3, 3), (3, 2))
 def bipartite_three_coloring(g: Graph):
     """Three-color a connected bipartite graph via BFS levels.
 
-    Returns (coloring, decomposition).  Levels are taken from vertex 0,
+    Returns (coloring, decomposition).  One ``Graph.levels`` walk gives
+    the levels and also checks that the graph is connected and that no
+    edge lies inside a level.  Levels are taken from vertex 0,
     or from vertex 1 when vertex 0 is universal: the only universal
     vertex a connected bipartite graph can have is a star's centre,
     the one root the table fails from.  Level colors follow the
@@ -403,34 +395,22 @@ def bipartite_three_coloring(g: Graph):
     """
     if g.n < 3:
         raise GraphError("need order >= 3, got %d" % g.n)
-    if not g.is_connected():
+    full = (1 << g.n) - 1
+    root = 1 if g.closed[0] == full else 0
+    level_masks = g.levels(root)
+    if sum(level_masks) != full:
         raise GraphError("need a connected graph")
-    if bipartition(g) is None:
-        raise GraphError("graph is not bipartite")
-
-    root = 1 if g.closed[0] == (1 << g.n) - 1 else 0
-    dist = [-1] * g.n
-    dist[root] = 0
-    frontier = [root]
-    levels = [[root]]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in bits(g.adj[v]):
-                if dist[w] == -1:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        if nxt:
-            nxt.sort()
-            levels.append(nxt)
-        frontier = nxt
-    level_masks = [mask_of(lv) for lv in levels]
-    a_sets, b_sets = [], []
+    adj = g.adj
+    levels, a_sets, b_sets = [], [], []
     colors = [0] * g.n
-    for i, lv in enumerate(levels):
-        deeper = level_masks[i + 1] if i + 1 < len(levels) else 0
-        a = tuple(v for v in lv if not (g.adj[v] & deeper))
-        b = tuple(v for v in lv if g.adj[v] & deeper)
+    for i, level in enumerate(level_masks):
+        lv = tuple(bits(level))
+        if any(adj[v] & level for v in lv):
+            raise GraphError("graph is not bipartite")
+        deeper = level_masks[i + 1] if i + 1 < len(level_masks) else 0
+        a = tuple(v for v in lv if not (adj[v] & deeper))
+        b = tuple(v for v in lv if adj[v] & deeper)
+        levels.append(lv)
         a_sets.append(a)
         b_sets.append(b)
         dead_end_color, other_color = _LEVEL_COLORS[i % 4]
@@ -438,9 +418,7 @@ def bipartite_three_coloring(g: Graph):
             colors[v] = dead_end_color
         for v in b:
             colors[v] = other_color
-    decomp = LevelDecomposition(
-        root, tuple(tuple(lv) for lv in levels), tuple(a_sets), tuple(b_sets)
-    )
+    decomp = LevelDecomposition(root, tuple(levels), tuple(a_sets), tuple(b_sets))
     coloring = Coloring(colors, palette=3)
     if is_rlid(g, coloring):
         return coloring, decomp

@@ -8,7 +8,9 @@ comparisons, unions and symmetric differences cost a constant number
 of word operations.  Two rules keep the stored form in one place:
 ``Graph.neighbors`` is the only accessor that reads it, and
 ``Graph.__getattr__`` is the only code that derives the masks (n bits
-each), on first read, and keeps them.
+each), on first read, and keeps them.  ``Graph.levels`` is the only
+breadth-first walk: reachability, components, ``bipartition`` and the
+bipartite three-colouring read its level masks.
 """
 
 from __future__ import annotations
@@ -176,31 +178,38 @@ class Graph:
 
     # -- structure ------------------------------------------------------
 
-    def reach(self, s: int) -> int:
-        """The mask of the vertices reachable from s, by one search over
-        the masks that expands the frontier's lowest vertex each step."""
+    def levels(self, s: int) -> list:
+        """The breadth-first levels from s as disjoint vertex masks:
+        level i holds the vertices at distance i from s, so their sum
+        is the mask of the vertices s reaches.  This is the only
+        breadth-first walk in the package.
+        """
         adj = self.adj
         seen = frontier = 1 << s
+        out = []
         while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = adj[low.bit_length() - 1] & ~seen
-            seen |= new
-            frontier |= new
-        return seen
+            out.append(frontier)
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & ~seen
+            seen |= frontier
+        return out
 
     def components(self):
         """Connected components as sorted vertex lists, ordered by minimum."""
         out = []
         rest = (1 << self.n) - 1
         while rest:
-            comp = self.reach((rest & -rest).bit_length() - 1)
+            comp = sum(self.levels((rest & -rest).bit_length() - 1))
             rest ^= comp
             out.append(list(bits(comp)))
         return out
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or self.reach(0).bit_count() == self.n
+        return self.n <= 1 or sum(self.levels(0)) == (1 << self.n) - 1
 
     def induced(self, vertices):
         """Induced subgraph on ``vertices``; old index order is preserved.
@@ -401,24 +410,23 @@ def max_clique_size(g: Graph, budget=None) -> int:
 def bipartition(g: Graph):
     """Two-color the graph; returns (side0, side1) frozensets or None.
 
-    Each component is rooted at its minimum vertex, which lands in
-    side0.  Returns None when some component holds an odd cycle.
+    Each component is walked by ``Graph.levels`` from its minimum
+    vertex: even levels go to side0, odd ones to side1.  Returns None
+    when some component holds an odd cycle, which is exactly when an
+    edge joins two vertices of one level.
     """
-    color = [-1] * g.n
-    for comp in g.components():
-        root = comp[0]
-        color[root] = 0
-        queue = [root]
-        for v in queue:  # the walk reads the list while it grows
-            for w in bits(g.adj[v]):
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
+    adj = g.adj
+    sides = [0, 0]
+    rest = (1 << g.n) - 1
+    while rest:
+        levels = g.levels((rest & -rest).bit_length() - 1)
+        for i, level in enumerate(levels):
+            for v in bits(level):
+                if adj[v] & level:
                     return None
-    side0 = frozenset(v for v in range(g.n) if color[v] == 0)
-    side1 = frozenset(v for v in range(g.n) if color[v] == 1)
-    return side0, side1
+            sides[i & 1] |= level
+        rest ^= sum(levels)
+    return frozenset(bits(sides[0])), frozenset(bits(sides[1]))
 
 
 def degeneracy(g: Graph):

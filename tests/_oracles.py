@@ -181,6 +181,43 @@ def brute_bipartite(n, edges):
     return True
 
 
+def brute_distance_classes(n, edges, s):
+    """The vertices at distance 0, 1, 2, ... from s, one sorted list per
+    distance, from a dict of distances filled one level at a time."""
+    nbrs = adjacency(n, edges)
+    dist = {s: 0}
+    frontier = [s]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in nbrs[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    classes = [[] for _ in range(max(dist.values()) + 1)]
+    for v in sorted(dist):
+        classes[dist[v]].append(v)
+    return classes
+
+
+def brute_bipartition(n, edges):
+    """(side0, side1) with each component rooted at its minimum vertex
+    and sides by distance parity, or None when an edge joins two
+    vertices of one side (an odd cycle)."""
+    side = {}
+    for start in range(n):
+        if start not in side:
+            for d, cls in enumerate(brute_distance_classes(n, edges, start)):
+                side.update((v, d % 2) for v in cls)
+    if any(side[u] == side[v] for u, v in edges):
+        return None
+    return (
+        frozenset(v for v in range(n) if side[v] == 0),
+        frozenset(v for v in range(n) if side[v] == 1),
+    )
+
+
 def brute_degeneracy(n, edges):
     """Degeneracy and elimination order: repeatedly remove a vertex of
     minimum remaining degree, the smallest index on ties."""

@@ -48,7 +48,7 @@ class TestColoringContainer:
             Coloring([1, 3], palette=2)
 
     def test_non_positive_color_rejected(self):
-        for colors in ([1, 0, 2], [True, 2]):
+        for colors in ([1, 0, 2], [True, 2], [1, -3], [2, "1"], [1.0, 2], [False]):
             with pytest.raises(ColoringError):
                 Coloring(colors)
 

@@ -39,7 +39,14 @@ from rlid.families import (
 from rlid.solvers import enumerate_graphs
 
 from _helpers import complete, cycle, path, star_graph, threshold_graph, wheel
-from _oracles import all_labeled_graphs, brute_split_partition
+from _oracles import (
+    adjacency,
+    all_labeled_graphs,
+    brute_bipartite,
+    brute_connected,
+    brute_distance_classes,
+    brute_split_partition,
+)
 
 
 class TestStar:
@@ -262,8 +269,27 @@ class TestBipartiteColoring:
         assert c.colors == (2, 1, 3, 3)
 
     def test_rejects_odd_cycle(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="graph is not bipartite"):
             bipartite_three_coloring(cycle(5))
+
+    @pytest.mark.parametrize(
+        "g",
+        [Graph(5, [(0, 1), (1, 2), (3, 4)]), Graph(4, [(0, 1), (0, 2), (1, 2)])],
+        ids=["P3+K2", "K3+K1"],
+    )
+    def test_rejects_disconnected(self, g):
+        with pytest.raises(GraphError, match="need a connected graph"):
+            bipartite_three_coloring(g)
+
+    def test_levels_are_the_distance_classes_from_the_root(self):
+        for n in range(3, 7):
+            for edges in all_labeled_graphs(n):
+                if not (brute_connected(n, edges) and brute_bipartite(n, edges)):
+                    continue
+                _, levels = bipartite_three_coloring(Graph(n, edges))
+                assert levels.root == (1 if len(adjacency(n, edges)[0]) == n - 1 else 0)
+                want = brute_distance_classes(n, edges, levels.root)
+                assert levels.levels == tuple(map(tuple, want)), (n, edges)
 
     def test_rejects_tiny_orders(self):
         with pytest.raises(GraphError):

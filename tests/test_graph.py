@@ -31,7 +31,9 @@ from _helpers import complete, cycle, path, star_graph
 from _oracles import (
     adjacency,
     all_labeled_graphs,
+    brute_bipartition,
     brute_degeneracy,
+    brute_distance_classes,
     brute_max_clique,
     closed_neighborhoods,
 )
@@ -130,6 +132,22 @@ class TestGraphForms:
             verify(g, c)
         verify_identifying_code(g, range(0, g.n, 2))
         assert _built_masks(g) == []
+
+
+class TestLevels:
+    def test_levels_are_the_distance_classes(self):
+        for n in range(1, 6):
+            for mask, edges in enumerate(all_labeled_graphs(n)):
+                for g in (graph_from_edge_mask(n, mask), Graph(n, edges)):
+                    for s in range(n):
+                        got = [list(bits(level)) for level in g.levels(s)]
+                        assert got == brute_distance_classes(n, edges, s), (n, edges, s)
+
+    def test_bipartition_matches_the_oracle_on_every_small_graph(self):
+        for n in range(0, 7):
+            for mask, edges in enumerate(all_labeled_graphs(n)):
+                g = graph_from_edge_mask(n, mask)
+                assert bipartition(g) == brute_bipartition(n, edges), (n, edges)
 
 
 class TestIsConnected:

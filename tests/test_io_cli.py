@@ -424,6 +424,26 @@ class TestCli:
         monkeypatch.setenv("RLID_NODE_BUDGET", "2")
         assert main(["solve", "-i", p]) == 3
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["solve", "decide", "bounds", "sweep"])
+    def test_non_positive_node_budget_is_a_usage_error(self, tmp_path, capsys, command, budget):
+        p = _write(tmp_path, "p4.txt", P4_EDGELIST)
+        argv = {
+            "solve": ["solve", "-i", p],
+            "decide": ["decide", "-i", p, "--k", "3"],
+            "bounds": ["bounds", "-i", p],
+            "sweep": ["sweep", "--max-n", "3"],
+        }[command]
+        assert main(argv + ["--node-budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--node-budget must be positive, got %s" % budget in captured.err
+
+    def test_node_budget_of_one_still_runs(self, tmp_path, capsys):
+        p = _write(tmp_path, "p4.txt", P4_EDGELIST)
+        assert main(["solve", "-i", p, "--node-budget", "1"]) == 3
+        assert "node budget exhausted" in capsys.readouterr().out
+
     def test_solve_json_output(self, tmp_path, capsys):
         p = _write(tmp_path, "p4.txt", P4_EDGELIST)
         assert main(["solve", "-i", p, "--output", "json"]) == 0
