@@ -66,14 +66,6 @@ def split_lower_bound(g: Graph, part) -> int:
     return (omega - 1).bit_length() + 1
 
 
-def _all_components_cliques(g: Graph) -> bool:
-    for comp in g.components():
-        for v in comp:
-            if g.closed[v] != g.closed[comp[0]]:
-                return False
-    return True
-
-
 def characterize_full_palette(g: Graph) -> bool:
     """True exactly when the optimum needs as many colors as vertices.
 
@@ -205,7 +197,10 @@ def bounds_report(g: Graph, *, budget=None) -> BoundsReport:
 
     uppers.append((g.n, "order-n"))
 
-    cliques_only = _all_components_cliques(g)
+    # twins are adjacent, so each component holds at least one twin
+    # class, and exactly one when it is a clique
+    classes = len(set(g.closed))
+    cliques_only = classes == len(g.components())
     if cliques_only:
         lowers.append((1, "one-color-rule"))
         uppers.append((1, "one-color-rule"))
@@ -221,7 +216,7 @@ def bounds_report(g: Graph, *, budget=None) -> BoundsReport:
     if g.n >= 3 and bipartition(g) is not None:
         uppers.append((3, "bipartite-3"))
 
-    twin_free = is_twin_free(g)
+    twin_free = classes == g.n
     part = find_split_partition(g)
     if part is not None and g.is_connected() and twin_free:
         # the clique side is a maximum clique, hence maximal: the

@@ -129,30 +129,6 @@ def _budget(args) -> solvers.Budget:
     return solvers.Budget(args.node_budget)
 
 
-_FIELD = re.compile(r"\S+")
-# the characters at which str.splitlines ends a line
-_LINE_END = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
-
-
-def _sniff_format(text: str) -> str:
-    # dimacs always opens with "c ..." or "p edge ..."; an edgelist opens
-    # with "#" comments or the vertex count, so the first line that is
-    # neither blank nor a "#" comment settles it.  Line ends are
-    # whitespace, so the first field after ``start`` opens that line.
-    start = 0
-    while True:
-        field = _FIELD.search(text, start)
-        if field is None:
-            return "edgelist"
-        head = field.group()
-        if not head.startswith("#"):
-            return "dimacs" if head in ("c", "p") else "edgelist"
-        end = _LINE_END.search(text, field.end())
-        if end is None:
-            return "edgelist"
-        start = end.end()
-
-
 def _load_graph(args) -> Graph:
     if args.input_path is None:
         raise UsageError("this command needs --input")
@@ -161,8 +137,7 @@ def _load_graph(args) -> Graph:
     else:
         with open(args.input_path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    fmt = args.graph_format if args.graph_format != "auto" else _sniff_format(text)
-    return io.parse_graph_text(text, fmt, args.strict)
+    return io.parse_graph_text(text, args.graph_format, args.strict)
 
 
 def _emit_bytes(data: bytes, args):

@@ -236,9 +236,6 @@ class Graph:
         adj = [full & ~self.closed[v] for v in range(self.n)]
         return Graph.from_adj_masks(self.n, adj, self.labels)
 
-    def relabeled(self, labels):
-        return Graph.from_adj_masks(self.n, self.adj, labels)
-
 
 def build_graph(order: int, edges, labels=None) -> Graph:
     """Validate and build a graph; duplicate edges collapse silently."""

@@ -3,18 +3,22 @@
 Two graph formats.  "dimacs": optional comment lines "c ...", one
 header "p edge <n> <m>", then edge lines "e <u> <v>" with 1-indexed
 endpoints.  "edgelist": '#' comments, first significant line the
-vertex count, then 0-indexed "u v" pairs.  Each parser walks the lines
-once: every line is validated once and its edge appended straight to
-per-vertex neighbour lists, which ``graph.neighbor_tuples`` sorts and
-de-duplicates, as it does for ``Graph(n, edges)``.  Parse errors name
-the line number and quote the stripped line; duplicate edges collapse
-with a counted warning.  A parsed graph keeps O(n + m) neighbour
-tuples; the n-bit neighbourhood masks, about n^2/4 bytes for both
-lists, are built only when a solver asks for them, and orders above
-MAX_ORDER are refused before anything is allocated.  Parsing,
-verification and the JSON report of a verification run in time and
-memory linear in the input and the violations; the report formats
-each distinct witness once.
+vertex count, then 0-indexed "u v" pairs.  This module is the only
+code that knows them.  ``parse_graph_text`` splits the text into lines
+once; format "auto" takes the first line whose first field does not
+start with '#': "c" or "p" there means dimacs, anything else (or no
+such line) edgelist.  The parser walks those lines once: every line is
+validated once and its edge appended straight to per-vertex neighbour
+lists, which ``graph.neighbor_tuples`` sorts and de-duplicates, as it
+does for ``Graph(n, edges)``.  Parse errors name the line number and
+quote the stripped line; a negative or too large vertex count is one
+at its header line; duplicate edges collapse with a counted warning.
+A parsed graph keeps O(n + m) neighbour tuples; the n-bit
+neighbourhood masks, about n^2/4 bytes for both lists, are built only
+when a solver asks for them, and orders above MAX_ORDER are refused
+before anything is allocated.  Parsing, verification and the JSON
+report of a verification run in time and memory linear in the input
+and the violations; the report formats each distinct witness once.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import logging
 
 from .bounds import BoundsReport
 from .coloring import Coloring, VerificationReport
-from .graph import Graph, check_vertex_count, neighbor_tuples
+from .graph import Graph, neighbor_tuples
 from .solvers import SolveResult
 
 log = logging.getLogger(__name__)
@@ -45,6 +49,8 @@ class ParseError(ValueError):
 
 
 def _check_order(n: int, lineno: int):
+    if n < 0:
+        raise ParseError("line %d: vertex count must be nonnegative, got %d" % (lineno, n))
     if n > MAX_ORDER:
         raise ParseError(
             "line %d: %d vertices exceed the maximum order %d" % (lineno, n, MAX_ORDER)
@@ -52,15 +58,37 @@ def _check_order(n: int, lineno: int):
 
 
 def parse_graph_text(text: str, fmt: str, strict: bool = True) -> Graph:
+    """The graph in ``text``; ``fmt`` is "dimacs", "edgelist" or "auto".
+
+    The text is split into lines once, and that list is both searched
+    for the format and parsed.  "auto" reads the first line whose first
+    field does not start with '#': "c" or "p" means dimacs, anything
+    else, or no such line, edgelist.
+    """
+    lines = text.splitlines()
+    if fmt == "auto":
+        fmt = "edgelist"
+        for raw in lines:
+            fields = raw.split(None, 1)
+            if fields and fields[0][0] != "#":
+                if fields[0] in ("c", "p"):
+                    fmt = "dimacs"
+                break
     if fmt == "dimacs":
-        return _parse_dimacs(text, strict)
-    if fmt == "edgelist":
-        return _parse_edgelist(text)
-    raise ParseError("unknown graph format %r (expected dimacs or edgelist)" % (fmt,))
+        n, nbrs, edge_lines = _parse_dimacs(lines, strict)
+    elif fmt == "edgelist":
+        n, nbrs, edge_lines = _parse_edgelist(lines)
+    else:
+        raise ParseError(
+            "unknown graph format %r (expected auto, dimacs or edgelist)" % (fmt,)
+        )
+    # the lines go before the graph is built, so both are never held at once
+    del lines
+    return _build_deduplicated(n, nbrs, edge_lines)
 
 
 def parse_graph_file(path, fmt: str = "edgelist", strict: bool = True) -> Graph:
-    """Read a graph file; see the module docstring for the two formats."""
+    """Read a graph file; ``fmt`` is as for ``parse_graph_text``."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_graph_text(fh.read(), fmt, strict)
 
@@ -70,11 +98,11 @@ def parse_graph_file(path, fmt: str = "edgelist", strict: bool = True) -> Graph:
 # Messages quote the stripped line, built only when one is raised.
 
 
-def _parse_dimacs(text: str, strict: bool) -> Graph:
+def _parse_dimacs(lines, strict: bool):
     n = None
     declared_m = None
     nbrs = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         fields = raw.split()
         if not fields:
             continue
@@ -121,13 +149,13 @@ def _parse_dimacs(text: str, strict: bool) -> Graph:
             "edge count mismatch: header declares %d, found %d edge lines"
             % (declared_m, edge_lines)
         )
-    return _build_deduplicated(n, nbrs, edge_lines)
+    return n, nbrs, edge_lines
 
 
-def _parse_edgelist(text: str) -> Graph:
+def _parse_edgelist(lines):
     n = None
     nbrs = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         fields = raw.split()
         if not fields or fields[0][0] == "#":
             continue
@@ -159,13 +187,12 @@ def _parse_edgelist(text: str) -> Graph:
         nbrs[v].append(u)
     if n is None:
         raise ParseError("empty graph file")
-    return _build_deduplicated(n, nbrs, sum(map(len, nbrs)) // 2)
+    return n, nbrs, sum(map(len, nbrs)) // 2
 
 
 def _build_deduplicated(n: int, nbrs, edge_lines: int) -> Graph:
     """The graph of validated neighbour lists holding ``edge_lines``
     edges with repeats."""
-    check_vertex_count(n)
     g = Graph.from_neighbor_tuples(n, neighbor_tuples(nbrs))
     dupes = edge_lines - g.edge_count
     if dupes:

@@ -22,7 +22,7 @@ from rlid.families import find_split_partition, g_star, h_p, power_path, prop1_g
 from rlid.solvers import enumerate_graphs
 
 from _helpers import complete, cycle, path, threshold_graph, wheel
-from _oracles import brute_is_rlid
+from _oracles import all_labeled_graphs, brute_is_clique_union, brute_is_rlid, brute_twin_free
 
 
 class TestLogOmegaLowerBound:
@@ -216,6 +216,20 @@ class TestBoundsReport:
                 assert value <= truth, (prov, value, truth, list(g.edges()))
             for value, prov in r.upper_bounds:
                 assert value >= truth, (prov, value, truth, list(g.edges()))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_cheap_rules_follow_the_twin_classes(self, n):
+        # every labeled graph, the disconnected ones included
+        for edges in all_labeled_graphs(n):
+            r = bounds_report(build_graph(n, edges))
+            union = brute_is_clique_union(n, edges)
+            assert ((1, "one-color-rule") in r.lower_bounds) == union, edges
+            assert ((1, "one-color-rule") in r.upper_bounds) == union, edges
+            assert ((3, "no-two-rule") in r.lower_bounds) != union, edges
+            # gamma-id + 1 is tried, or noted as not run, on twin-free graphs only
+            gamma_id = any(p == "gamma-id-plus-1" for _, p in r.upper_bounds) or any(
+                note.startswith("gamma-id-plus-1") for note in r.notes)
+            assert gamma_id == brute_twin_free(n, edges), edges
 
 
 class TestFullPaletteCharacterization:

@@ -93,10 +93,12 @@ class TestParsing:
                 ("dimacs", write_graph_dimacs),
             ):
                 p = tmp_path / ("g." + fmt)
-                p.write_bytes(writer(g))
-                back = parse_graph_file(str(p), fmt)
-                assert back.n == g.n
-                assert back.adj == g.adj
+                for comments in ((), ("a comment",)):
+                    p.write_bytes(writer(g, comments))
+                    back = parse_graph_file(str(p), fmt)
+                    assert back.n == g.n
+                    assert back.adj == g.adj
+                    assert parse_graph_file(str(p), "auto") == back
 
     def test_coloring_file(self, tmp_path):
         p = _write(tmp_path, "c.txt", "0 1\n1 2\n2 3\n3 1\n")
@@ -842,6 +844,10 @@ _ASSERT_SIDE = st.lists(
           .map(lambda ops: atoms[0] + "".join(o + a for o, a in zip(ops, atoms[1:]))))
 
 
+# an integer option's text: small values, one far too large, and non-integers
+_OPTION_INT = st.integers(-2, 6).map(str) | st.sampled_from(["x", "", "1.5", str(10**11)])
+
+
 class TestHostileInput:
     """No input file, however malformed, ends in a traceback."""
 
@@ -902,3 +908,33 @@ class TestHostileInput:
         capsys.readouterr()
         assert code in (0, 1, 2)
         assert all(2 <= w <= jobs for w in pools)
+
+    @_FUZZ
+    @given(argv=st.one_of(
+        st.builds(lambda cmd, k: cmd + ["--k=" + k],
+                  st.sampled_from([["decide"], ["decide", "--parameter", "lid"],
+                                   ["reduce", "--action", "lift"]]),
+                  _OPTION_INT),
+        st.text(alphabet=" ,-0123456789x\t", max_size=8).map(
+            lambda clique: ["color-split", "--clique=" + clique]),
+        st.builds(
+            lambda family, count, seed, prob, clique, stable: [
+                "sweep", "--family", family, "--count=%d" % count, "--seed=%d" % seed,
+                "--edge-prob=" + prob, "--clique-size=%d" % clique,
+                "--stable-size=%d" % stable, "--node-budget", "2000"],
+            st.sampled_from(["random-split", "random-twins"]),
+            st.integers(-1, 3),
+            st.integers(-5, 5) | st.just(10**12),
+            st.sampled_from(["nan", "inf", "-inf", "-0.5", "0", "1", "1.5", "x"])
+            | st.floats(-1, 2).map(repr),
+            st.integers(-1, 6),
+            st.integers(-1, 6),
+        ),
+    ))
+    def test_command_options(self, tmp_path, capsys, argv):
+        if argv[0] != "sweep":
+            argv += ["-i", _write(tmp_path, "p4.txt", P4_EDGELIST)]
+        if argv[0] == "reduce":
+            argv += ["--certificate", _write(tmp_path, "cert.txt", "0 1\n1 2\n2 1\n3 2\n")]
+        code, _, _ = _run_cli(argv, capsys)
+        assert code in (0, 1, 2, 3)

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlid import GraphError, parse_coloring_file, parse_graph_text, parse_vertex_set_file
-from rlid.cli import _sniff_format, main
+from rlid import parse_coloring_file, parse_graph_text, parse_vertex_set_file
+from rlid.cli import main
 from rlid.coloring import ColoringError
 from rlid.io import MAX_ORDER, ParseError
 
@@ -47,11 +47,13 @@ GRAPH_ERRORS = [
     # duplicates count as edge lines
     ("dimacs", "p edge 3 1\ne 1 2\ne 2 1\n", ParseError,
      "edge count mismatch: header declares 1, found 2 edge lines"),
-    ("dimacs", "p edge -1 0\n", GraphError, "vertex count must be nonnegative, got -1"),
+    # a negative vertex count stops at its header line
+    ("dimacs", "p edge -1 0\n", ParseError, "line 1: vertex count must be nonnegative, got -1"),
     ("dimacs", "p edge -1 1\ne 1 2\n", ParseError,
-     "line 2: endpoint out of range 1..-1 in 'e 1 2'"),
-    ("dimacs", "p edge -1 3\n", ParseError,
-     "edge count mismatch: header declares 3, found 0 edge lines"),
+     "line 1: vertex count must be nonnegative, got -1"),
+    ("dimacs", "p edge -1 3\n", ParseError, "line 1: vertex count must be nonnegative, got -1"),
+    ("dimacs", "c x\n\np edge -7 0\n", ParseError,
+     "line 3: vertex count must be nonnegative, got -7"),
     # the quoted line is stripped of all whitespace str.strip removes
     ("dimacs", "p edge 3 1\n \t e 1 x \t\n", ParseError, "line 2: non-numeric edge 'e 1 x'"),
     ("dimacs", "p edge 3 1\n\u00a0e  1\u3000x\u2003\n", ParseError,
@@ -75,8 +77,9 @@ GRAPH_ERRORS = [
     ("edgelist", "3\n0 3\n", ParseError, "line 2: endpoint out of range 0..2"),
     ("edgelist", "3\n-1 0\n", ParseError, "line 2: endpoint out of range 0..2"),
     ("edgelist", "3\n1 1\n", ParseError, "line 2: self-loop"),
-    ("edgelist", "-1\n", GraphError, "vertex count must be nonnegative, got -1"),
-    ("edgelist", "-1\n0 1\n", ParseError, "line 2: endpoint out of range 0..-2"),
+    ("edgelist", "-1\n", ParseError, "line 1: vertex count must be nonnegative, got -1"),
+    ("edgelist", "-1\n0 1\n", ParseError, "line 1: vertex count must be nonnegative, got -1"),
+    ("edgelist", "# x\r\n -2 \r\n", ParseError, "line 2: vertex count must be nonnegative, got -2"),
     ("edgelist", "  # note\r\n\f\r\n\t3\t\r\n 0   x \r\n", ParseError,
      "line 5: non-numeric edge '0   x'"),
 ]
@@ -159,7 +162,7 @@ def test_missing_vertices_name_the_first_ten(tmp_path):
 def test_unknown_graph_format():
     with pytest.raises(ParseError) as info:
         parse_graph_text("3\n", "gml")
-    assert str(info.value) == "unknown graph format 'gml' (expected dimacs or edgelist)"
+    assert str(info.value) == "unknown graph format 'gml' (expected auto, dimacs or edgelist)"
 
 
 @pytest.mark.parametrize(
@@ -182,11 +185,12 @@ def test_duplicate_edge_warning_count(caplog, fmt, text, m, dupes):
 def test_lenient_dimacs_tolerates_only_the_count(tmp_path, capsys):
     assert parse_graph_text("p edge 3 5\ne 1 2\n", "dimacs", strict=False).edge_count == 1
     p = _write(tmp_path, "g", "p edge -1 5\n")
-    with pytest.raises(GraphError) as info:
+    message = "line 1: vertex count must be nonnegative, got -1"
+    with pytest.raises(ParseError) as info:
         parse_graph_text("p edge -1 5\n", "dimacs", strict=False)
-    assert str(info.value) == "vertex count must be nonnegative, got -1"
+    assert str(info.value) == message
     assert main(["quotient", "-i", p, "--lenient"]) == 1
-    assert capsys.readouterr().err == "error: vertex count must be nonnegative, got -1\n"
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 @pytest.mark.parametrize("fmt,text", [
@@ -205,7 +209,7 @@ def test_maximum_order_is_accepted(fmt, text):
     "\f\n\t\n# x\n4\n0 1\n1 2\n2 3\n",
 ])
 def test_line_ends_and_leading_blank_lines_parse(text):
-    g = parse_graph_text(text, _sniff_format(text))
+    g = parse_graph_text(text, "auto")
     assert g.n == 4 and g.edges() == [(0, 1), (1, 2), (2, 3)]
 
 
@@ -214,6 +218,14 @@ def test_crlf_certificates(tmp_path):
     assert parse_coloring_file(cert, 4).colors == (1, 2, 3, 1)
     code = _write(tmp_path, "code", "# c\r\n1\r\n\f\r\n2 3\r\n")
     assert parse_vertex_set_file(code, 4) == frozenset({1, 2, 3})
+
+
+def _outcome(text, fmt):
+    """The parsed graph, or the type and message of the parse error."""
+    try:
+        return parse_graph_text(text, fmt)
+    except ValueError as e:
+        return type(e), str(e)
 
 
 def _sniff_reference(text):
@@ -234,7 +246,7 @@ _SNIFF_ALPHABET = list("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029 \t\u00a0\u3000#cpe1
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.sampled_from(_SNIFF_ALPHABET), max_size=24).map("".join))
 def test_sniff_matches_the_first_significant_line(text):
-    assert _sniff_format(text) == _sniff_reference(text)
+    assert _outcome(text, "auto") == _outcome(text, _sniff_reference(text))
 
 
 @pytest.mark.parametrize("text,fmt", [
@@ -249,11 +261,13 @@ def test_sniff_matches_the_first_significant_line(text):
     ("# only a comment", "edgelist"),
 ])
 def test_sniff_examples(text, fmt):
-    assert _sniff_format(text) == _sniff_reference(text) == fmt
+    assert _sniff_reference(text) == fmt
+    assert _outcome(text, "auto") == _outcome(text, fmt)
 
 
 @pytest.mark.parametrize("end", list("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029") + ["\r\n"])
 def test_sniff_every_line_end_closes_a_comment(end):
     for text, fmt in (("#x" + end + "p 1", "dimacs"), ("#x" + end + "3", "edgelist"),
                       ("#x" + end + "#c" + end + "c", "dimacs")):
-        assert _sniff_format(text) == _sniff_reference(text) == fmt
+        assert _sniff_reference(text) == fmt
+        assert _outcome(text, "auto") == _outcome(text, fmt)
