@@ -435,6 +435,31 @@ _ENUMERATED_FAMILIES = {
 }
 
 
+# random-split's draw options and their defaults; no other family takes them
+_SPLIT_DRAW = {"clique_size": 6, "stable_size": 6, "edge_prob": 0.5}
+
+
+def _check_split_draw(args):
+    """Fill in random-split's draw options, or refuse them for any other
+    family.  Called before any graph is drawn, so a bad value is a usage
+    error rather than a failed draw."""
+    if args.family != "random-split":
+        for name in _SPLIT_DRAW:
+            if getattr(args, name) is not None:
+                raise UsageError(
+                    "--%s applies to --family random-split only" % name.replace("_", "-")
+                )
+        return
+    for name, default in _SPLIT_DRAW.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+    for flag, size in (("--clique-size", args.clique_size), ("--stable-size", args.stable_size)):
+        if size < 1:
+            raise UsageError("%s must be at least 1, got %d" % (flag, size))
+    if not 0 <= args.edge_prob <= 1:
+        raise UsageError("--edge-prob must be in [0, 1], got %r" % (args.edge_prob,))
+
+
 def _sweep_graphs(args):
     """Yield (family, index, graph) deterministically."""
     fam = args.family
@@ -497,6 +522,7 @@ def _cmd_sweep(args) -> int:
                 raise UsageError("%s must be in 0..%d, got %d" % (flag, top, order))
     elif args.count < 0:
         raise UsageError("--count must be at least 0, got %d" % args.count)
+    _check_split_draw(args)
     for name in args.params:
         if name not in _SWEEP_PARAMS:
             raise UsageError(
@@ -644,14 +670,20 @@ def build_parser() -> argparse.ArgumentParser:
     s = _command(sub, "sweep", _cmd_sweep, "tabulate parameters over a graph family",
                  budget=True)
     s.add_argument("--family", default="connected",
-                   choices=(*_ENUMERATED_FAMILIES, "random-split", "random-twins"))
+                   choices=(*_ENUMERATED_FAMILIES, "random-split", "random-twins"),
+                   help="an enumerated family (orders --min-n..--max-n), or --count "
+                        "seeded draws: random-split (the only family that takes the "
+                        "three options below) or random-twins (order 3..7 plus twins)")
     s.add_argument("--min-n", type=int, default=1)
     s.add_argument("--max-n", type=int, default=6)
     s.add_argument("--count", type=int, default=20, help="draws for random families")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--clique-size", type=int, default=6)
-    s.add_argument("--stable-size", type=int, default=6)
-    s.add_argument("--edge-prob", type=float, default=0.5)
+    s.add_argument("--clique-size", type=int, default=None,
+                   help="random-split clique side, at least 1 (default 6)")
+    s.add_argument("--stable-size", type=int, default=None,
+                   help="random-split stable side, at least 1 (default 6)")
+    s.add_argument("--edge-prob", type=float, default=None,
+                   help="random-split clique-stable edge probability in [0, 1] (default 0.5)")
     s.add_argument("--up-to-iso", action="store_true",
                    help="keep one representative per isomorphism class")
     s.add_argument("--params", default="rlid",

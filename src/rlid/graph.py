@@ -15,7 +15,6 @@ bipartite three-colouring read its level masks.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -430,30 +429,42 @@ def degeneracy(g: Graph):
     """Degeneracy and its elimination order.
 
     Returns ``(k, order)`` where ``order`` repeatedly removes a
-    minimum-degree vertex (smallest index on ties).
+    minimum-degree vertex (smallest index on ties).  ``bucket[d]`` is
+    the mask of the live vertices of degree d, so the next vertex is
+    the lowest bit of the first non-empty bucket; a removal lowers each
+    live neighbor's degree by one, so that bucket is never below the
+    removed vertex's degree minus one, where the next scan starts.
     """
     n, adj = g.n, g.adj
     alive = (1 << n) - 1
     deg = [a.bit_count() for a in adj]
-    # a lazy heap of degree * n + vertex, so the smallest key is a
-    # minimum-degree vertex of smallest index; degrees only fall and a
-    # removed vertex gets degree -1, so a key is live iff it holds deg[v]
-    heap = [d * n + v for v, d in enumerate(deg)]
-    heapq.heapify(heap)
+    bucket = [0] * n
+    for v, d in enumerate(deg):
+        bucket[d] |= 1 << v
     order = []
-    k = 0
+    k = d = 0
     for _ in range(n):
-        d, v = divmod(heapq.heappop(heap), n)
-        while d != deg[v]:
-            d, v = divmod(heapq.heappop(heap), n)
+        while not bucket[d]:
+            d += 1
+        live = bucket[d]
+        low = live & -live
+        bucket[d] = live ^ low
         if d > k:
             k = d
+        v = low.bit_length() - 1
         order.append(v)
-        deg[v] = -1
-        alive ^= 1 << v
-        for w in bits(adj[v] & alive):
-            deg[w] -= 1
-            heapq.heappush(heap, deg[w] * n + w)
+        alive ^= low
+        rest = adj[v] & alive
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            dw = deg[w]
+            bucket[dw] ^= low
+            bucket[dw - 1] |= low
+            deg[w] = dw - 1
+            rest ^= low
+        if d:
+            d -= 1
     return k, order
 
 

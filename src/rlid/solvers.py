@@ -12,7 +12,10 @@ are fully colored with equal color sets; each check ORs the colors of
 ``N[u] & N[v]`` once and then only the two differences.  Backtracking
 runs on an explicit stack, so path-like inputs of any length search
 without recursion.  Search is deterministic: fixed vertex order,
-ascending color trials.
+ascending color trials.  Every color trial is one node of the caller's
+``Budget``; the search counts them in a local and writes the count back
+on each exit, so ``budget.nodes`` reads the same as if it had called
+``Budget.spend`` per node.
 
 In rlid, lid and id modes two more cuts apply, both proven necessary
 for every valid coloring:
@@ -190,6 +193,12 @@ class _SearchPlan:
     last member is ``order[i]``: ``N[u] & N[v]``, ``N[u] - N[v]`` and
     ``N[v] - N[u]``.
 
+    The constrained pairs u < v (adjacent non-twins; every pair in id
+    mode; none in proper mode) are walked once, u then v ascending, and
+    each pair's three masks are walked bit by bit to build its triple,
+    the pair lists of its members (each in increasing pair order), its
+    D edges and the triangle test below.
+
     Two cuts hold in every valid coloring, and both only count or
     compare colors, so renaming colors keeps them:
 
@@ -221,58 +230,63 @@ class _SearchPlan:
         adj, closed = g.adj, g.closed
         self.n = n
 
-        if mode == "proper":
-            pairs = ()
-        elif mode == "id":
-            pairs = itertools.combinations(range(n), 2)
-        else:
-            # the edges u < v whose closed neighborhoods differ
-            pairs = []
-            for u in range(n):
-                cu = closed[u]
-                rest = adj[u] >> (u + 1)
-                while rest:
-                    low = rest & -rest
-                    v = u + low.bit_length()
-                    if closed[v] != cu:
-                        pairs.append((u, v))
-                    rest ^= low
         left = []          # per pair: its members not colored yet
         layout = []        # per pair: its check triple
         member_of = [[] for _ in range(n)]
         forced = [0] * n   # D's adjacency masks
         triangle = False
-        for p, (u, v) in enumerate(pairs):
-            cu, cv = closed[u], closed[v]
-            both = cu & cv
-            ou, ov = cu ^ both, cv ^ both
-            rest = cu | cv
-            left.append(rest)
-            common, lu, lv = [], [], []
-            while rest:
-                low = rest & -rest
-                w = low.bit_length() - 1
-                member_of[w].append(p)
-                if low & both:
-                    common.append(w)
-                elif low & ou:
-                    lu.append(w)
-                else:
-                    lv.append(w)
-                rest ^= low
-            layout.append((tuple(common), tuple(lu), tuple(lv)))
-            if not (ou & (ou - 1) or ov & (ov - 1)):
-                if ou and ov:
-                    forced[ou.bit_length() - 1] |= ov
-                    forced[ov.bit_length() - 1] |= ou
-                else:
-                    # one side is a single vertex a, the other N[] is all common
-                    a = (ou | ov).bit_length() - 1
-                    forced[a] |= both
-                    for w in common:
-                        forced[w] |= ou | ov
-            if not triangle and len(common) > 2 and adj[u] >> v & 1:
-                triangle = True
+        if mode != "proper":
+            everyone = (1 << n) - 1
+            for u in range(n):
+                cu = closed[u]
+                # the v > u paired with u: its neighbors, or all in id mode
+                rest = (everyone if mode == "id" else adj[u]) >> (u + 1)
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    v = u + low.bit_length()
+                    cv = closed[v]
+                    if cv == cu:
+                        continue
+                    p = len(left)
+                    left.append(cu | cv)
+                    both = cu & cv
+                    ou, ov = cu ^ both, cv ^ both
+                    common, lu, lv = [], [], []
+                    mask = both
+                    while mask:
+                        low = mask & -mask
+                        w = low.bit_length() - 1
+                        common.append(w)
+                        member_of[w].append(p)
+                        mask ^= low
+                    mask = ou
+                    while mask:
+                        low = mask & -mask
+                        w = low.bit_length() - 1
+                        lu.append(w)
+                        member_of[w].append(p)
+                        mask ^= low
+                    mask = ov
+                    while mask:
+                        low = mask & -mask
+                        w = low.bit_length() - 1
+                        lv.append(w)
+                        member_of[w].append(p)
+                        mask ^= low
+                    layout.append((tuple(common), tuple(lu), tuple(lv)))
+                    if not (ou & (ou - 1) or ov & (ov - 1)):
+                        if ou and ov:
+                            forced[ou.bit_length() - 1] |= ov
+                            forced[ov.bit_length() - 1] |= ou
+                        else:
+                            # one side is a single vertex a, the other N[] is all common
+                            a = (ou | ov).bit_length() - 1
+                            forced[a] |= both
+                            for w in common:
+                                forced[w] |= ou | ov
+                    if not triangle and len(common) > 2 and adj[u] >> v & 1:
+                        triangle = True
 
         self.clique = ()
         if triangle:
@@ -328,7 +342,15 @@ class _SearchPlan:
             uncolored.remove(v)
             order.append(v)
             must = differ[v] & colored
-            earlier.append(tuple(bits(must)) if must else ())
+            if must:
+                apart = []
+                while must:
+                    low = must & -must
+                    apart.append(low.bit_length() - 1)
+                    must ^= low
+                earlier.append(tuple(apart))
+            else:
+                earlier.append(())
             colored |= 1 << v
             rest = adj[v] & ~colored
             while rest:
@@ -371,7 +393,10 @@ def _search(plan: _SearchPlan, k: int, budget: Budget):
     number of colors in use before it.  A color is cut when an earlier
     vertex of ``earlier[i]`` has it, when it would put more than
     ``k - slack`` colors on the plan's clique, or when a pair check it
-    completes finds equal color sets.
+    completes finds equal color sets.  Each color trial is one node:
+    the count goes on from ``budget.nodes`` in a local and is stored
+    back on every exit, and node ``max_nodes + 1`` raises
+    BudgetExceeded as ``Budget.spend`` would.
     """
     n = plan.n
     if n == 0:
@@ -384,7 +409,7 @@ def _search(plan: _SearchPlan, k: int, budget: Budget):
     earlier = plan.earlier
     checks = plan.checks
     clique_before = plan.clique_before
-    spend = budget.spend
+    nodes, cap = budget.nodes, budget.max_nodes
     trial = [1] * n
     used = [0] * n
     i = 0
@@ -407,7 +432,10 @@ def _search(plan: _SearchPlan, k: int, budget: Budget):
                 allowed = on_clique
         c = trial[i]
         while c <= top:
-            spend()
+            nodes += 1
+            if nodes > cap:
+                budget.nodes = nodes
+                raise BudgetExceeded("node budget %d exceeded" % cap, nodes)
             if allowed >> c & 1:
                 for w in enbrs:
                     if col[w] == c:
@@ -432,9 +460,11 @@ def _search(plan: _SearchPlan, k: int, budget: Budget):
         if c > top:
             # no color fits order[i]: back up one step
             if i == 0:
+                budget.nodes = nodes
                 return None
             i -= 1
         elif i + 1 == n:
+            budget.nodes = nodes
             return col
         else:
             trial[i] = c + 1

@@ -1,8 +1,9 @@
 """Brute-force reference implementations used to freeze expected values.
 
 Everything here works on (n, edge list) pairs with plain Python sets and
-itertools, sharing no code with the package under test.  Deliberately
-slow; intended for n up to about 7.
+itertools, sharing no code with the package under test (``reference_plan``
+alone borrows its clique search).  Deliberately slow; intended for n up
+to about 7.
 """
 
 from itertools import combinations, product
@@ -403,3 +404,160 @@ def reference_greedy_code(containing, unmet):
         code |= 1 << v
         unmet &= ~containing[v]
     return code
+
+
+def reference_plan(g, mode):
+    """The k-decider's search plan, built from a list of constrained pairs.
+
+    Frozen copy of the pair-list form of ``rlid.solvers._SearchPlan``'s
+    build: it lists the pairs first, then walks each pair's
+    ``N[u] | N[v]`` once, testing each bit against two masks.  The
+    elimination order comes from ``brute_degeneracy`` and the clique
+    from the package's ``max_clique`` (the one shared piece).  ``mode``
+    is a search mode ("rlid", "lid", "id", "proper"); the twin-free
+    precondition is the caller's.  Returns the plan's seven slots in
+    ``__slots__`` order: ``(n, order, earlier, checks, clique, slack,
+    clique_before)``.
+    """
+    from rlid.graph import BudgetExceeded, max_clique
+    from rlid.solvers import PLAN_CLIQUE_NODE_BUDGET, Budget
+
+    n = g.n
+    adj, closed = g.adj, g.closed
+
+    if mode == "proper":
+        pairs = ()
+    elif mode == "id":
+        pairs = combinations(range(n), 2)
+    else:
+        # the edges u < v whose closed neighborhoods differ
+        pairs = []
+        for u in range(n):
+            cu = closed[u]
+            rest = adj[u] >> (u + 1)
+            while rest:
+                low = rest & -rest
+                v = u + low.bit_length()
+                if closed[v] != cu:
+                    pairs.append((u, v))
+                rest ^= low
+    left = []          # per pair: its members not colored yet
+    layout = []        # per pair: its check triple
+    member_of = [[] for _ in range(n)]
+    forced = [0] * n   # D's adjacency masks
+    triangle = False
+    for p, (u, v) in enumerate(pairs):
+        cu, cv = closed[u], closed[v]
+        both = cu & cv
+        ou, ov = cu ^ both, cv ^ both
+        rest = cu | cv
+        left.append(rest)
+        common, lu, lv = [], [], []
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            member_of[w].append(p)
+            if low & both:
+                common.append(w)
+            elif low & ou:
+                lu.append(w)
+            else:
+                lv.append(w)
+            rest ^= low
+        layout.append((tuple(common), tuple(lu), tuple(lv)))
+        if not (ou & (ou - 1) or ov & (ov - 1)):
+            if ou and ov:
+                forced[ou.bit_length() - 1] |= ov
+                forced[ov.bit_length() - 1] |= ou
+            else:
+                # one side is a single vertex a, the other N[] is all common
+                a = (ou | ov).bit_length() - 1
+                forced[a] |= both
+                for w in common:
+                    forced[w] |= ou | ov
+        if not triangle and len(common) > 2 and adj[u] >> v & 1:
+            triangle = True
+
+    clique = ()
+    if triangle:
+        # the smallest vertex of each twin class
+        reps, seen = 0, set()
+        for v in range(n):
+            if closed[v] not in seen:
+                seen.add(closed[v])
+                reps |= 1 << v
+        try:
+            found = max_clique(g, Budget(PLAN_CLIQUE_NODE_BUDGET), reps)
+        except BudgetExceeded:
+            found = ()
+        if len(found) >= 3:
+            clique = found
+    slack = (len(clique) - 1).bit_length() if clique else 0
+
+    _, elim = brute_degeneracy(n, list(g.edges()))
+    score = [0] * n
+    for rank, v in enumerate(elim):
+        score[v] = rank
+    seen_step = n + 1
+    closes_step = seen_step * seen_step
+    forced_step = closes_step * (len(layout) + 1)
+    if any(f & (f - 1) for f in forced):
+        # a greedy clique of D, led by the vertex with the most
+        # D-neighbors among the candidates (higher score on ties)
+        lead = []
+        cand = (1 << n) - 1
+        while cand:
+            best = best_key = -1
+            rest = cand
+            while rest:
+                low = rest & -rest
+                w = low.bit_length() - 1
+                key = (forced[w] & cand).bit_count() * seen_step + score[w]
+                if key > best_key:
+                    best, best_key = w, key
+                rest ^= low
+            lead.append(best)
+            cand &= forced[best]
+        if len(lead) >= 3:
+            lead_step = forced_step * n
+            for v in lead:
+                score[v] += lead_step
+    # proper mode has no pairs, so its forced masks are all zero
+    differ = [a | d for a, d in zip(adj, forced)] if mode in ("proper", "lid") else forced
+    uncolored = set(range(n))
+    colored = 0
+    order, earlier, checks = [], [], []
+    for _ in range(n):
+        v = max(uncolored, key=score.__getitem__)
+        uncolored.remove(v)
+        order.append(v)
+        must = differ[v] & colored
+        earlier.append(tuple(_mask_bits(must)) if must else ())
+        colored |= 1 << v
+        rest = adj[v] & ~colored
+        while rest:
+            low = rest & -rest
+            score[low.bit_length() - 1] += seen_step
+            rest ^= low
+        rest = forced[v] & ~colored
+        while rest:
+            low = rest & -rest
+            score[low.bit_length() - 1] += forced_step
+            rest ^= low
+        done = []
+        for p in member_of[v]:
+            rest = left[p] ^ (1 << v)
+            left[p] = rest
+            if not rest:
+                done.append(layout[p])
+            elif not rest & (rest - 1):
+                score[rest.bit_length() - 1] += closes_step
+        checks.append(tuple(done))
+    before = [None] * n
+    if clique:
+        members = []
+        for i, v in enumerate(order):
+            if v in clique:
+                before[i] = tuple(members)
+                members.append(v)
+    return n, tuple(order), tuple(earlier), tuple(checks), clique, slack, tuple(before)

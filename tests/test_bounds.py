@@ -108,6 +108,23 @@ class TestBoundsReport:
                 steps.append(step)
         assert steps == [(3, False), (4, False), (4, True)]
 
+    @pytest.mark.parametrize(
+        "extra, stopped_at, lower, nodes", [(20, 3, 3, 824), (50, 4, 4, 854)]
+    )
+    def test_search_step_stopped_by_the_caller_budget(self, extra, stopped_at, lower, nodes):
+        # the plan's cost is charged before the search step, whose node
+        # count goes on from there; pinned from the search that spent its
+        # nodes one Budget.spend() call at a time
+        g = g_star(wheel(5)).graph
+        budget = Budget(bounds_mod._plan_cost(g) + extra)
+        r = bounds_report(g, budget=budget)
+        assert r.notes == (
+            "search at %d skipped: budget exceeded" % stopped_at,
+            "gamma-id-plus-1 skipped: budget exceeded",
+        )
+        assert (r.best_lower, r.best_upper) == (lower, 32)
+        assert budget.nodes == nodes
+
     def test_caller_budget_caps_the_search_steps(self):
         g = g_star(wheel(5)).graph
         cost = bounds_mod._plan_cost(g)

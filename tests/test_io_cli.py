@@ -629,6 +629,51 @@ class TestCli:
                 "--min-n", "-1", "--max-n", "8"]
         assert main(argv) == 0
 
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--edge-prob", "-1", "--edge-prob must be in [0, 1], got -1.0"),
+            ("--edge-prob", "nan", "--edge-prob must be in [0, 1], got nan"),
+            ("--edge-prob", "inf", "--edge-prob must be in [0, 1], got inf"),
+            ("--edge-prob", "1.5", "--edge-prob must be in [0, 1], got 1.5"),
+            ("--clique-size", "-1", "--clique-size must be at least 1, got -1"),
+            ("--stable-size", "-1", "--stable-size must be at least 1, got -1"),
+            ("--stable-size", "0", "--stable-size must be at least 1, got 0"),
+        ],
+    )
+    def test_sweep_random_split_bad_draw_is_a_usage_error(
+        self, monkeypatch, capsys, option, value, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph was drawn")
+
+        monkeypatch.setattr(cli.solvers, "random_split_graph", refuse)
+        argv = ["sweep", "--family", "random-split", "--count", "1", option, value]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "usage error: %s\n" % message
+
+    @pytest.mark.parametrize(
+        "option,value", [("--edge-prob", "0.5"), ("--clique-size", "6"), ("--stable-size", "6")]
+    )
+    @pytest.mark.parametrize("family", ["random-twins", "connected"])
+    def test_sweep_other_families_refuse_the_split_draw(self, capsys, family, option, value):
+        argv = ["sweep", "--family", family, "--count", "1", "--max-n", "2", option, value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "usage error: %s applies to --family random-split only\n" % option
+
+    def test_sweep_random_split_defaults(self, capsys):
+        want = (
+            "family\tn\tindex\tmask\tn\tm\tt\tomega\trlid\n"
+            "random-split\t12\t0\t1161384858058399\t12\t29\t0\t6\t5\n"
+            "random-split\t12\t1\t2105513210707519\t12\t40\t0\t7\t5\n"
+            "random-split\t12\t2\t2054204641738655\t12\t33\t1\t7\t5\n"
+        )
+        argv = ["sweep", "--family", "random-split", "--count", "3", "--params", "n,m,t,omega,rlid"]
+        for given in ([], ["--clique-size", "6", "--stable-size", "6", "--edge-prob", "0.5"]):
+            assert main(argv + given) == 0
+            assert capsys.readouterr().out == want
+
     @pytest.mark.parametrize("family", ["random-split", "random-twins"])
     def test_sweep_negative_count_is_a_usage_error(self, capsys, family):
         argv = ["sweep", "--family", family, "--params", "n"]

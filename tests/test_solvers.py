@@ -24,7 +24,14 @@ from rlid import (
 )
 from rlid.families import g_star, h_p, power_path, prop1_graph, q1, q2
 from rlid.graph import Graph, bits, edge_mask, graph_from_edge_mask, is_isomorphic
-from rlid.solvers import PARAMETERS, _SearchPlan, _code_constraints, _greedy_code, _min_hitting_set
+from rlid.solvers import (
+    PARAMETERS,
+    _code_constraints,
+    _greedy_code,
+    _min_hitting_set,
+    _search,
+    _SearchPlan,
+)
 
 from _helpers import complete, cycle, path, star_graph, wheel
 from _oracles import (
@@ -45,6 +52,7 @@ from _oracles import (
     closed_neighborhoods,
     reference_greedy_code,
     reference_min_hitting_set,
+    reference_plan,
 )
 
 
@@ -131,6 +139,33 @@ class TestSearchPlan:
         assert set(plan.clique_before) == {None}
         assert chi_exact(g, "rlid").value == 4
 
+    def test_plan_matches_the_reference_build(self):
+        # the in-place pair walk builds the same plan, field for field, as
+        # the pair-list build it replaced, so every search visits the same
+        # nodes: all labeled graphs of order <= 5, the gadgets of the
+        # connected twin-free graphs of order 3-4, a few family members
+        # and a shuffled long path
+        graphs = [build_graph(n, edges) for n in range(6) for edges in all_labeled_graphs(n)]
+        for n in (3, 4):
+            for g in enumerate_graphs(n, lambda g: g.is_connected() and is_twin_free(g)):
+                graphs.append(g_star(g).graph)
+        graphs += [prop1_graph(4).graph, h_p(4).graph, power_path(6), q1(5).graph, q2(8).graph]
+        label = list(range(100))
+        random.Random(20).shuffle(label)
+        graphs.append(build_graph(100, [(label[i], label[i + 1]) for i in range(99)]))
+        plans = 0
+        for g in graphs:
+            twin_free = is_twin_free(g)
+            for name in ("rlid", "lid", "id", "chromatic"):
+                spec = PARAMETERS[name]
+                if spec.twin_free and not twin_free:
+                    continue
+                plan = _SearchPlan(g, spec)
+                got = tuple(getattr(plan, slot) for slot in _SearchPlan.__slots__)
+                assert got == reference_plan(g, spec.mode), (name, sorted(g.edges()))
+                plans += 1
+        assert plans == 3564
+
     def test_gadget_sweep_node_guard(self):
         # proper 3-coloring of every connected twin-free graph of order 3..5
         # and rlid 3-coloring of its gadget, all under one 100k-node budget
@@ -168,6 +203,30 @@ class TestDecide:
         with pytest.raises(BudgetExceeded) as exc:
             decide_k_rlid(cycle(7), 3, budget)
         assert exc.value.nodes == budget.nodes == 3
+
+    @pytest.mark.parametrize("cap", [3, 5, 20, 52])
+    def test_a_budget_stop_leaves_one_node_past_the_cap(self, cap):
+        # h_p(4) needs 53 nodes at k = 5
+        budget = Budget(max_nodes=cap)
+        with pytest.raises(BudgetExceeded) as exc:
+            decide_k_rlid(h_p(4).graph, 5, budget)
+        assert exc.value.nodes == budget.nodes == cap + 1
+        assert str(exc.value) == "node budget %d exceeded" % cap
+
+    def test_the_search_counts_on_from_the_budget_it_is_given(self):
+        plan = _SearchPlan(h_p(4).graph, PARAMETERS["rlid"])
+        budget = Budget(max_nodes=100)
+        budget.nodes = 40
+        assert _search(plan, 5, budget) is not None
+        assert budget.nodes == 40 + 53
+        budget.nodes = 60
+        with pytest.raises(BudgetExceeded) as exc:
+            _search(plan, 5, budget)
+        assert exc.value.nodes == budget.nodes == 101
+        # a k refuted before any node leaves the count as it was
+        budget.nodes = 7
+        assert _search(plan, 4, budget) is None
+        assert budget.nodes == 7
 
     def test_deterministic_witness(self):
         a = decide_k_rlid(cycle(5), 3)
@@ -253,6 +312,24 @@ class TestChiExact:
         res = chi_exact(g, "rlid", Budget(max_nodes=5_000))
         assert (res.status, res.value) == ("exact", value)
         assert is_rlid(g, res.witness)
+
+    @pytest.mark.parametrize(
+        "g", [path(7), cycle(7), h_p(4).graph, g_star(wheel(5)).graph, power_path(6)],
+        ids=["P7", "C7", "h_p4", "g_star_W5", "power_path6"],
+    )
+    def test_stats_nodes_are_the_budget_nodes_and_the_per_k_sum(self, g):
+        budget = Budget()
+        res = chi_exact(g, "rlid", budget)
+        assert res.status == "exact"
+        assert res.stats.nodes == budget.nodes == sum(n for _, n in res.stats.per_k) > 0
+
+    @pytest.mark.parametrize("cap", [3, 5])
+    def test_budget_stop_stats(self, cap):
+        budget = Budget(max_nodes=cap)
+        res = chi_exact(h_p(4).graph, "rlid", budget)
+        assert (res.status, res.value, res.witness) == ("budget-exceeded", None, None)
+        assert res.stats.nodes == budget.nodes == cap + 1
+        assert res.stats.per_k == ((1, 0), (3, 0), (4, 0), (5, cap + 1))
 
     def test_per_k_rows_and_clique_of_h4(self):
         g = h_p(4).graph
