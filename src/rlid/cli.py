@@ -4,14 +4,13 @@ Subcommands: solve, decide, verify, bounds, quotient, construct,
 color-bipartite, color-split, reduce, sweep.  Exit codes: 0 success,
 1 infeasible or invalid, 2 usage error, 3 budget exhausted.  The
 default node budget can be overridden with the RLID_NODE_BUDGET
-environment variable.
+environment variable.  Files are read and results laid out by ``io``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import operator
 import os
 import re
@@ -60,9 +59,23 @@ def _env_node_budget() -> int:
     return value
 
 
-# -- assertion mini-grammar ---------------------------------------------
+# -- sweep columns and the assertion mini-grammar ------------------------
 
-_SWEEP_PARAMS = ("n", "m", "t", "omega", *solvers.PARAMETERS, "gammaid", "quotient_rlid")
+
+def _chi(name, g, budget):
+    return solvers.chi_exact(g, name, budget, search_two=True).value
+
+
+# sweep's columns: name -> fn(graph, budget), each column with a fresh budget
+_SWEEP_COLUMNS = {
+    "n": lambda g, budget: g.n,
+    "m": lambda g, budget: g.edge_count,
+    "t": lambda g, budget: twin_partition(g).t,
+    "omega": lambda g, budget: max_clique_size(g),
+    **{name: functools.partial(_chi, name) for name in solvers.PARAMETERS},
+    "gammaid": lambda g, budget: solvers.gamma_id_exact(g, budget).value,
+    "quotient_rlid": lambda g, budget: _chi("rlid", quotient(g)[0], budget),
+}
 _CMP = {
     "<=": operator.le, ">=": operator.ge, "==": operator.eq,
     "!=": operator.ne, "<": operator.lt, ">": operator.gt,
@@ -78,10 +91,10 @@ def _parse_terms(text: str):
             if tok.isdecimal():  # isdigit() also takes "²", which int() rejects
                 terms.append((sign, int(tok)))
             elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-                if tok not in _SWEEP_PARAMS:
+                if tok not in _SWEEP_COLUMNS:
                     raise UsageError(
                         "unknown name %r in assertion (allowed: %s)"
-                        % (tok, ", ".join(_SWEEP_PARAMS))
+                        % (tok, ", ".join(_SWEEP_COLUMNS))
                     )
                 terms.append((sign, tok))
             else:
@@ -149,33 +162,12 @@ def _emit_bytes(data: bytes, args):
         sys.stdout.write(data.decode())
 
 
-def _emit_lines(lines, args):
-    _emit_bytes("".join(line + "\n" for line in lines).encode(), args)
-
-
-def _emit_coloring(c: Coloring, args, g: Graph, comments=()):
-    """Emit a coloring; ``comments`` become "#" header lines in plain output."""
-    if args.output == "json":
-        _emit_bytes(io.write_result(c, "json"), args)
-    elif args.output == "dot":
-        _emit_bytes(io.export_dot(g, c), args)
+def _emit_coloring(c: Coloring, args, g: Graph, comments=(), roles=None):
+    """Emit a coloring of g; ``comments`` head plain text, ``roles`` tip DOT nodes."""
+    if args.output == "dot":
+        _emit_bytes(io.export_dot(g, c, roles), args)
     else:
-        header = ["# " + line for line in comments]
-        _emit_lines(header + ["%d %d" % (v, k) for v, k in enumerate(c.colors)], args)
-
-
-def _print_solve_plain(res: solvers.SolveResult, args):
-    lines = []
-    if res.status == "exact":
-        lines.append("%s = %d" % (res.parameter, res.value))
-    else:
-        lines.append("%s unresolved: node budget exhausted" % res.parameter)
-    lines.append("# nodes=%d" % res.stats.nodes)
-    if isinstance(res.witness, Coloring):
-        lines += ["%d %d" % (v, k) for v, k in enumerate(res.witness.colors)]
-    elif isinstance(res.witness, frozenset):
-        lines.append(" ".join(str(v) for v in sorted(res.witness)))
-    _emit_lines(lines, args)
+        _emit_bytes(io.write_result(c, args.output, comments), args)
 
 
 # -- command handlers ---------------------------------------------------
@@ -191,10 +183,7 @@ def _cmd_solve(args) -> int:
         res = solvers.gamma_id_exact(g, _budget(args))
     else:
         res = solvers.chi_exact(g, args.parameter, _budget(args), search_two=args.search_two)
-    if args.output in ("json", "tsv"):
-        _emit_bytes(io.write_result(res, args.output), args)
-    else:
-        _print_solve_plain(res, args)
+    _emit_bytes(io.write_result(res, args.output), args)
     return 3 if res.status == "budget-exceeded" else 0
 
 
@@ -207,11 +196,12 @@ def _cmd_decide(args) -> int:
     if found is None:
         if args.output == "json":
             obj = {"parameter": args.parameter, "k": args.k, "coloring": None}
-            _emit_bytes((json.dumps(obj, sort_keys=True, indent=2) + "\n").encode(), args)
+            _emit_bytes(io.write_result(obj, "json"), args)
         elif args.output == "dot":
             _emit_bytes(io.export_dot(g), args)
         else:
-            _emit_lines(["no %s coloring with %d colors" % (args.parameter, args.k)], args)
+            answer = "no %s coloring with %d colors\n" % (args.parameter, args.k)
+            _emit_bytes(answer.encode(), args)
         return 1
     _emit_coloring(found, args, g)
     return 0
@@ -226,31 +216,14 @@ def _cmd_verify(args) -> int:
         c = io.parse_coloring_file(args.certificate_path, g.n)
         # this module's attribute, read at call time, so patching it here works
         report = globals()[solvers.PARAMETERS[args.mode].verifier](g, c)
-    if args.output in ("json", "tsv"):
-        _emit_bytes(io.write_result(report, args.output), args)
-    else:
-        lines = ["%s: %s" % (report.mode, "valid" if report.valid else "invalid")]
-        for x in report.violations:
-            rel = "adjacent" if x.adjacent else "non-adjacent"
-            lines.append("  %s pair (%d, %d): %s" % (rel, x.u, x.v, x.kind))
-        _emit_lines(lines, args)
+    _emit_bytes(io.write_result(report, args.output), args)
     return 0 if report.valid else 1
 
 
 def _cmd_bounds(args) -> int:
     g = _load_graph(args)
     report = bounds_mod.bounds_report(g, budget=_budget(args))
-    if args.output in ("json", "tsv"):
-        _emit_bytes(io.write_result(report, args.output), args)
-        return 0
-    lines = ["lower %d  (%s)" % bound for bound in report.lower_bounds]
-    lines += ["upper %d  (%s)" % bound for bound in report.upper_bounds]
-    lines.append("best: %d..%d%s" % (
-        report.best_lower, report.best_upper,
-        "  exact=%d" % report.exact if report.exact is not None else "",
-    ))
-    lines += ["note: %s" % note for note in report.notes]
-    _emit_lines(lines, args)
+    _emit_bytes(io.write_result(report, args.output), args)
     return 0
 
 
@@ -297,7 +270,7 @@ def _prop1_order(p: int) -> int:
 
 def _power_path_instance(k):
     g = families.power_path(k)
-    return families.FamilyInstance(g, None, None, None, dict(enumerate(g.labels)))
+    return families.FamilyInstance(g, None, None, None, {i: "p:%d" % i for i in range(g.n)})
 
 
 # construct's families: name -> builder of the instance from the options
@@ -316,7 +289,7 @@ def _emit_instance(inst, args, family: str, comments):
     """Emit a family instance; ``comments`` head the plain edge list."""
     g = inst.graph
     if args.output == "dot":
-        _emit_bytes(io.export_dot(g, inst.canonical_coloring), args)
+        _emit_bytes(io.export_dot(g, inst.canonical_coloring, inst.roles), args)
     elif args.output == "json":
         obj = {
             "family": family,
@@ -327,7 +300,7 @@ def _emit_instance(inst, args, family: str, comments):
             "coloring": None if inst.canonical_coloring is None
                         else [[v, c] for v, c in enumerate(inst.canonical_coloring.colors)],
         }
-        _emit_bytes((json.dumps(obj, sort_keys=True, indent=2) + "\n").encode(), args)
+        _emit_bytes(io.write_result(obj, "json"), args)
     else:
         _emit_bytes(io.write_graph_edgelist(g, comments), args)
 
@@ -396,7 +369,8 @@ def _cmd_reduce(args) -> int:
         if args.k is None:
             raise UsageError("reduce --action lift needs --k")
         base = io.parse_coloring_file(args.certificate_path, g.n)
-        _emit_coloring(families.lift_coloring_gstar(g, base, args.k, inst), args, inst.graph)
+        lifted = families.lift_coloring_gstar(g, base, args.k, inst)
+        _emit_coloring(lifted, args, inst.graph, roles=inst.roles)
         return 0
     if args.action == "project":
         gadget_col = io.parse_coloring_file(args.certificate_path, inst.graph.n)
@@ -482,34 +456,16 @@ def _sweep_graphs(args):
 
 
 def _sweep_row(task):
-    """Compute one row; module-level so a process pool can pickle it."""
-    fam, index, n, mask, adj, names, node_budget = task
+    """One graph's {column: value or None}; module-level so a process pool can pickle it."""
+    n, adj, names, node_budget = task
     g = Graph.from_adj_masks(n, adj)
     row = {}
     for name in names:
         try:
-            if name == "n":
-                row[name] = g.n
-            elif name == "m":
-                row[name] = g.edge_count
-            elif name == "t":
-                row[name] = twin_partition(g).t
-            elif name == "omega":
-                row[name] = max_clique_size(g)
-            elif name in solvers.PARAMETERS:
-                row[name] = solvers.chi_exact(
-                    g, name, solvers.Budget(node_budget), search_two=True
-                ).value
-            elif name == "gammaid":
-                row[name] = solvers.gamma_id_exact(g, solvers.Budget(node_budget)).value
-            elif name == "quotient_rlid":
-                q, _ = quotient(g)
-                row[name] = solvers.chi_exact(
-                    q, "rlid", solvers.Budget(node_budget), search_two=True
-                ).value
+            row[name] = _SWEEP_COLUMNS[name](g, solvers.Budget(node_budget))
         except (GraphError, BudgetExceeded):
             row[name] = None
-    return fam, index, n, mask, row
+    return row
 
 
 def _cmd_sweep(args) -> int:
@@ -524,38 +480,35 @@ def _cmd_sweep(args) -> int:
         raise UsageError("--count must be at least 0, got %d" % args.count)
     _check_split_draw(args)
     for name in args.params:
-        if name not in _SWEEP_PARAMS:
+        if name not in _SWEEP_COLUMNS:
             raise UsageError(
-                "unknown sweep parameter %r (allowed: %s)" % (name, ", ".join(_SWEEP_PARAMS))
+                "unknown sweep parameter %r (allowed: %s)" % (name, ", ".join(_SWEEP_COLUMNS))
             )
     check = None
     names = tuple(args.params)
     if args.assertion:
         needed, check = parse_assertion(args.assertion)
         names += tuple(x for x in sorted(needed) if x not in names)
-    tasks = [
-        (fam, index, g.n, edge_mask(g), g.adj, names, args.node_budget)
-        for fam, index, g in _sweep_graphs(args)
-    ]
+    graphs = list(_sweep_graphs(args))
+    tasks = ((g.n, g.adj, names, args.node_budget) for _, _, g in graphs)
     # the executor forks all its workers on the first submit
-    workers = min(args.jobs, os.cpu_count() or 1, len(tasks))
+    workers = min(args.jobs, os.cpu_count() or 1, len(graphs))
     if workers > 1:
         # imported here: it costs every other command its start-up time
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_row, tasks, chunksize=64))
+            rows = list(pool.map(_sweep_row, tasks, chunksize=64))
     else:
-        results = [_sweep_row(t) for t in tasks]
+        rows = list(map(_sweep_row, tasks))
 
     header = ["family", "n", "index", "mask"] + list(names)
     if check is not None:
         header.append("assert")
-    out = ["\t".join(header)]
+    out = [header]
     failures = skipped = 0
-    for fam, index, n, mask, row in results:
-        cells = [fam, str(n), str(index), str(mask)]
-        cells += ["-" if row[name] is None else str(row[name]) for name in names]
+    for (fam, index, g), row in zip(graphs, rows):
+        cells = [fam, g.n, index, edge_mask(g)] + [row[name] for name in names]
         if check is not None:
             if any(row[name] is None for name in row):
                 verdict = "skip"
@@ -566,10 +519,10 @@ def _cmd_sweep(args) -> int:
                 verdict = "fail"
                 failures += 1
             cells.append(verdict)
-        out.append("\t".join(cells))
-    _emit_lines(out, args)
+        out.append(cells)
+    _emit_bytes(io.write_table(out), args)
     print(
-        "sweep: %d graphs, %d failures, %d skipped" % (len(results), failures, skipped),
+        "sweep: %d graphs, %d failures, %d skipped" % (len(rows), failures, skipped),
         file=sys.stderr,
     )
     return 1 if failures else 0
@@ -688,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep one representative per isomorphism class")
     s.add_argument("--params", default="rlid",
                    type=lambda text: tuple(x for x in text.split(",") if x),
-                   help="comma separated: %s" % ", ".join(_SWEEP_PARAMS))
+                   help="comma separated: %s" % ", ".join(_SWEEP_COLUMNS))
     s.add_argument("--assert", dest="assertion", default=None,
                    help='per-graph check, e.g. "rlid <= omega + 2"')
     s.add_argument("--jobs", type=int, default=1,

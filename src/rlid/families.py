@@ -1,9 +1,10 @@
 """Named graph families, the subdivision gadget, and the constructive
 coloring algorithms (bipartite three-coloring, split separators).
 
-Every generator fixes a deterministic vertex numbering, attaches role
-labels that encode the construction bijectively, and checks its own
-canonical coloring with the verifier before handing the instance out.
+Every generator fixes a deterministic vertex numbering, names each
+vertex's role on the returned ``FamilyInstance`` (the graph itself
+carries none), and checks its own canonical coloring with the verifier
+before handing the instance out.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ class FamilyInstance:
 
     ``canonical_coloring`` (when present) has been checked rlid-valid
     at generation time.  ``expected_chi_rlid`` carries the known
-    optimum with a short provenance note.  ``roles`` names every
-    vertex.
+    optimum with a short provenance note.  ``roles`` maps every vertex
+    to the role string that encodes the construction; it is the only
+    copy, the graph is structure only.
     """
 
     graph: Graph
@@ -91,7 +93,7 @@ def star(p: int) -> FamilyInstance:
         raise GraphError("star needs at least 2 leaves, got %r" % (p,))
     edges = [(0, v) for v in range(1, p + 1)]
     roles = ["center"] + ["leaf:%d" % v for v in range(1, p + 1)]
-    g = build_graph(p + 1, edges, roles)
+    g = build_graph(p + 1, edges)
     colors = [1, 2] + [3] * (p - 1)
     return _instance(
         g, colors, 3, 3,
@@ -112,8 +114,7 @@ def power_path(k: int) -> Graph:
     edges = [
         (i, j) for i in range(n) for j in range(i + 1, min(i + k, n))
     ]
-    labels = ["p:%d" % i for i in range(n)]
-    return build_graph(n, edges, labels)
+    return build_graph(n, edges)
 
 
 def h_p(p: int) -> FamilyInstance:
@@ -144,7 +145,7 @@ def h_p(p: int) -> FamilyInstance:
     roles += ["y:%d" % i for i in range(1, p + 1)]
     roles += ["y':%d" % i for i in range(1, p + 1)]
     roles += ["z:%d" % i for i in range(1, p + 1)]
-    g = build_graph(n, edges, roles)
+    g = build_graph(n, edges)
     colors = [p + 1] * csize
     colors += [i for i in range(1, p + 1)]           # y_i
     colors += [(i % p) + 1 for i in range(1, p + 1)]  # y'_i: cyclic successor
@@ -198,7 +199,7 @@ def g_star(g: Graph) -> FamilyInstance:
         nbrs[v].append(pend0 + v)
         roles.append("pendant:%d" % v)
     pendants = [(v,) for v in range(n)]
-    out = Graph.from_neighbor_tuples(total, [tuple(t) for t in nbrs] + subdivisions + pendants, roles)
+    out = Graph.from_neighbor_tuples(total, [tuple(t) for t in nbrs] + subdivisions + pendants)
     return FamilyInstance(
         out, None, None,
         "edge subdivision gadget; color it by lifting a proper coloring",
@@ -272,7 +273,7 @@ def q1(p: int) -> FamilyInstance:
             edges.append((q, csize + i))
     roles = ["x:{%s}" % ",".join(str(i + 1) for i in bits(q)) for q in range(csize)]
     roles += ["s:%d" % i for i in range(1, p)]
-    g = build_graph(n, edges, roles)
+    g = build_graph(n, edges)
     colors = [p + 1] + [p] * (csize - 1) + [i for i in range(1, p)]
     return _instance(
         g, colors, p + 1, p + 1,
@@ -296,7 +297,7 @@ def q2(p: int) -> FamilyInstance:
         edges.append((i, p + i))
     roles = ["v:%d" % i for i in range(1, p + 1)]
     roles += ["s:%d" % i for i in range(1, p)]
-    g = build_graph(n, edges, roles)
+    g = build_graph(n, edges)
     colors = [p] * (p - 1) + [p + 1] + [i for i in range(1, p)]
     return _instance(
         g, colors, p + 1, p + 1,
@@ -339,7 +340,7 @@ def prop1_graph(p: int) -> FamilyInstance:
         roles += ["subdiv:%d-%d:near-%d" % (u + 1, v + 1, w) for w in (u + 1, v + 1)]
     roles += ["z:%d" % i for i in range(1, m + 1)]
     roles += ["y:%d" % i for i in range(1, t + 1)]
-    g = build_graph(n, edges, roles)
+    g = build_graph(n, edges)
 
     colors = [0] * n
     pairs = list(itertools.combinations(range(1, p), 2))

@@ -10,7 +10,9 @@ of word operations.  Two rules keep the stored form in one place:
 ``Graph.__getattr__`` is the only code that derives the masks (n bits
 each), on first read, and keeps them.  ``Graph.levels`` is the only
 breadth-first walk: reachability, components, ``bipartition`` and the
-bipartite three-colouring read its level masks.
+bipartite three-colouring read its level masks.  A graph is structure
+only: the roles of a generated family's vertices live on
+``families.FamilyInstance``, and every file format lives in ``io``.
 """
 
 from __future__ import annotations
@@ -72,13 +74,13 @@ class Graph:
     ``__getattr__`` is the only code that derives masks: ``adj[v]``, the
     open-neighbourhood bitmask, and ``closed[v]``, the closed one
     (``adj[v] | 1 << v``), are built on first read and then kept.
-    ``labels`` optionally carries a role string per vertex for generated
-    family instances.
+    A graph is structure only: the role names of a generated family's
+    vertices live on ``families.FamilyInstance.roles``.
     """
 
-    __slots__ = ("n", "labels", "_nbrs", "adj", "closed")
+    __slots__ = ("n", "_nbrs", "adj", "closed")
 
-    def __init__(self, n: int, edges=(), labels=None):
+    def __init__(self, n: int, edges=()):
         check_vertex_count(n)
         nbrs = [[] for _ in range(n)]
         for e in edges:
@@ -94,34 +96,22 @@ class Graph:
             nbrs[v].append(u)
         self.n = n
         self._nbrs = neighbor_tuples(nbrs)
-        self.labels = self._check_labels(n, labels)
-
-    @staticmethod
-    def _check_labels(n, labels):
-        if labels is None:
-            return None
-        labels = tuple(labels)
-        if len(labels) != n:
-            raise GraphError("expected %d labels, got %d" % (n, len(labels)))
-        return labels
 
     @classmethod
-    def from_adj_masks(cls, n, adj_masks, labels=None):
+    def from_adj_masks(cls, n, adj_masks):
         """Fast constructor from prevalidated open-neighborhood masks."""
         g = cls.__new__(cls)
         g.n = n
         g._nbrs = None
         g.adj = tuple(adj_masks)
-        g.labels = cls._check_labels(n, labels)
         return g
 
     @classmethod
-    def from_neighbor_tuples(cls, n, nbrs, labels=None):
+    def from_neighbor_tuples(cls, n, nbrs):
         """Fast constructor from prevalidated, sorted neighbour tuples."""
         g = cls.__new__(cls)
         g.n = n
         g._nbrs = tuple(nbrs)
-        g.labels = cls._check_labels(n, labels)
         return g
 
     def __getattr__(self, name):
@@ -225,20 +215,17 @@ class Graph:
             for w in bits(self.adj[v] & keep):
                 m |= 1 << pos[w]
             adj.append(m)
-        labels = None
-        if self.labels is not None:
-            labels = tuple(self.labels[v] for v in old)
-        return Graph.from_adj_masks(len(old), adj, labels), old
+        return Graph.from_adj_masks(len(old), adj), old
 
     def complement(self):
         full = (1 << self.n) - 1
         adj = [full & ~self.closed[v] for v in range(self.n)]
-        return Graph.from_adj_masks(self.n, adj, self.labels)
+        return Graph.from_adj_masks(self.n, adj)
 
 
-def build_graph(order: int, edges, labels=None) -> Graph:
+def build_graph(order: int, edges) -> Graph:
     """Validate and build a graph; duplicate edges collapse silently."""
-    return Graph(order, edges, labels)
+    return Graph(order, edges)
 
 
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
@@ -259,7 +246,7 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
 
 def edge_mask(g: Graph) -> int:
     """Inverse of graph_from_edge_mask: ``graph_from_edge_mask(g.n, edge_mask(g))``
-    rebuilds g without its labels."""
+    rebuilds g."""
     # the pairs (u, u + 1), ..., (u, n - 1) are numbered consecutively
     # from ``first``, in the order of the bits of adj[u] above u
     mask = first = 0
@@ -478,12 +465,7 @@ def join(g1: Graph, g2: Graph) -> Graph:
     low_all = (1 << n1) - 1
     for v in range(n2):
         adj.append((g2.adj[v] << n1) | low_all)
-    labels = None
-    if g1.labels is not None or g2.labels is not None:
-        left = g1.labels or tuple(str(v) for v in range(n1))
-        right = g2.labels or tuple(str(v) for v in range(n2))
-        labels = left + right
-    return Graph.from_adj_masks(n1 + n2, adj, labels)
+    return Graph.from_adj_masks(n1 + n2, adj)
 
 
 # -- isomorphism --------------------------------------------------------

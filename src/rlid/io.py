@@ -1,5 +1,8 @@
 """File formats: graph parsing, result serialization, DOT export.
 
+This module is the only code that lays out input or output bytes: the
+command line reads files and writes every result through it.
+
 Two graph formats.  "dimacs": optional comment lines "c ...", one
 header "p edge <n> <m>", then edge lines "e <u> <v>" with 1-indexed
 endpoints.  "edgelist": '#' comments, first significant line the
@@ -243,6 +246,11 @@ def parse_coloring_file(path, n: int) -> Coloring:
     return Coloring(colors)
 
 
+def _coloring_lines(c: Coloring) -> list:
+    """The "vertex color" lines ``parse_coloring_file`` reads."""
+    return ["%d %d" % vc for vc in enumerate(c.colors)]
+
+
 def parse_vertex_set_file(path, n: int) -> frozenset:
     """Whitespace-separated vertex indices, '#' comments."""
     out = set()
@@ -267,6 +275,8 @@ def parse_vertex_set_file(path, n: int) -> frozenset:
 
 
 def _jsonable(result):
+    if isinstance(result, dict):
+        return result
     if isinstance(result, SolveResult):
         witness = result.witness
         if isinstance(witness, Coloring):
@@ -317,6 +327,42 @@ def _jsonable(result):
             "palette": result.palette,
         }
     raise TypeError("cannot serialize %r" % (type(result),))
+
+
+def _plain_lines(result) -> list:
+    """The command line's text for a result, one string per line."""
+    if isinstance(result, Coloring):
+        return _coloring_lines(result)
+    if isinstance(result, SolveResult):
+        if result.status == "exact":
+            lines = ["%s = %d" % (result.parameter, result.value)]
+        else:
+            lines = ["%s unresolved: node budget exhausted" % result.parameter]
+        lines.append("# nodes=%d" % result.stats.nodes)
+        if isinstance(result.witness, Coloring):
+            lines += _coloring_lines(result.witness)
+        elif isinstance(result.witness, frozenset):
+            lines.append(" ".join(map(str, sorted(result.witness))))
+        return lines
+    if isinstance(result, VerificationReport):
+        lines = ["%s: %s" % (result.mode, "valid" if result.valid else "invalid")]
+        for x in result.violations:
+            rel = "adjacent" if x.adjacent else "non-adjacent"
+            lines.append("  %s pair (%d, %d): %s" % (rel, x.u, x.v, x.kind))
+        return lines
+    if isinstance(result, BoundsReport):
+        lines = ["lower %d  (%s)" % bound for bound in result.lower_bounds]
+        lines += ["upper %d  (%s)" % bound for bound in result.upper_bounds]
+        lines.append("best: %d..%d%s" % (
+            result.best_lower, result.best_upper,
+            "  exact=%d" % result.exact if result.exact is not None else "",
+        ))
+        return lines + ["note: %s" % note for note in result.notes]
+    raise TypeError("cannot serialize %r" % (type(result),))
+
+
+def _line_bytes(lines) -> bytes:
+    return "".join(line + "\n" for line in lines).encode()
 
 
 def _flatten(obj, prefix=""):
@@ -379,8 +425,12 @@ def _verification_json(report: VerificationReport) -> str:
     return ",\n".join(rows)
 
 
-def write_result(result, fmt: str = "json") -> bytes:
-    """Serialize a solve/bounds/verification result; stable field order."""
+def write_result(result, fmt: str = "json", comments=()) -> bytes:
+    """Serialize a solve/bounds/verification result, a coloring or a dict
+    (JSON as is) as "plain", "json" or "tsv"; stable field order.
+    ``comments`` head plain text as '#' lines."""
+    if fmt == "plain":
+        return _line_bytes(["# " + line for line in comments] + _plain_lines(result))
     if fmt == "json" and isinstance(result, VerificationReport):
         return _verification_json(result).encode()
     obj = _jsonable(result)
@@ -396,11 +446,17 @@ def write_result(result, fmt: str = "json") -> bytes:
         head = "\t".join(k for k, _ in pairs)
         row = "\t".join(json.dumps(v, sort_keys=True) for _, v in pairs)
         return (head + "\n" + row + "\n").encode()
-    raise ParseError("unknown result format %r (expected json or tsv)" % (fmt,))
+    raise ParseError("unknown result format %r (expected plain, json or tsv)" % (fmt,))
 
 
-def export_dot(g: Graph, coloring: Coloring | None = None) -> bytes:
-    """Graphviz source; colors cycle a fixed 12-entry fill palette."""
+def write_table(rows) -> bytes:
+    """Tab-separated rows, one line each; a None cell is written "-"."""
+    return _line_bytes(["\t".join("-" if x is None else str(x) for x in row) for row in rows])
+
+
+def export_dot(g: Graph, coloring: Coloring | None = None, roles=None) -> bytes:
+    """Graphviz source; colors cycle a fixed 12-entry fill palette, and
+    ``roles``, a family instance's vertex -> role map, give tooltips."""
     lines = ["graph G {", "  node [style=filled];"]
     for v in range(g.n):
         attrs = []
@@ -411,8 +467,8 @@ def export_dot(g: Graph, coloring: Coloring | None = None) -> bytes:
         else:
             attrs.append('label="%d"' % v)
             attrs.append('fillcolor="white"')
-        if g.labels is not None:
-            attrs.append('tooltip="%s"' % g.labels[v].replace('"', ""))
+        if roles is not None:
+            attrs.append('tooltip="%s"' % roles[v].replace('"', ""))
         lines.append("  %d [%s];" % (v, ", ".join(attrs)))
     for u, v in g.edges():
         lines.append("  %d -- %d;" % (u, v))

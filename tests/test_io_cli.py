@@ -5,6 +5,7 @@ import concurrent.futures
 import json
 import logging
 import random
+import re
 import time
 import tracemalloc
 
@@ -37,7 +38,7 @@ from rlid import (
 )
 from rlid import cli
 from rlid.cli import main
-from rlid.families import g_star, h_p, prop1_graph
+from rlid.families import g_star, h_p, power_path, prop1_graph, q1, q2, star
 from rlid.io import MAX_ORDER, ParseError, _jsonable
 
 from _helpers import cycle, path, star_graph, threshold_graph
@@ -327,6 +328,128 @@ class TestExportDot:
         assert len(set(fills)) <= 12
 
 
+_TOOLTIP = re.compile(r'  (\d+) \[.*tooltip="([^"]*)"\];')
+
+
+def _tooltips(dot: str) -> dict:
+    return {int(m.group(1)): m.group(2) for m in _TOOLTIP.finditer(dot)}
+
+
+class TestDotTooltips:
+    """A graph carries no roles: the DOT tooltips come from the
+    FamilyInstance the command built, and only from one."""
+
+    @pytest.mark.parametrize(
+        "family,size,inst",
+        [
+            ("star", 3, lambda: star(3)),
+            ("power-path", 3, None),
+            ("hp", 2, lambda: h_p(2)),
+            ("q1", 3, lambda: q1(3)),
+            ("q2", 3, lambda: q2(3)),
+            ("prop1", 4, lambda: prop1_graph(4)),
+            ("gstar", None, lambda: g_star(path(4))),
+        ],
+    )
+    def test_construct_dot_tooltips_are_the_instance_roles(
+        self, tmp_path, capsys, family, size, inst
+    ):
+        argv = ["construct", family, "-o", "dot"]
+        if size is None:
+            argv += ["-i", _write(tmp_path, "p4.txt", P4_EDGELIST)]
+        else:
+            argv += ["--size", str(size)]
+        assert main(argv) == 0
+        tips = _tooltips(capsys.readouterr().out)
+        if inst is None:
+            roles = {v: "p:%d" % v for v in range(power_path(size).n)}
+        else:
+            roles = inst().roles
+        assert tips == roles and len(tips) >= 4
+
+    def test_lift_dot_tooltips_are_the_gadget_roles(self, tmp_path, capsys):
+        p = _write(tmp_path, "p4.txt", P4_EDGELIST)
+        cert = _write(tmp_path, "proper.txt", "0 1\n1 2\n2 1\n3 2\n")
+        argv = ["reduce", "-i", p, "--action", "lift", "--certificate", cert, "--k", "3"]
+        assert main(argv + ["-o", "dot"]) == 0
+        assert _tooltips(capsys.readouterr().out) == g_star(path(4)).roles
+
+    @pytest.mark.parametrize(
+        "argv", [["decide", "--k", "3"], ["decide", "--k", "1"], ["quotient"]]
+    )
+    def test_parsed_graph_dot_has_no_tooltip(self, tmp_path, capsys, argv):
+        p = _write(tmp_path, "twins.txt", "5\n0 1\n0 2\n1 2\n2 3\n3 4\n")
+        main(argv + ["-i", p, "-o", "dot"])
+        out = capsys.readouterr().out
+        assert out.startswith("graph G {") and "tooltip" not in out
+
+
+class TestPlainWriter:
+    """The CLI's plain text is ``write_result(x, "plain")``."""
+
+    @pytest.mark.parametrize("parameter", ["rlid", "chromatic", "gammaid"])
+    def test_solve(self, tmp_path, capsys, parameter):
+        p = _write(tmp_path, "p4.txt", P4_EDGELIST)
+        assert main(["solve", "-i", p, "--parameter", parameter]) == 0
+        if parameter == "gammaid":
+            res = gamma_id_exact(path(4))
+        else:
+            res = chi_exact(path(4), parameter)
+        assert capsys.readouterr().out.encode() == write_result(res, "plain")
+
+    def test_unresolved_solve(self, tmp_path, capsys):
+        p = _write(tmp_path, "p4.txt", P4_EDGELIST)
+        assert main(["solve", "-i", p, "--node-budget", "1"]) == 3
+        out = capsys.readouterr().out
+        assert out.startswith("rlid unresolved: node budget exhausted\n")
+        assert out.encode() == write_result(chi_exact(path(4), "rlid", Budget(1)), "plain")
+
+    @pytest.mark.parametrize(
+        "mode,cert,code",
+        [("rlid", "0 3\n1 2\n2 1\n3 1\n", 0), ("rlid", "0 1\n1 1\n2 2\n3 2\n", 1),
+         ("proper", "0 1\n1 1\n2 2\n3 2\n", 1), ("code", "0 1 2 3\n", 0), ("code", "1\n", 1)],
+    )
+    def test_verify(self, tmp_path, capsys, mode, cert, code):
+        p = _write(tmp_path, "p4.txt", P4_EDGELIST)
+        c = _write(tmp_path, "cert.txt", cert)
+        assert main(["verify", "-i", p, "--mode", mode, "--certificate", c]) == code
+        if mode == "code":
+            report = verify_identifying_code(path(4), parse_vertex_set_file(c, 4))
+        else:
+            verifier = {"rlid": verify_rlid, "proper": verify_proper}[mode]
+            report = verifier(path(4), parse_coloring_file(c, 4))
+        out = capsys.readouterr().out
+        assert out.encode() == write_result(report, "plain")
+        assert out.startswith("%s: %s\n" % (report.mode, "valid" if code == 0 else "invalid"))
+
+    def test_bounds(self, tmp_path, capsys):
+        p = _write(tmp_path, "c5.txt", "5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
+        assert main(["bounds", "-i", p]) == 0
+        out = capsys.readouterr().out
+        assert out.encode() == write_result(bounds_report(cycle(5)), "plain")
+        assert "best: " in out
+
+    def test_coloring_with_comments_parses_back(self, tmp_path):
+        c = Coloring([3, 1, 2, 1, 12])
+        data = write_result(c, "plain", ["root 0, 2 levels", "clique 1 2"])
+        assert data.startswith(b"# root 0, 2 levels\n# clique 1 2\n0 3\n")
+        p = tmp_path / "c.txt"
+        p.write_bytes(data)
+        assert parse_coloring_file(str(p), 5).colors == c.colors
+
+    def test_decided_coloring_round_trips_through_verify(self, tmp_path, capsys):
+        g = _write(tmp_path, "star.col", "c star\np edge 4 3\ne 1 2\ne 1 3\ne 1 4\n")
+        dec = str(tmp_path / "dec.txt")
+        assert main(["decide", "--k", "3", "-i", g, "--out", dec]) == 0
+        assert main(["verify", "-i", g, "--certificate", dec]) == 0
+        assert capsys.readouterr().out == "rlid: valid\n"
+
+    def test_a_dict_is_written_as_json(self):
+        obj = {"k": 2, "coloring": None, "parameter": "rlid"}
+        expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        assert write_result(obj, "json") == expected.encode()
+
+
 class TestCli:
     def test_construct_hp_dot(self, capsys):
         assert main(["construct", "hp", "--p", "2", "--dot"]) == 0
@@ -496,7 +619,8 @@ class TestCli:
     def test_reduce_gadget_dot(self, tmp_path, capsys):
         p = _write(tmp_path, "p4.txt", P4_EDGELIST)
         assert main(["reduce", "-i", p, "-o", "dot"]) == 0
-        assert capsys.readouterr().out.encode() == export_dot(g_star(path(4)).graph)
+        inst = g_star(path(4))
+        assert capsys.readouterr().out.encode() == export_dot(inst.graph, None, inst.roles)
 
     def test_bounds_on_a_clique_deeper_than_the_recursion_limit(self, tmp_path, capsys):
         g = threshold_graph(1050)
