@@ -18,8 +18,9 @@ from .graph import (
     bits,
     is_isomorphic,
     is_twin_free,
-    max_clique_size,
+    max_clique,
     quotient,
+    twin_representatives,
 )
 from .coloring import Coloring, is_rlid
 from .solvers import PARAMETERS, Budget, _search, _SearchPlan, gamma_id_exact
@@ -41,9 +42,7 @@ def lower_bound_log_omega(g: Graph, budget=None) -> int:
     """ceil(log2 omega(G/R)) + 1: colors must tell clique neighborhoods apart."""
     if g.n == 0:
         return 0
-    q, _ = quotient(g)
-    omega = max_clique_size(q, budget)
-    return max(omega - 1, 0).bit_length() + 1
+    return (len(max_clique(g, budget, twin_representatives(g))) - 1).bit_length() + 1
 
 
 def split_lower_bound(g: Graph, part) -> int:
@@ -247,8 +246,7 @@ def bounds_report(g: Graph, *, budget=None) -> BoundsReport:
         else:
             notes.append("gamma-id-plus-1 not run: cannot tighten %d..%d" % (lower, upper))
     elif lower < upper:
-        q, partn = quotient(g)
-        sub = bounds_report(q, budget=budget)
+        sub = bounds_report(quotient(g)[0], budget=budget)
         uppers.append((sub.best_upper, "quotient"))
         notes.extend("quotient: " + s for s in sub.notes)
 

@@ -4,7 +4,9 @@ Subcommands: solve, decide, verify, bounds, quotient, construct,
 color-bipartite, color-split, reduce, sweep.  Exit codes: 0 success,
 1 infeasible or invalid, 2 usage error, 3 budget exhausted.  The
 default node budget can be overridden with the RLID_NODE_BUDGET
-environment variable.  Files are read and results laid out by ``io``.
+environment variable.  Files are read and results laid out by ``io``;
+``_emit_bytes`` writes them all, sweep's table a row at a time as each
+row is computed.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ import argparse
 import functools
 import operator
 import os
+import random
 import re
 import sys
-from itertools import combinations
+from itertools import chain, combinations, islice
+from math import comb
 
 from . import bounds as bounds_mod
 from . import families, io, solvers
@@ -153,13 +157,15 @@ def _load_graph(args) -> Graph:
     return io.parse_graph_text(text, args.graph_format, args.strict)
 
 
-def _emit_bytes(data: bytes, args):
-    """The one writer of results: the --out file, else stdout."""
+def _emit_bytes(data, args):
+    """The one writer of results: the --out file, else stdout.  ``data``
+    is bytes, or an iterable of byte chunks written as they come."""
+    chunks = (data,) if isinstance(data, bytes) else data
     if args.out_path:
         with open(args.out_path, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(data.decode())
+        sys.stdout.writelines(chunk.decode() for chunk in chunks)
 
 
 def _emit_coloring(c: Coloring, args, g: Graph, comments=(), roles=None):
@@ -242,17 +248,23 @@ def _cmd_quotient(args) -> int:
     return 0
 
 
-def _size(args, order_of) -> int:
-    """--size p, refused before anything is built when the instance,
-    of ``order_of(p)`` vertices, would be larger than io.MAX_ORDER."""
+# the most edges construct builds; io.MAX_ORDER bounds the vertices
+MAX_CONSTRUCT_EDGES = 2_000_000
+
+
+def _size(args, size_of) -> int:
+    """--size p, refused unbuilt when ``size_of(p)``, the instance's (order,
+    edge count), exceeds io.MAX_ORDER or MAX_CONSTRUCT_EDGES."""
     if args.size is None:
         raise UsageError("construct needs --size for family %r" % (args.family,))
     p = args.size
     # every family's smallest size is positive, below it its builder raises GraphError
-    if p > 0 and order_of(p) > io.MAX_ORDER:
-        raise UsageError(
-            "construct %s --size %d exceeds the maximum order %d" % (args.family, p, io.MAX_ORDER)
-        )
+    if p > 0:
+        for what, value, top in zip(("order", "edge count"), size_of(p),
+                                    (io.MAX_ORDER, MAX_CONSTRUCT_EDGES)):
+            if value > top:
+                raise UsageError("construct %s --size %d exceeds the maximum %s %d"
+                                 % (args.family, p, what, top))
     return p
 
 
@@ -261,11 +273,11 @@ def _pow2(e: int) -> int:
     return 1 << e if e <= io.MAX_ORDER.bit_length() else io.MAX_ORDER + 1
 
 
-def _prop1_order(p: int) -> int:
-    """The order of ``prop1_graph(p)``: g* of K_m, m^2 + m vertices, and t twins."""
-    t = (p - 1) * (p - 2) // 2
+def _prop1_size(p: int) -> tuple:
+    """``prop1_graph(p)`` is g* of K_m, m^2 + m vertices, plus t twins."""
+    t = comb(p - 1, 2)
     m = p + t
-    return m * m + m + t
+    return m * m + m + t, 3 * comb(m, 2) + m + t * (m + 1)
 
 
 def _power_path_instance(k):
@@ -273,14 +285,18 @@ def _power_path_instance(k):
     return families.FamilyInstance(g, None, None, None, {i: "p:%d" % i for i in range(g.n)})
 
 
-# construct's families: name -> builder of the instance from the options
+# construct's families: name -> builder of the instance from the options;
+# a sized family gives _size its (order, edge count) at --size p
 _FAMILIES = {
-    "star": lambda args: families.star(_size(args, lambda p: p + 1)),
-    "power-path": lambda args: _power_path_instance(_size(args, lambda k: 2 * k)),
-    "hp": lambda args: families.h_p(_size(args, lambda p: _pow2(p) + 3 * p)),
-    "q1": lambda args: families.q1(_size(args, lambda p: _pow2(p - 1) + p - 1)),
-    "q2": lambda args: families.q2(_size(args, lambda p: 2 * p - 1)),
-    "prop1": lambda args: families.prop1_graph(_size(args, _prop1_order)),
+    "star": lambda args: families.star(_size(args, lambda p: (p + 1, p))),
+    "power-path": lambda args: _power_path_instance(
+        _size(args, lambda k: (2 * k, k * k - 1 + comb(k - 1, 2)))),
+    "hp": lambda args: families.h_p(_size(
+        args, lambda p: (_pow2(p) + 3 * p, comb(_pow2(p), 2) + p + p * _pow2(p) // 2))),
+    "q1": lambda args: families.q1(_size(args, lambda p: (
+        _pow2(p - 1) + p - 1, comb(_pow2(p - 1), 2) + (p - 1) * _pow2(p - 1) // 2))),
+    "q2": lambda args: families.q2(_size(args, lambda p: (2 * p - 1, comb(p, 2) + p - 1))),
+    "prop1": lambda args: families.prop1_graph(_size(args, _prop1_size)),
     "gstar": lambda args: families.g_star(_load_graph(args)),
 }
 
@@ -384,9 +400,7 @@ def _cmd_reduce(args) -> int:
 
 def _random_twins_graph(seed: int) -> Graph:
     """Small seeded graph with at least one deliberate closed-twin pair."""
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     n = rng.randint(3, 7)
     edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.5]
     g = Graph(n, edges)
@@ -398,15 +412,6 @@ def _random_twins_graph(seed: int) -> Graph:
             masks[v] |= 1 << g.n
         g = Graph.from_adj_masks(g.n + 1, masks)
     return g
-
-
-_ENUMERATED_FAMILIES = {
-    "all": None,
-    "connected": Graph.is_connected,
-    "bipartite": lambda g: bipartition(g) is not None,
-    "twin-free": is_twin_free,
-    "split": lambda g: families.find_split_partition(g) is not None,
-}
 
 
 # random-split's draw options and their defaults; no other family takes them
@@ -434,98 +439,106 @@ def _check_split_draw(args):
         raise UsageError("--edge-prob must be in [0, 1], got %r" % (args.edge_prob,))
 
 
-def _sweep_graphs(args):
-    """Yield (family, index, graph) deterministically."""
-    fam = args.family
-    if fam == "random-split":
-        for i in range(args.count):
-            g, _ = solvers.random_split_graph(
-                args.seed + i, args.clique_size, args.stable_size, args.edge_prob
-            )
-            yield fam, i, g
-    elif fam == "random-twins":
-        for i in range(args.count):
-            yield fam, i, _random_twins_graph(args.seed + i)
-    else:
-        predicate = _ENUMERATED_FAMILIES[fam]
-        index = 0
-        for order in range(args.min_n, args.max_n + 1):
-            for g in solvers.enumerate_graphs(order, predicate, up_to_iso=args.up_to_iso):
-                yield fam, index, g
-                index += 1
+def _enumerated(predicate, args):
+    """The graphs of orders --min-n..--max-n passing ``predicate``; checks the bounds now."""
+    top = solvers.MAX_ENUMERATION_ORDER
+    for flag, order in (("--min-n", args.min_n), ("--max-n", args.max_n)):
+        if not 0 <= order <= top:
+            raise UsageError("%s must be in 0..%d, got %d" % (flag, top, order))
+    orders, iso = range(args.min_n, args.max_n + 1), args.up_to_iso
+    return (g for n in orders for g in solvers.enumerate_graphs(n, predicate, up_to_iso=iso))
+
+
+def _drawn(draw, args):
+    """--count graphs ``draw(args, seed)``, seeds from --seed; checks --count now."""
+    if args.count < 0:
+        raise UsageError("--count must be at least 0, got %d" % args.count)
+    return (draw(args, seed) for seed in range(args.seed, args.seed + args.count))
+
+
+# sweep's families: name -> fn(args) -> the family's graphs, in row order
+_SWEEP_FAMILIES = {
+    "all": functools.partial(_enumerated, None),
+    "connected": functools.partial(_enumerated, Graph.is_connected),
+    "bipartite": functools.partial(_enumerated, lambda g: bipartition(g) is not None),
+    "twin-free": functools.partial(_enumerated, is_twin_free),
+    "split": functools.partial(_enumerated, lambda g: families.find_split_partition(g) is not None),
+    "random-split": functools.partial(_drawn, lambda a, seed: solvers.random_split_graph(
+        seed, a.clique_size, a.stable_size, a.edge_prob)[0]),
+    "random-twins": functools.partial(_drawn, lambda a, seed: _random_twins_graph(seed)),
+}
 
 
 def _sweep_row(task):
-    """One graph's {column: value or None}; module-level so a process pool can pickle it."""
-    n, adj, names, node_budget = task
-    g = Graph.from_adj_masks(n, adj)
-    row = {}
+    """Append the edge mask and the columns' values (None on GraphError or
+    BudgetExceeded) to the task's row; module-level so a pool can pickle it."""
+    row, adj, names, node_budget = task
+    g = Graph.from_adj_masks(row[1], adj)
+    row.append(edge_mask(g))
     for name in names:
         try:
-            row[name] = _SWEEP_COLUMNS[name](g, solvers.Budget(node_budget))
+            row.append(_SWEEP_COLUMNS[name](g, solvers.Budget(node_budget)))
         except (GraphError, BudgetExceeded):
-            row[name] = None
+            row.append(None)
     return row
+
+
+def _sweep_rows(tasks, jobs):
+    """The tasks' rows in order, from a pool of one worker per task among
+    the first ``jobs``, or from this process when that is one."""
+    # the executor forks all its workers on the first submit
+    head = list(islice(tasks, jobs))
+    tasks = chain(head, tasks)
+    if len(head) < 2:
+        yield from map(_sweep_row, tasks)
+        return
+    # imported here: it costs every other command its start-up time
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=len(head)) as pool:
+        # Executor.map submits all it is given before it yields anything
+        while batch := list(islice(tasks, 4096)):
+            yield from pool.map(_sweep_row, batch, chunksize=64)
 
 
 def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1, got %d" % args.jobs)
-    if args.family in _ENUMERATED_FAMILIES:
-        top = solvers.MAX_ENUMERATION_ORDER
-        for flag, order in (("--min-n", args.min_n), ("--max-n", args.max_n)):
-            if not 0 <= order <= top:
-                raise UsageError("%s must be in 0..%d, got %d" % (flag, top, order))
-    elif args.count < 0:
-        raise UsageError("--count must be at least 0, got %d" % args.count)
+    graphs = _SWEEP_FAMILIES[args.family](args)  # each made when read, after the checks
     _check_split_draw(args)
     for name in args.params:
         if name not in _SWEEP_COLUMNS:
-            raise UsageError(
-                "unknown sweep parameter %r (allowed: %s)" % (name, ", ".join(_SWEEP_COLUMNS))
-            )
+            raise UsageError("unknown sweep parameter %r (allowed: %s)"
+                             % (name, ", ".join(_SWEEP_COLUMNS)))
     check = None
     names = tuple(args.params)
     if args.assertion:
         needed, check = parse_assertion(args.assertion)
         names += tuple(x for x in sorted(needed) if x not in names)
-    graphs = list(_sweep_graphs(args))
-    tasks = ((g.n, g.adj, names, args.node_budget) for _, _, g in graphs)
-    # the executor forks all its workers on the first submit
-    workers = min(args.jobs, os.cpu_count() or 1, len(graphs))
-    if workers > 1:
-        # imported here: it costs every other command its start-up time
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, tasks, chunksize=64))
-    else:
-        rows = list(map(_sweep_row, tasks))
-
-    header = ["family", "n", "index", "mask"] + list(names)
+    tasks = (([args.family, g.n, i], g.adj, names, args.node_budget)
+             for i, g in enumerate(graphs))
+    rows = _sweep_rows(tasks, min(args.jobs, os.cpu_count() or 1))
+    header = ["family", "n", "index", "mask", *names]
     if check is not None:
         header.append("assert")
-    out = [header]
-    failures = skipped = 0
-    for (fam, index, g), row in zip(graphs, rows):
-        cells = [fam, g.n, index, edge_mask(g)] + [row[name] for name in names]
-        if check is not None:
-            if any(row[name] is None for name in row):
-                verdict = "skip"
-                skipped += 1
-            elif check(row):
-                verdict = "pass"
-            else:
-                verdict = "fail"
-                failures += 1
-            cells.append(verdict)
-        out.append(cells)
-    _emit_bytes(io.write_table(out), args)
-    print(
-        "sweep: %d graphs, %d failures, %d skipped" % (len(rows), failures, skipped),
-        file=sys.stderr,
-    )
-    return 1 if failures else 0
+    tally = dict.fromkeys(("graphs", "pass", "fail", "skip"), 0)
+
+    def table():
+        yield io.write_table([header])
+        for row in rows:
+            tally["graphs"] += 1
+            if check is not None:
+                values = row[4:]
+                verdict = ("skip" if None in values
+                           else "pass" if check(dict(zip(names, values))) else "fail")
+                tally[verdict] += 1
+                row.append(verdict)
+            yield io.write_table([row])
+
+    _emit_bytes(table(), args)
+    print("sweep: %d graphs, %d failures, %d skipped"
+          % (tally["graphs"], tally["fail"], tally["skip"]), file=sys.stderr)
+    return 1 if tally["fail"] else 0
 
 
 # -- argument parsing ---------------------------------------------------
@@ -623,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = _command(sub, "sweep", _cmd_sweep, "tabulate parameters over a graph family",
                  budget=True)
     s.add_argument("--family", default="connected",
-                   choices=(*_ENUMERATED_FAMILIES, "random-split", "random-twins"),
+                   choices=tuple(_SWEEP_FAMILIES),
                    help="an enumerated family (orders --min-n..--max-n), or --count "
                         "seeded draws: random-split (the only family that takes the "
                         "three options below) or random-twins (order 3..7 plus twins)")

@@ -199,7 +199,6 @@ def _lid_violations(g: Graph, c: Coloring):
     colors = c.colors
     nbrs = _neighbor_lists(g)
     sets = _colorsets(nbrs, colors)
-    twin_sets = {}  # vertex -> its twin witness, shared by its twin class
     for u, t in enumerate(nbrs):
         cu = colors[u]
         for v in t:
@@ -207,15 +206,9 @@ def _lid_violations(g: Graph, c: Coloring):
                 continue
             if colors[v] == cu:
                 yield Violation(u, v, True, "proper", frozenset((cu,)))
-            if len(t) == len(nbrs[v]):
-                shared = twin_sets.get(u)
-                if shared is None:
-                    shared = _closed_set(nbrs, u)
-                if shared == _closed_set(nbrs, v):
-                    twin_sets[u] = twin_sets[v] = shared
-                    yield Violation(u, v, True, "twins", shared)
-                    continue
-            if sets[u] == sets[v]:
+            if _adjacent_twins(nbrs, u, v):
+                yield Violation(u, v, True, "twins", _closed_set(nbrs, u))
+            elif sets[u] == sets[v]:
                 yield Violation(u, v, True, "colorset", sets[u])
 
 

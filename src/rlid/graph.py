@@ -10,7 +10,10 @@ of word operations.  Two rules keep the stored form in one place:
 ``Graph.__getattr__`` is the only code that derives the masks (n bits
 each), on first read, and keeps them.  ``Graph.levels`` is the only
 breadth-first walk: reachability, components, ``bipartition`` and the
-bipartite three-colouring read its level masks.  A graph is structure
+bipartite three-colouring read its level masks.  Twin classes (equal
+closed neighbourhoods) are decided here only: ``twin_partition`` lists
+them, and ``twin_representatives`` masks the smallest vertex of each,
+the vertices ``quotient`` keeps.  A graph is structure
 only: the roles of a generated family's vertices live on
 ``families.FamilyInstance``, and every file format lives in ``io``.
 """
@@ -285,16 +288,21 @@ def are_twins(g: Graph, u: int, v: int) -> bool:
 
 
 def twin_partition(g: Graph) -> TwinPartition:
-    groups = {}
-    for v in range(g.n):
-        groups.setdefault(g.closed[v], []).append(v)
-    classes = sorted(groups.values(), key=lambda c: c[0])
-    rep = {}
-    for cls in classes:
-        for v in cls:
-            rep[v] = cls[0]
+    groups = {}  # keyed in at each class's minimum, so in class order
+    for v, cv in enumerate(g.closed):
+        groups.setdefault(cv, []).append(v)
+    classes = tuple(map(tuple, groups.values()))
     t = sum(1 for cls in classes if len(cls) >= 2)
-    return TwinPartition(tuple(tuple(c) for c in classes), t, rep)
+    return TwinPartition(classes, t, {v: cls[0] for cls in classes for v in cls})
+
+
+def twin_representatives(g: Graph) -> int:
+    """The smallest vertex of each twin class, as a mask: the vertices of
+    ``quotient(g)``, in one pass over the closed neighbourhoods."""
+    first = {}
+    for v, cv in enumerate(g.closed):
+        first.setdefault(cv, 1 << v)
+    return sum(first.values())
 
 
 def is_twin_free(g: Graph) -> bool:
@@ -309,10 +317,7 @@ def quotient(g: Graph):
     Quotients are always twin-free.
     """
     part = twin_partition(g)
-    if not part.t:
-        return g, part
-    q, _ = g.induced(part.representatives)
-    return q, part
+    return (g.induced(part.representatives)[0] if part.t else g), part
 
 
 # -- cliques ------------------------------------------------------------
@@ -496,12 +501,9 @@ def _refine_classes(nbrs1, nbrs2):
     return col1, col2
 
 
-def is_isomorphic(g1: Graph, g2: Graph, budget=None) -> bool:
-    """Exact isomorphism test: refinement plus backtracking matching.
-
-    Intended for small graphs; ``budget`` caps assignment attempts and
-    exhaustion raises BudgetExceeded instead of answering wrongly.
-    """
+def is_isomorphic(g1: Graph, g2: Graph) -> bool:
+    """Exact isomorphism test: refinement plus backtracking matching,
+    intended for small graphs."""
     if g1.n != g2.n:
         return False
     n = g1.n
@@ -560,8 +562,6 @@ def is_isomorphic(g1: Graph, g2: Graph, budget=None) -> bool:
             j += 1
             if used2 >> w & 1:
                 continue
-            if budget is not None:
-                budget.spend()
             if g2.adj[w] & used2 == adj_imaged:
                 break
         else:

@@ -68,6 +68,7 @@ from .graph import (
     is_twin_free,
     max_clique,
     twin_partition,
+    twin_representatives,
 )
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -290,14 +291,8 @@ class _SearchPlan:
 
         self.clique = ()
         if triangle:
-            # the smallest vertex of each twin class
-            reps, seen = 0, set()
-            for v in range(n):
-                if closed[v] not in seen:
-                    seen.add(closed[v])
-                    reps |= 1 << v
             try:
-                found = max_clique(g, Budget(PLAN_CLIQUE_NODE_BUDGET), reps)
+                found = max_clique(g, Budget(PLAN_CLIQUE_NODE_BUDGET), twin_representatives(g))
             except BudgetExceeded:
                 found = ()
             if len(found) >= 3:

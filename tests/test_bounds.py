@@ -15,6 +15,8 @@ from rlid import (
     is_twin_free,
     join,
     lower_bound_log_omega,
+    max_clique_size,
+    quotient,
     split_lower_bound,
     verify_rlid,
 )
@@ -26,6 +28,17 @@ from _oracles import all_labeled_graphs, brute_is_clique_union, brute_is_rlid, b
 
 
 class TestLogOmegaLowerBound:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_same_value_and_nodes_as_the_clique_of_the_quotient(self, n):
+        # the clique runs on the twin representatives in place of the
+        # rebuilt quotient, which is induced on them in the same order
+        for edges in all_labeled_graphs(n):
+            g = build_graph(n, edges)
+            here, there = Budget(), Budget()
+            omega = max_clique_size(quotient(g)[0], there)
+            assert lower_bound_log_omega(g, here) == (omega - 1).bit_length() + 1, edges
+            assert here.nodes == there.nodes, edges
+
     def test_h2(self):
         assert lower_bound_log_omega(h_p(2).graph) == 3
 
@@ -42,6 +55,20 @@ class TestLogOmegaLowerBound:
 
 
 class TestBoundsReport:
+    def test_quotient_step_closes_a_path_with_a_twin(self):
+        # P200 plus a closed twin of vertex 5: the search step runs out of
+        # budget on 201 vertices, and the quotient, P200, is bipartite
+        edges = [(i, i + 1) for i in range(199)] + [(200, 4), (200, 5), (200, 6)]
+        g = build_graph(201, edges)
+        r = bounds_report(g)
+        assert r.lower_bounds == ((3, "no-two-rule"), (2, "log-omega-quotient"))
+        assert r.upper_bounds == ((201, "order-n"), (3, "quotient"))
+        assert r.exact == 3 == chi_exact(g, "rlid").value
+        assert r.notes == (
+            "search skipped: budget exceeded",
+            "quotient: gamma-id-plus-1 not run: cannot tighten 3..3",
+        )
+
     def test_p4_exact_three(self):
         r = bounds_report(path(4))
         assert (3, "no-two-rule") in r.lower_bounds

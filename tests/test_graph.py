@@ -24,7 +24,7 @@ from rlid import (
     verify_rlid,
 )
 from rlid.families import g_star, power_path, prop1_graph
-from rlid.graph import Graph, bits, graph_from_edge_mask
+from rlid.graph import Graph, bits, graph_from_edge_mask, twin_representatives
 from rlid.solvers import Budget
 
 from _helpers import complete, cycle, path, star_graph
@@ -272,6 +272,16 @@ class TestCliqueAndBipartition:
         assert got == (frozenset({0}), frozenset({1, 2, 3}))
 
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_twin_representatives_are_the_smallest_of_each_class(self, n):
+        for edges in all_labeled_graphs(n):
+            g = build_graph(n, edges)
+            closed = closed_neighborhoods(n, edges)
+            smallest = {v for v in range(n) if all(closed[u] != closed[v] for u in range(v))}
+            assert set(bits(twin_representatives(g))) == smallest, edges
+            assert twin_partition(g).representatives == tuple(sorted(smallest)), edges
+
+
 class TestDegeneracyJoinIso:
     @pytest.mark.parametrize("tree", [path(5), star_graph(4)])
     def test_tree_degeneracy_one(self, tree):
@@ -314,6 +324,17 @@ class TestDegeneracyJoinIso:
     @pytest.mark.parametrize("g", [path(4), cycle(5), complete(4), star_graph(3)])
     def test_identity(self, g):
         assert is_isomorphic(g, g)
+
+    def test_regular_graphs_refinement_cannot_split(self):
+        # equal degrees on both sides: only the matcher can tell them apart
+        two_triangles = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert not is_isomorphic(cycle(6), two_triangles)
+        k33 = build_graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+        prism = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                                (0, 3), (1, 4), (2, 5)])
+        assert not is_isomorphic(k33, prism)
+        relabelled = build_graph(6, [(0, 3), (3, 5), (0, 5), (1, 2), (2, 4), (1, 4)])
+        assert is_isomorphic(two_triangles, relabelled)
 
     def test_matching_deeper_than_the_recursion_limit(self):
         # the matching goes 1,501 vertices deep, past the default recursion limit

@@ -840,6 +840,96 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
+        "family,size,builder",
+        [
+            ("hp", "11", "h_p"),
+            ("hp", "15", "h_p"),
+            ("q1", "12", "q1"),
+            ("q1", "16", "q1"),
+            ("q2", "2000", "q2"),
+            ("q2", "25000", "q2"),
+            ("power-path", "1156", "power_path"),
+        ],
+    )
+    def test_construct_over_the_maximum_edge_count_is_refused_unbuilt(
+        self, monkeypatch, capsys, family, size, builder
+    ):
+        def refuse(p):
+            raise AssertionError("%s(%d) was built" % (builder, p))
+
+        monkeypatch.setattr(cli.families, builder, refuse)
+        assert main(["construct", family, "--size", size]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "usage error: construct %s --size %s exceeds the maximum edge count 2000000\n"
+            % (family, size)
+        )
+
+    @pytest.mark.parametrize(
+        "family,size,builder",
+        [("hp", 10, "h_p"), ("q1", 11, "q1"), ("q2", 1999, "q2"), ("power-path", 1155, "power_path")],
+    )
+    def test_construct_at_the_maximum_edge_count_reaches_the_builder(
+        self, monkeypatch, capsys, family, size, builder
+    ):
+        built = []
+
+        def stub(p):
+            built.append(p)
+            raise cli.GraphError("stub builder")
+
+        monkeypatch.setattr(cli.families, builder, stub)
+        assert main(["construct", family, "--size", str(size)]) == 1
+        assert built == [size]
+        assert capsys.readouterr().err == "error: stub builder\n"
+
+    def test_budget_stop_is_exit_three(self, tmp_path, capsys):
+        c6 = _write(tmp_path, "c6.txt", "6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
+        assert main(["decide", "--k", "3", "--node-budget", "2", "-i", c6]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "budget exhausted: node budget 2 exceeded\n"
+
+    def test_sweep_holds_one_row_at_a_time(self, tmp_path, capsys):
+        # 32,768 rows; a sweep that kept its graphs or its table peaked at 23 MB
+        out = tmp_path / "all6.tsv"
+        argv = ["sweep", "--family", "all", "--min-n", "6", "--max-n", "6",
+                "--params", "n", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        lines = out.read_bytes().splitlines()
+        assert len(lines) == 32_769
+        assert lines[0] == b"family\tn\tindex\tmask\tn"
+        assert lines[-1] == b"all\t6\t32767\t32767\t6"
+        assert capsys.readouterr().err == "sweep: 32768 graphs, 0 failures, 0 skipped\n"
+
+    def test_sweep_feeds_the_pool_in_batches(self, monkeypatch, tmp_path):
+        pools = _record_pools(monkeypatch)
+        recorder = concurrent.futures.ProcessPoolExecutor
+        record_map = recorder.map
+        batches = []
+
+        def map_batch(self, fn, items, chunksize=1):
+            items = list(items)
+            batches.append(len(items))
+            return record_map(self, fn, items, chunksize)
+
+        monkeypatch.setattr(recorder, "map", map_batch)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        a, b = str(tmp_path / "a.tsv"), str(tmp_path / "b.tsv")
+        argv = ["sweep", "--family", "all", "--min-n", "6", "--max-n", "6", "--params", "n"]
+        assert main(argv + ["--jobs", "2", "--out", a]) == 0
+        assert pools == [2]
+        assert batches == [4096] * 8
+        assert main(argv + ["--out", b]) == 0
+        assert open(a, "rb").read() == open(b, "rb").read()
+
+    @pytest.mark.parametrize(
         "jobs,cpus,max_n,workers",
         [
             (1000, 8, 3, 6),  # 6 rows
