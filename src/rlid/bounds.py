@@ -2,21 +2,21 @@
 
 Every bound carries a provenance tag and only fires when its
 hypothesis has actually been checked, so a report is a small audit
-trail: best lower, best upper, and exact when they meet.
+trail: best lower, best upper, and exact when they meet.  The split
+graph rules live in ``families``; the full-palette test is structural,
+with no isomorphism search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .families import _validate_split, find_split_partition, power_path
+from .families import find_split_partition
 from .graph import (
     BudgetExceeded,
     Graph,
     GraphError,
     bipartition,
-    bits,
-    is_isomorphic,
     is_twin_free,
     max_clique,
     quotient,
@@ -45,33 +45,16 @@ def lower_bound_log_omega(g: Graph, budget=None) -> int:
     return (len(max_clique(g, budget, twin_representatives(g))) - 1).bit_length() + 1
 
 
-def split_lower_bound(g: Graph, part) -> int:
-    """ceil(log2 omega) + 1 for connected twin-free split graphs.
-
-    Every clique vertex's closed neighborhood contains the clique K, so
-    its color set is a superset of C(K), the colors used on K.  Clique
-    vertices are pairwise adjacent non-twins, so these omega = |K| sets
-    are distinct, and a palette of k colors offers only 2^(k - |C(K)|)
-    supersets of C(K).  Hence k >= |C(K)| + ceil(log2 omega) >=
-    ceil(log2 omega) + 1.  On twin-free graphs this never beats
-    lower_bound_log_omega, which bounds_report already lists.
-    """
-    if part is None:
-        raise GraphError("split lower bound needs a clique/stable partition")
-    _validate_split(g, part, for_separator=True)
-    omega = len(part.clique)
-    if omega < 1:
-        raise GraphError("split lower bound needs a nonempty clique part")
-    return (omega - 1).bit_length() + 1
-
-
 def characterize_full_palette(g: Graph) -> bool:
     """True exactly when the optimum needs as many colors as vertices.
 
     The shape is forced: a universal vertex whose removal splits, as a
     join, into factors that are each either two isolated vertices or a
     (k-1)-th power of the path on 2k vertices.  Join factors are the
-    connected components of the complement.
+    connected components of the complement, and a factor on 2k
+    vertices has one of these shapes exactly when its complement is a
+    half graph: bipartite with k vertices a side, and one side's
+    neighbourhoods nested with sizes 1..k.
     """
     if not g.is_connected():
         raise GraphError("characterization applies to connected graphs")
@@ -84,17 +67,19 @@ def characterize_full_palette(g: Graph) -> bool:
     if not universal:
         return False
     h, _ = g.induced([v for v in range(g.n) if v != universal[0]])
-    for comp in h.complement().components():
-        factor, _ = h.induced(comp)
-        size = factor.n
-        if size % 2 or size == 0:
+    hc = h.complement()
+    sides = bipartition(hc)
+    if sides is None:
+        return False
+    for comp in hc.components():
+        side = [v for v in comp if v in sides[0]]
+        if 2 * len(side) != len(comp):
             return False
-        k = size // 2
-        if k == 1:
-            if factor.edge_count != 0:
+        inner = 0
+        for size, nbhd in enumerate(sorted((hc.adj[v] for v in side), key=int.bit_count), 1):
+            if nbhd.bit_count() != size or nbhd & inner != inner:
                 return False
-        elif not is_isomorphic(factor, power_path(k)):
-            return False
+            inner = nbhd
     return True
 
 

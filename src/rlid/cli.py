@@ -363,9 +363,8 @@ def _cmd_color_split(args) -> int:
         if part is None:
             print("no clique/stable partition exists", file=sys.stderr)
             return 1
+    part = families.maximal_split_partition(g, part)
     c = families.split_rlid_coloring(g, part)
-    # split_rlid_coloring validated the partition and colored its repair
-    part = families._maximalize_split(g, part)
     _emit_coloring(c, args, g, ["clique %s" % " ".join(map(str, sorted(part.clique)))])
     return 0
 
@@ -463,7 +462,7 @@ _SWEEP_FAMILIES = {
     "bipartite": functools.partial(_enumerated, lambda g: bipartition(g) is not None),
     "twin-free": functools.partial(_enumerated, is_twin_free),
     "split": functools.partial(_enumerated, lambda g: families.find_split_partition(g) is not None),
-    "random-split": functools.partial(_drawn, lambda a, seed: solvers.random_split_graph(
+    "random-split": functools.partial(_drawn, lambda a, seed: families.random_split_graph(
         seed, a.clique_size, a.stable_size, a.edge_prob)[0]),
     "random-twins": functools.partial(_drawn, lambda a, seed: _random_twins_graph(seed)),
 }

@@ -118,17 +118,15 @@ def _adjacent_twins(nbrs, u, v):
     return len(nbrs[u]) == len(nbrs[v]) and _closed_set(nbrs, u) == _closed_set(nbrs, v)
 
 
-def _equal_pairs(keys, witness):
-    """Yield ``(u, v, shared)`` for each pair u < v with ``keys[u] ==
-    keys[v]``, in ``itertools.combinations`` order, where ``shared`` is
-    ``witness(keys[u])``, built once per group and the same object for
-    every pair of that group.
+def _equal_pairs(keys):
+    """Yield ``(u, v, keys[u])`` for each pair u < v with ``keys[u] ==
+    keys[v]``, in ``itertools.combinations`` order.
 
     One dict groups the vertices by key, noting where each vertex sits
     in its group; the walk then takes u upward and pairs it with the
     later members of its group, so the cost is linear plus one step per
     pair, and a caller that stops at the first pair pays for the
-    grouping and one witness and nothing more.
+    grouping and nothing more.
     """
     groups = {}
     place = []
@@ -136,16 +134,9 @@ def _equal_pairs(keys, witness):
         group = groups.setdefault(key, [])
         place.append((group, len(group)))
         group.append(v)
-    shared = {}  # first member of a group -> its witness
     for u, (group, i) in enumerate(place):
-        if i + 1 == len(group):
-            continue
-        if i:
-            w = shared[group[0]]
-        else:
-            w = shared[u] = witness(keys[u])
         for j in range(i + 1, len(group)):
-            yield u, group[j], w
+            yield u, group[j], keys[u]
 
 
 def neighborhood_color_set(g: Graph, c: Coloring, v: int) -> frozenset:
@@ -216,16 +207,15 @@ def _id_violations(g: Graph, c: Coloring):
     _check_sizes(g, c)
     nbrs = _neighbor_lists(g)
     twins = False
-    # the keys are frozensets already, and frozenset(s) is s itself
     closed = [_closed_set(nbrs, v) for v in range(g.n)]
-    for u, v, shared in _equal_pairs(closed, frozenset):
+    for u, v, shared in _equal_pairs(closed):
         twins = True
         yield Violation(u, v, g.has_edge(u, v), "twins", shared)
     if twins:
         return
     del closed
     sets = _colorsets(nbrs, c.colors)
-    for u, v, shared in _equal_pairs(sets, frozenset):
+    for u, v, shared in _equal_pairs(sets):
         yield Violation(u, v, g.has_edge(u, v), "colorset", shared)
 
 
@@ -240,7 +230,7 @@ def _code_violations(g: Graph, code):
     for v in range(g.n):
         if not traces[v]:
             yield Violation(v, v, False, "undominated", frozenset())
-    for u, v, shared in _equal_pairs(traces, frozenset):
+    for u, v, shared in _equal_pairs(traces):
         yield Violation(u, v, g.has_edge(u, v), "code-equal", shared)
 
 

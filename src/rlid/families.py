@@ -1,6 +1,10 @@
 """Named graph families, the subdivision gadget, and the constructive
 coloring algorithms (bipartite three-coloring, split separators).
 
+Split graphs live here whole: recognition, the partition checks, the
+one repair of a clique side, the separator, the omega + 2 coloring,
+the log-omega split bound and the seeded random split draws.
+
 Every generator fixes a deterministic vertex numbering, names each
 vertex's role on the returned ``FamilyInstance`` (the graph itself
 carries none), and checks its own canonical coloring with the verifier
@@ -10,6 +14,7 @@ before handing the instance out.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 
 from .coloring import Coloring, ColoringError, is_proper, is_rlid, verify_rlid
@@ -428,7 +433,7 @@ def bipartite_three_coloring(g: Graph):
     )
 
 
-# -- split graphs: recognition, separator, coloring ---------------------
+# -- split graphs: recognition, draws, separator, coloring --------------
 
 
 def find_split_partition(g: Graph) -> SplitPartition | None:
@@ -452,7 +457,10 @@ def find_split_partition(g: Graph) -> SplitPartition | None:
     return SplitPartition(frozenset(order[:m]), frozenset(order[m:]))
 
 
-def _validate_split(g: Graph, part: SplitPartition, for_separator: bool):
+def _check_split(g: Graph, part: SplitPartition):
+    """Check that ``part`` is a split partition of ``g``: its sides
+    partition the vertices, the clique side is complete and the stable
+    side is independent.  Returns the two sides as masks."""
     kmask = mask_of(part.clique)
     smask = mask_of(part.stable)
     if kmask & smask or (kmask | smask) != (1 << g.n) - 1:
@@ -463,17 +471,83 @@ def _validate_split(g: Graph, part: SplitPartition, for_separator: bool):
     for v in bits(smask):
         if g.adj[v] & smask:
             raise GraphError("stable part has an internal edge at vertex %d" % v)
-    if for_separator:
-        if not g.is_connected():
-            raise GraphError("separator construction needs a connected graph")
-        if not is_twin_free(g):
-            raise GraphError("separator construction needs a twin-free graph")
-        for v in bits(smask):
-            if g.adj[v] & kmask == kmask:
-                raise GraphError(
-                    "clique part is not maximal: stable vertex %d sees all of it" % v
-                )
     return kmask, smask
+
+
+def _check_separator_input(g: Graph, part: SplitPartition):
+    """``_check_split``, on a connected twin-free graph whose clique
+    side is maximal: the hypothesis of the separator and of the
+    log-omega split bound.  Returns the two sides as masks."""
+    kmask, smask = _check_split(g, part)
+    if not g.is_connected():
+        raise GraphError("separator construction needs a connected graph")
+    if not is_twin_free(g):
+        raise GraphError("separator construction needs a twin-free graph")
+    for v in bits(smask):
+        if g.adj[v] & kmask == kmask:
+            raise GraphError(
+                "clique part is not maximal: stable vertex %d sees all of it" % v
+            )
+    return kmask, smask
+
+
+def maximal_split_partition(g: Graph, part: SplitPartition) -> SplitPartition:
+    """Check the split partition ``part`` and make its clique side
+    maximal: move the minimum-index stable vertex that sees the whole
+    clique side across, if there is one, or return ``part`` itself.
+
+    The stable side is independent, so no other stable vertex sees the
+    grown clique side: one pass is enough.
+    """
+    kmask, smask = _check_split(g, part)
+    for v in bits(smask):
+        if g.adj[v] & kmask == kmask:
+            return SplitPartition(part.clique | {v}, part.stable - {v})
+    return part
+
+
+def random_split_graph(seed, clique_size: int, stable_size: int, edge_prob, *, twin_free: bool = False):
+    """Deterministic random split graph, returned with its partition.
+
+    Clique vertices are 0..clique_size-1, stable vertices follow.
+    Each clique-stable pair is wired with probability ``edge_prob``;
+    stable vertices left isolated are rewired to one uniform clique
+    vertex so the result is connected.  With ``twin_free`` the draw is
+    rejected and resampled (same generator stream) until no twins
+    remain.
+    """
+    if clique_size < 1 or stable_size < 1:
+        raise GraphError("both sides need at least one vertex")
+    if not 0 <= float(edge_prob) <= 1:
+        raise GraphError("edge probability %r outside [0, 1]" % (edge_prob,))
+    rng = random.Random(seed)
+    a, b = clique_size, stable_size
+    p = float(edge_prob)
+    for _ in range(10000):
+        adj = [0] * (a + b)
+        for u in range(a):
+            for v in range(u + 1, a):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        for s in range(a, a + b):
+            for x in range(a):
+                if rng.random() < p:
+                    adj[s] |= 1 << x
+                    adj[x] |= 1 << s
+            if not adj[s] and a:
+                x = rng.randrange(a)
+                adj[s] |= 1 << x
+                adj[x] |= 1 << s
+        g = Graph.from_adj_masks(a + b, adj)
+        if twin_free and not is_twin_free(g):
+            continue
+        # the separator needs a maximal clique side
+        part = SplitPartition(frozenset(range(a)), frozenset(range(a, a + b)))
+        return g, maximal_split_partition(g, part)
+    raise GraphError(
+        "no twin-free draw in 10000 attempts for (%r, %d, %d, %r)"
+        % (seed, clique_size, stable_size, edge_prob)
+    )
 
 
 def split_separator(g: Graph, part: SplitPartition) -> frozenset:
@@ -487,7 +561,7 @@ def split_separator(g: Graph, part: SplitPartition) -> frozenset:
     every clique pair all the way down.  The halves wait on an
     explicit stack, so a deep clique side needs no recursion.
     """
-    kmask, smask = _validate_split(g, part, for_separator=True)
+    kmask, smask = _check_separator_input(g, part)
     adj = g.adj
     sep = set()
     todo = [(kmask, sorted(part.stable))]
@@ -517,18 +591,24 @@ def split_separator(g: Graph, part: SplitPartition) -> frozenset:
     return sep
 
 
-def _maximalize_split(g: Graph, part: SplitPartition) -> SplitPartition:
-    """Move the minimum-index stable vertex that sees the whole clique
-    side across, if there is one.
+def split_lower_bound(g: Graph, part) -> int:
+    """ceil(log2 omega) + 1 for connected twin-free split graphs.
 
-    The stable side is independent, so no other stable vertex sees the
-    grown clique side: one pass is enough.
+    Every clique vertex's closed neighborhood contains the clique K, so
+    its color set is a superset of C(K), the colors used on K.  Clique
+    vertices are pairwise adjacent non-twins, so these omega = |K| sets
+    are distinct, and a palette of k colors offers only 2^(k - |C(K)|)
+    supersets of C(K).  Hence k >= |C(K)| + ceil(log2 omega) >=
+    ceil(log2 omega) + 1.  On twin-free graphs this never beats
+    lower_bound_log_omega, which bounds_report already lists.
     """
-    kmask = mask_of(part.clique)
-    for v in sorted(part.stable):
-        if g.adj[v] & kmask == kmask:
-            return SplitPartition(part.clique | {v}, part.stable - {v})
-    return part
+    if part is None:
+        raise GraphError("split lower bound needs a clique/stable partition")
+    _check_separator_input(g, part)
+    omega = len(part.clique)
+    if omega < 1:
+        raise GraphError("split lower bound needs a nonempty clique part")
+    return (omega - 1).bit_length() + 1
 
 
 def _split_case_colors(g: Graph, part: SplitPartition) -> list:
@@ -609,8 +689,7 @@ def split_rlid_coloring(g: Graph, part: SplitPartition) -> Coloring:
     and a TheoremCounterexample is raised rather than return an invalid
     coloring quietly.
     """
-    _validate_split(g, part, for_separator=False)
-    part = _maximalize_split(g, part)
+    part = maximal_split_partition(g, part)
     if is_twin_free(g):
         colors = _split_case_colors(g, part)
     else:
@@ -628,3 +707,4 @@ def split_rlid_coloring(g: Graph, part: SplitPartition) -> Coloring:
     raise TheoremCounterexample(
         "split case table gave an invalid coloring: edges=%r" % (g.edges(),)
     )
+

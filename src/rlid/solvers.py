@@ -1,5 +1,5 @@
-"""Exact decision and optimization: backtracking search, exhaustive
-enumeration, and seeded random generators.
+"""Exact decision and optimization: backtracking search and
+exhaustive enumeration.
 
 The k-decision engine colors vertices in a fixed order built so that
 pair checks fire early: each step takes the vertex that completes the
@@ -52,12 +52,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import random
 import time
 from dataclasses import dataclass
 
 from .coloring import Coloring, is_identifying_code
-from .families import SplitPartition, _maximalize_split
 from .graph import (
     BudgetExceeded,
     Graph,
@@ -65,7 +63,6 @@ from .graph import (
     bits,
     degeneracy,
     is_isomorphic,
-    is_twin_free,
     max_clique,
     twin_partition,
     twin_representatives,
@@ -770,50 +767,3 @@ def enumerate_graphs(order: int, filter=None, *, up_to_iso: bool = False):
                 continue
             reps.append(g)
         yield g
-
-
-# -- seeded random generators -------------------------------------------
-
-
-def random_split_graph(seed, clique_size: int, stable_size: int, edge_prob, *, twin_free: bool = False):
-    """Deterministic random split graph, returned with its partition.
-
-    Clique vertices are 0..clique_size-1, stable vertices follow.
-    Each clique-stable pair is wired with probability ``edge_prob``;
-    stable vertices left isolated are rewired to one uniform clique
-    vertex so the result is connected.  With ``twin_free`` the draw is
-    rejected and resampled (same generator stream) until no twins
-    remain.
-    """
-    if clique_size < 1 or stable_size < 1:
-        raise GraphError("both sides need at least one vertex")
-    if not 0 <= float(edge_prob) <= 1:
-        raise GraphError("edge probability %r outside [0, 1]" % (edge_prob,))
-    rng = random.Random(seed)
-    a, b = clique_size, stable_size
-    p = float(edge_prob)
-    for _ in range(10000):
-        adj = [0] * (a + b)
-        for u in range(a):
-            for v in range(u + 1, a):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        for s in range(a, a + b):
-            for x in range(a):
-                if rng.random() < p:
-                    adj[s] |= 1 << x
-                    adj[x] |= 1 << s
-            if not adj[s] and a:
-                x = rng.randrange(a)
-                adj[s] |= 1 << x
-                adj[x] |= 1 << s
-        g = Graph.from_adj_masks(a + b, adj)
-        if twin_free and not is_twin_free(g):
-            continue
-        # the separator needs a maximal clique side
-        part = SplitPartition(frozenset(range(a)), frozenset(range(a, a + b)))
-        return g, _maximalize_split(g, part)
-    raise GraphError(
-        "no twin-free draw in 10000 attempts for (%r, %d, %d, %r)"
-        % (seed, clique_size, stable_size, edge_prob)
-    )

@@ -1,9 +1,10 @@
 """Brute-force reference implementations used to freeze expected values.
 
 Everything here works on (n, edge list) pairs with plain Python sets and
-itertools, sharing no code with the package under test (``reference_plan``
-alone borrows its clique search).  Deliberately slow; intended for n up
-to about 7.
+itertools, sharing no code with the package under test, except that
+``reference_plan`` borrows its clique search and
+``reference_full_palette`` its graph operations and isomorphism test.
+Deliberately slow; intended for n up to about 7.
 """
 
 from itertools import combinations, product
@@ -561,3 +562,35 @@ def reference_plan(g, mode):
                 before[i] = tuple(members)
                 members.append(v)
     return n, tuple(order), tuple(earlier), tuple(checks), clique, slack, tuple(before)
+
+
+def reference_full_palette(g):
+    """The full-palette characterization by isomorphism: each join
+    factor is matched against ``power_path(k)``.
+
+    Frozen copy of the isomorphism form of
+    ``rlid.bounds.characterize_full_palette``, whose connectivity and
+    twin-freeness checks are the caller's.
+    """
+    from rlid.families import power_path
+    from rlid.graph import is_isomorphic
+
+    if g.n == 1:
+        return True
+    full = (1 << g.n) - 1
+    universal = [v for v in range(g.n) if g.closed[v] == full]
+    if not universal:
+        return False
+    h, _ = g.induced([v for v in range(g.n) if v != universal[0]])
+    for comp in h.complement().components():
+        factor, _ = h.induced(comp)
+        size = factor.n
+        if size % 2 or size == 0:
+            return False
+        k = size // 2
+        if k == 1:
+            if factor.edge_count != 0:
+                return False
+        elif not is_isomorphic(factor, power_path(k)):
+            return False
+    return True

@@ -24,7 +24,13 @@ from rlid.families import find_split_partition, g_star, h_p, power_path, prop1_g
 from rlid.solvers import enumerate_graphs
 
 from _helpers import complete, cycle, path, threshold_graph, wheel
-from _oracles import all_labeled_graphs, brute_is_clique_union, brute_is_rlid, brute_twin_free
+from _oracles import (
+    all_labeled_graphs,
+    brute_is_clique_union,
+    brute_is_rlid,
+    brute_twin_free,
+    reference_full_palette,
+)
 
 
 class TestLogOmegaLowerBound:
@@ -299,8 +305,52 @@ class TestFullPaletteCharacterization:
             characterize_full_palette(build_graph(4, [(0, 1), (2, 3)]))
 
     def test_power_path_factor_deeper_than_the_recursion_limit(self):
-        # the 1,020-vertex factor is matched against power_path(510)
+        # the 1,020-vertex factor's complement is checked as a half graph
         assert characterize_full_palette(join(complete(1), power_path(510)))
+
+    def test_matches_the_isomorphism_reference_on_the_catalog(self):
+        # every connected twin-free labelled graph of order <= 6
+        count = extremal = 0
+        for n in range(1, 7):
+            for g in enumerate_graphs(n, lambda g: g.is_connected() and is_twin_free(g)):
+                want = reference_full_palette(g)
+                assert characterize_full_palette(g) == want, g.edges()
+                count += 1
+                extremal += want
+        assert (count, extremal) == (18753, 79)
+
+    def test_degrees_one_to_k_without_nesting_is_not_a_power_path(self):
+        # the factor's complement has sides a1..a4 = 1..4 and b1..b4 =
+        # 5..8 with a-degrees 1, 2, 3, 4, but N(a2) = {b2, b4} is not
+        # inside N(a3) = {b1, b3, b4}; the graph is still twin-free
+        half = {(4, 5), (4, 6), (4, 7), (4, 8), (1, 7), (2, 6), (2, 8), (3, 5), (3, 7), (3, 8)}
+        pairs = {(u, v) for u in range(1, 9) for v in range(u + 1, 9)}
+        g = build_graph(9, [(0, v) for v in range(1, 9)] + sorted(pairs - half))
+        assert g.is_connected() and is_twin_free(g)
+        assert not reference_full_palette(g)
+        assert not characterize_full_palette(g)
+
+    @pytest.mark.parametrize(
+        "ks",
+        [(2,), (5,), (9,), (1, 2), (1, 4), (2, 3), (3, 5), (1, 2, 3), (2, 2, 4)],
+        ids=lambda ks: "k" + "-".join(map(str, ks)),
+    )
+    def test_matches_the_isomorphism_reference_near_power_path_joins(self, ks):
+        # K1 joined with power paths (k = 1 is the pair of isolated
+        # vertices), then every graph one edge flip away
+        g = complete(1)
+        for k in ks:
+            g = join(g, power_path(k) if k > 1 else build_graph(2, []))
+        assert characterize_full_palette(g) and reference_full_palette(g)
+        edges = set(g.edges())
+        checked = 0
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                h = build_graph(g.n, edges ^ {(u, v)})
+                if h.is_connected() and is_twin_free(h):
+                    assert characterize_full_palette(h) == reference_full_palette(h), (u, v)
+                    checked += 1
+        assert checked
 
 
 # A connected twin-free split graph with clique {0..4} and chi_rlid = 4,

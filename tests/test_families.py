@@ -27,6 +27,7 @@ from rlid.families import (
     g_star,
     h_p,
     lift_coloring_gstar,
+    maximal_split_partition,
     power_path,
     project_coloring_gstar,
     prop1_graph,
@@ -36,6 +37,7 @@ from rlid.families import (
     split_separator,
     star,
 )
+from rlid.graph import edge_mask
 from rlid.solvers import enumerate_graphs
 
 from _helpers import complete, cycle, path, star_graph, threshold_graph, wheel
@@ -381,6 +383,58 @@ class TestSplitSeparator:
         part = SplitPartition(frozenset({0, 1}), frozenset({2}))
         with pytest.raises(GraphError):
             split_separator(g, part)
+
+
+class TestMaximalSplitPartition:
+    @pytest.mark.parametrize(
+        "clique,stable,message",
+        [
+            ({0, 1}, {1, 2, 3}, "clique and stable parts must partition the vertex set"),
+            ({0, 1}, {2}, "clique and stable parts must partition the vertex set"),
+            ({0, 1, 3}, {2}, "clique part is not complete at vertex 0"),
+            ({0}, {1, 2, 3}, "stable part has an internal edge at vertex 1"),
+        ],
+        ids=["overlap", "missing", "incomplete-clique", "stable-edge"],
+    )
+    def test_rejects_what_is_not_a_split_partition(self, clique, stable, message):
+        g = path(4)
+        part = SplitPartition(frozenset(clique), frozenset(stable))
+        with pytest.raises(GraphError) as err:
+            maximal_split_partition(g, part)
+        assert str(err.value) == message
+
+    def test_moves_the_first_stable_vertex_that_sees_the_clique_side(self):
+        # stable vertices 3 and 4 both see the clique side {1, 2}, 0
+        # sees only 1; 3 moves and 4 stays
+        g = build_graph(5, [(1, 2), (0, 1), (1, 3), (2, 3), (1, 4), (2, 4)])
+        part = SplitPartition(frozenset({1, 2}), frozenset({0, 3, 4}))
+        got = maximal_split_partition(g, part)
+        assert (got.clique, got.stable) == ({1, 2, 3}, {0, 4})
+
+    def test_returns_a_maximal_partition_itself(self):
+        g = q2(4).graph
+        part = find_split_partition(g)
+        assert maximal_split_partition(g, part) is part
+
+
+class TestRandomSplitDraws:
+    @pytest.mark.parametrize(
+        "args,twin_free,mask,clique",
+        [
+            ((0, 3, 4, 0.5), False, 0x3E4B, 3),
+            ((7, 4, 3, 0.3), False, 0x2E9E7, 4),
+            ((11, 2, 5, 0.9), False, 0x7FB, 3),
+            ((3, 4, 4, 0.5), True, 0x30FDAF, 4),
+            ((1, 1, 1, 0), False, 0x1, 2),
+            ((5, 3, 3, 1.0), False, 0xFFF, 4),
+        ],
+    )
+    def test_pinned_draws(self, args, twin_free, mask, clique):
+        # the graph and the repaired partition, clique side first
+        g, part = random_split_graph(*args, twin_free=twin_free)
+        assert edge_mask(g) == mask
+        assert part.clique == frozenset(range(clique))
+        assert part.stable == frozenset(range(clique, g.n))
 
 
 class TestSplitColoring:

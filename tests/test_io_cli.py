@@ -771,7 +771,7 @@ class TestCli:
         def refuse(*args, **kwargs):
             raise AssertionError("a graph was drawn")
 
-        monkeypatch.setattr(cli.solvers, "random_split_graph", refuse)
+        monkeypatch.setattr(cli.families, "random_split_graph", refuse)
         argv = ["sweep", "--family", "random-split", "--count", "1", option, value]
         assert main(argv) == 2
         assert capsys.readouterr().err == "usage error: %s\n" % message
