@@ -5,17 +5,31 @@ predicate: an assignment is rlid-valid when every adjacent pair of
 non-twin vertices gets distinct closed-neighborhood color sets.  lid
 additionally demands properness and exempts nothing; id demands
 distinct neighborhood color sets for all vertex pairs.
+
+The bipartite three-coloring lives here too, below both ``solvers``
+(whose ``chi_exact`` closes connected bipartite inputs with it) and
+``families`` (which re-exports it): it is one level walk plus the
+rlid verifier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, bits
 
 
 class ColoringError(ValueError):
     """Invalid coloring construction or verifier precondition."""
+
+
+class TheoremCounterexample(RuntimeError):
+    """A constructive algorithm failed.
+
+    This is never raised for ordinary invalid input; seeing it means a
+    guaranteed bound did not hold on a validated instance, which would
+    be genuinely newsworthy.  It exists so that failure is loud.
+    """
 
 
 class Coloring:
@@ -295,3 +309,113 @@ def is_id(g: Graph, c: Coloring) -> bool:
 
 def is_identifying_code(g: Graph, code) -> bool:
     return next(_code_violations(g, code), None) is None
+
+
+# -- bipartite constructive coloring ------------------------------------
+
+
+@dataclass(frozen=True)
+class LevelDecomposition:
+    """BFS levels plus the dead-end split used by the bipartite coloring.
+
+    ``a_sets[i]`` holds the level-i vertices with no neighbor one level
+    deeper; ``b_sets[i]`` the rest of the level.
+    """
+
+    root: int
+    levels: tuple
+    a_sets: tuple
+    b_sets: tuple
+
+
+# (dead-end color, other color) for BFS level i, indexed by i % 4
+_LEVEL_COLORS = ((1, 1), (1, 2), (3, 3), (3, 2))
+
+
+def _independent(adj, mask) -> bool:
+    """No edge joins two vertices of ``mask``."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if adj[low.bit_length() - 1] & mask:
+            return False
+        rest ^= low
+    return True
+
+
+def level_three_coloring(g: Graph):
+    """The BFS-level three-coloring of a connected bipartite graph of
+    order >= 3, as (coloring, decomposition), or None for any other
+    graph.
+
+    Levels are taken from vertex 0, or from vertex 1 when vertex 0 is
+    universal: the only universal vertex a connected bipartite graph
+    can have is a star's centre, the one root the table fails from.
+    That test reads vertex 0's open neighborhood mask, so the
+    closed-neighborhood masks are never built.  The graph is bipartite
+    exactly when no edge lies inside a level.  Level 1 is the root's
+    neighborhood, so it is checked before the walk, which rejects any
+    graph with a triangle through the root; then one ``Graph.levels``
+    walk gives the other levels and shows whether the graph is
+    connected.  A miss costs at most that walk and one look at each
+    vertex's neighbor mask.
+
+    Level colors follow the residue table 1 / 1-or-2 / 3 / 3-or-2,
+    where a level-i vertex counts as a dead end (first option) when it
+    has no neighbor one level deeper.  The result is verified, and a
+    TheoremCounterexample is raised rather than return an invalid
+    coloring quietly.
+    """
+    n = g.n
+    if n < 3:
+        return None
+    adj = g.adj
+    full = (1 << n) - 1
+    root = 1 if adj[0] | 1 == full else 0
+    if not _independent(adj, adj[root]):
+        return None
+    level_masks = g.levels(root)
+    if sum(level_masks) != full:
+        return None
+    for level in level_masks[2:]:
+        if not _independent(adj, level):
+            return None
+    levels, a_sets, b_sets = [], [], []
+    colors = [0] * n
+    for i, level in enumerate(level_masks):
+        lv = tuple(bits(level))
+        deeper = level_masks[i + 1] if i + 1 < len(level_masks) else 0
+        a = tuple(v for v in lv if not (adj[v] & deeper))
+        b = tuple(v for v in lv if adj[v] & deeper)
+        levels.append(lv)
+        a_sets.append(a)
+        b_sets.append(b)
+        dead_end_color, other_color = _LEVEL_COLORS[i % 4]
+        for v in a:
+            colors[v] = dead_end_color
+        for v in b:
+            colors[v] = other_color
+    decomp = LevelDecomposition(root, tuple(levels), tuple(a_sets), tuple(b_sets))
+    coloring = Coloring(colors, palette=3)
+    if is_rlid(g, coloring):
+        return coloring, decomp
+    raise TheoremCounterexample(
+        "connected bipartite graph with no 3-color rlid coloring: edges=%r" % (g.edges(),)
+    )
+
+
+def bipartite_three_coloring(g: Graph):
+    """Three-color a connected bipartite graph via BFS levels.
+
+    Returns (coloring, decomposition) as ``level_three_coloring`` does,
+    and raises GraphError, saying which condition fails, for a graph of
+    order below 3, a disconnected graph or an odd cycle.
+    """
+    found = level_three_coloring(g)
+    if found is not None:
+        return found
+    if g.n < 3:
+        raise GraphError("need order >= 3, got %d" % g.n)
+    if not g.is_connected():
+        raise GraphError("need a connected graph")
+    raise GraphError("graph is not bipartite")

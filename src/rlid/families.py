@@ -1,5 +1,7 @@
 """Named graph families, the subdivision gadget, and the constructive
-coloring algorithms (bipartite three-coloring, split separators).
+split-graph coloring.  The bipartite three-coloring and its
+``LevelDecomposition`` and ``TheoremCounterexample`` live in
+``coloring``, below ``solvers``, and are re-exported here.
 
 Split graphs live here whole: recognition, the partition checks, the
 one repair of a clique side, the separator, the omega + 2 coloring,
@@ -17,7 +19,16 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .coloring import Coloring, ColoringError, is_proper, is_rlid, verify_rlid
+from .coloring import (  # noqa: F401  (the bipartite coloring is re-exported)
+    Coloring,
+    ColoringError,
+    LevelDecomposition,
+    TheoremCounterexample,
+    bipartite_three_coloring,
+    is_proper,
+    is_rlid,
+    verify_rlid,
+)
 from .graph import (
     Graph,
     GraphError,
@@ -27,14 +38,6 @@ from .graph import (
     mask_of,
     quotient,
 )
-
-class TheoremCounterexample(RuntimeError):
-    """A constructive algorithm failed.
-
-    This is never raised for ordinary invalid input; seeing it means a
-    guaranteed bound did not hold on a validated instance, which would
-    be genuinely newsworthy.  It exists so that failure is loud.
-    """
 
 
 @dataclass(frozen=True)
@@ -53,20 +56,6 @@ class FamilyInstance:
     expected_chi_rlid: int | None
     provenance: str | None
     roles: dict
-
-
-@dataclass(frozen=True)
-class LevelDecomposition:
-    """BFS levels plus the dead-end split used by the bipartite coloring.
-
-    ``a_sets[i]`` holds the level-i vertices with no neighbor one level
-    deeper; ``b_sets[i]`` the rest of the level.
-    """
-
-    root: int
-    levels: tuple
-    a_sets: tuple
-    b_sets: tuple
 
 
 @dataclass(frozen=True)
@@ -379,60 +368,6 @@ def prop1_graph(p: int) -> FamilyInstance:
     )
 
 
-# -- bipartite constructive coloring ------------------------------------
-
-# (dead-end color, other color) for BFS level i, indexed by i % 4
-_LEVEL_COLORS = ((1, 1), (1, 2), (3, 3), (3, 2))
-
-
-def bipartite_three_coloring(g: Graph):
-    """Three-color a connected bipartite graph via BFS levels.
-
-    Returns (coloring, decomposition).  One ``Graph.levels`` walk gives
-    the levels and also checks that the graph is connected and that no
-    edge lies inside a level.  Levels are taken from vertex 0,
-    or from vertex 1 when vertex 0 is universal: the only universal
-    vertex a connected bipartite graph can have is a star's centre,
-    the one root the table fails from.  Level colors follow the
-    residue table 1 / 1-or-2 / 3 / 3-or-2, where a level-i vertex
-    counts as a dead end (first option) when it has no neighbor one
-    level deeper.  The result is verified, and a TheoremCounterexample
-    is raised rather than return an invalid coloring quietly.
-    """
-    if g.n < 3:
-        raise GraphError("need order >= 3, got %d" % g.n)
-    full = (1 << g.n) - 1
-    root = 1 if g.closed[0] == full else 0
-    level_masks = g.levels(root)
-    if sum(level_masks) != full:
-        raise GraphError("need a connected graph")
-    adj = g.adj
-    levels, a_sets, b_sets = [], [], []
-    colors = [0] * g.n
-    for i, level in enumerate(level_masks):
-        lv = tuple(bits(level))
-        if any(adj[v] & level for v in lv):
-            raise GraphError("graph is not bipartite")
-        deeper = level_masks[i + 1] if i + 1 < len(level_masks) else 0
-        a = tuple(v for v in lv if not (adj[v] & deeper))
-        b = tuple(v for v in lv if adj[v] & deeper)
-        levels.append(lv)
-        a_sets.append(a)
-        b_sets.append(b)
-        dead_end_color, other_color = _LEVEL_COLORS[i % 4]
-        for v in a:
-            colors[v] = dead_end_color
-        for v in b:
-            colors[v] = other_color
-    decomp = LevelDecomposition(root, tuple(levels), tuple(a_sets), tuple(b_sets))
-    coloring = Coloring(colors, palette=3)
-    if is_rlid(g, coloring):
-        return coloring, decomp
-    raise TheoremCounterexample(
-        "connected bipartite graph with no 3-color rlid coloring: edges=%r" % (g.edges(),)
-    )
-
-
 # -- split graphs: recognition, draws, separator, coloring --------------
 
 
@@ -474,19 +409,20 @@ def _check_split(g: Graph, part: SplitPartition):
     return kmask, smask
 
 
-def _check_separator_input(g: Graph, part: SplitPartition):
+def _check_separator_input(g: Graph, part: SplitPartition, user: str):
     """``_check_split``, on a connected twin-free graph whose clique
     side is maximal: the hypothesis of the separator and of the
-    log-omega split bound.  Returns the two sides as masks."""
+    log-omega split bound.  ``user`` names the construction in the
+    error messages.  Returns the two sides as masks."""
     kmask, smask = _check_split(g, part)
     if not g.is_connected():
-        raise GraphError("separator construction needs a connected graph")
+        raise GraphError("%s needs a connected graph" % user)
     if not is_twin_free(g):
-        raise GraphError("separator construction needs a twin-free graph")
+        raise GraphError("%s needs a twin-free graph" % user)
     for v in bits(smask):
         if g.adj[v] & kmask == kmask:
             raise GraphError(
-                "clique part is not maximal: stable vertex %d sees all of it" % v
+                "%s needs a maximal clique part: stable vertex %d sees all of it" % (user, v)
             )
     return kmask, smask
 
@@ -561,7 +497,7 @@ def split_separator(g: Graph, part: SplitPartition) -> frozenset:
     every clique pair all the way down.  The halves wait on an
     explicit stack, so a deep clique side needs no recursion.
     """
-    kmask, smask = _check_separator_input(g, part)
+    kmask, smask = _check_separator_input(g, part, "separator construction")
     adj = g.adj
     sep = set()
     todo = [(kmask, sorted(part.stable))]
@@ -604,7 +540,7 @@ def split_lower_bound(g: Graph, part) -> int:
     """
     if part is None:
         raise GraphError("split lower bound needs a clique/stable partition")
-    _check_separator_input(g, part)
+    _check_separator_input(g, part, "split lower bound")
     omega = len(part.clique)
     if omega < 1:
         raise GraphError("split lower bound needs a nonempty clique part")

@@ -293,6 +293,7 @@ def _jsonable(result):
                 "nodes": result.stats.nodes,
                 "per_k": [list(row) for row in result.stats.per_k],
                 "clique": result.stats.clique,
+                "closed_by": result.stats.closed_by,
             },
         }
     if isinstance(result, BoundsReport):
@@ -338,7 +339,10 @@ def _plain_lines(result) -> list:
             lines = ["%s = %d" % (result.parameter, result.value)]
         else:
             lines = ["%s unresolved: node budget exhausted" % result.parameter]
-        lines.append("# nodes=%d" % result.stats.nodes)
+        line = "# nodes=%d" % result.stats.nodes
+        if result.stats.closed_by is not None:
+            line += " closed_by=%s" % result.stats.closed_by
+        lines.append(line)
         if isinstance(result.witness, Coloring):
             lines += _coloring_lines(result.witness)
         elif isinstance(result.witness, frozenset):

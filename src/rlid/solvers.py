@@ -46,6 +46,14 @@ for every valid coloring:
 
 Both cuts only compare or count colors, so renaming colors keeps them;
 the at-most-one-new-color rule and the values stay exact.
+
+One input class needs no search.  ``chi_exact`` for rlid, unless asked
+to search k = 2, returns 3 at once on a connected bipartite graph of
+order >= 3: the lower bound is the no-two law (the graph is not
+complete), and the witness is the BFS-level coloring of
+``coloring.level_three_coloring``, checked by ``is_rlid``.  Such a
+result spends no nodes and says ``closed_by == "bipartite-3"`` in its
+stats; every other exact result says ``"search"``.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .coloring import Coloring, is_identifying_code
+from .coloring import Coloring, is_identifying_code, level_three_coloring
 from .graph import (
     BudgetExceeded,
     Graph,
@@ -124,12 +132,17 @@ class SolveStats:
     """What a solve cost: ``nodes`` in all, ``per_k`` as one ``(k, nodes)``
     row per k searched (chi_exact only), ``clique`` the size of the
     clique the color-count cut used (0 when none), and ``wall_ms``.
-    Only ``wall_ms`` depends on the machine."""
+    ``closed_by`` says what settled an exact value: ``"search"`` (the
+    search found the witness and refuted every smaller k) or
+    ``"bipartite-3"`` (chi_exact's closure of connected bipartite rlid
+    inputs, see there); it is None on a budget stop.  Only ``wall_ms``
+    depends on the machine."""
 
     nodes: int
     wall_ms: float
     per_k: tuple = ()
     clique: int = 0
+    closed_by: str | None = None
 
 
 @dataclass(frozen=True)
@@ -510,6 +523,18 @@ def chi_exact(g: Graph, parameter: str = "rlid", budget=None, *, search_two: boo
     is 3), so k = 2 is skipped after k = 1 fails; pass
     ``search_two=True`` to search it anyway, e.g. when auditing that
     very law.
+
+    rlid on a connected bipartite graph of order >= 3 is closed before
+    any search plan is built: such a graph is not complete, so the
+    value is at least 3 by the law above, and
+    ``coloring.level_three_coloring`` gives a verified 3-coloring.  The
+    result is exact 3 with that witness, ``stats.closed_by ==
+    "bipartite-3"``, no nodes spent and no ``per_k`` rows.  On any
+    other graph the attempt stops after at most one ``Graph.levels``
+    walk and O(n) work, and the deepening runs as before, with
+    ``closed_by == "search"`` on an exact result.  ``search_two=True``
+    skips the closure, so it still searches every k from 1.  A
+    disconnected input is searched too, bipartite or not.
     """
     spec = PARAMETERS.get(parameter)
     if spec is None:
@@ -521,17 +546,24 @@ def chi_exact(g: Graph, parameter: str = "rlid", budget=None, *, search_two: boo
         budget = Budget()
     start = time.perf_counter()
     if g.n == 0:
-        stats = SolveStats(0, 0.0)
+        stats = SolveStats(0, 0.0, closed_by="search")
         return SolveResult(parameter, 0, Coloring(()), "exact", stats)
+    skip_two = parameter == "rlid" and not search_two
+    if skip_two:
+        found = level_three_coloring(g)
+        if found is not None:
+            wall_ms = (time.perf_counter() - start) * 1000
+            stats = SolveStats(budget.nodes, wall_ms, closed_by="bipartite-3")
+            return SolveResult(parameter, 3, found[0], "exact", stats)
     plan = _SearchPlan(g, spec)
     ks = list(range(1, g.n + 1))
-    if parameter == "rlid" and not search_two and g.n >= 2:
+    if skip_two and g.n >= 2:
         ks.remove(2)
     per_k = []
 
-    def stats():
+    def stats(closed_by=None):
         wall_ms = (time.perf_counter() - start) * 1000
-        return SolveStats(budget.nodes, wall_ms, tuple(per_k), len(plan.clique))
+        return SolveStats(budget.nodes, wall_ms, tuple(per_k), len(plan.clique), closed_by)
 
     for k in ks:
         before = budget.nodes
@@ -542,7 +574,7 @@ def chi_exact(g: Graph, parameter: str = "rlid", budget=None, *, search_two: boo
             return SolveResult(parameter, None, None, "budget-exceeded", stats())
         per_k.append((k, budget.nodes - before))
         if found is not None:
-            return SolveResult(parameter, k, Coloring(found), "exact", stats())
+            return SolveResult(parameter, k, Coloring(found), "exact", stats("search"))
     raise AssertionError("deepening ran out at k = n; rainbow fallback should exist")
 
 
@@ -702,7 +734,8 @@ def gamma_id_exact(g: Graph, budget=None) -> SolveResult:
     start = time.perf_counter()
     n = g.n
     if n == 0:
-        return SolveResult("gamma-id", 0, frozenset(), "exact", SolveStats(0, 0.0))
+        stats = SolveStats(0, 0.0, closed_by="search")
+        return SolveResult("gamma-id", 0, frozenset(), "exact", stats)
     try:
         sets, containing, live = _code_constraints(g, budget.spend)
         kept = [sets[i] for i in bits(live)]
@@ -714,7 +747,7 @@ def gamma_id_exact(g: Graph, budget=None) -> SolveResult:
     witness = frozenset(bits(code_mask))
     if not is_identifying_code(g, witness):
         raise AssertionError("hitting set %r is not an identifying code" % (code_mask,))
-    stats = SolveStats(budget.nodes, (time.perf_counter() - start) * 1000)
+    stats = SolveStats(budget.nodes, (time.perf_counter() - start) * 1000, closed_by="search")
     return SolveResult("gamma-id", len(witness), witness, "exact", stats)
 
 

@@ -393,3 +393,18 @@ class TestSplitLowerBound:
     def test_rejects_non_split_input(self):
         with pytest.raises(GraphError):
             split_lower_bound(cycle(4), None)
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (0, 2), (1, 2)], "split lower bound needs a connected graph"),
+            ([(0, 1), (0, 2), (1, 2), (0, 3)], "split lower bound needs a twin-free graph"),
+        ],
+        ids=["K3+K1", "K3-with-pendant"],
+    )
+    def test_hypothesis_errors_name_the_split_lower_bound(self, edges, message):
+        g = build_graph(4, edges)
+        part = find_split_partition(g)
+        assert part is not None and part.clique == frozenset({0, 1, 2})
+        with pytest.raises(GraphError, match="^%s$" % message):
+            split_lower_bound(g, part)

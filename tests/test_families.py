@@ -3,6 +3,8 @@ constructive coloring algorithms."""
 
 import pytest
 
+import rlid
+from rlid import coloring, families
 from rlid import (
     Coloring,
     ColoringError,
@@ -250,6 +252,10 @@ class TestProp1:
 
 
 class TestBipartiteColoring:
+    def test_families_and_the_package_re_export_the_coloring_module(self):
+        for name in ("bipartite_three_coloring", "LevelDecomposition", "TheoremCounterexample"):
+            assert getattr(families, name) is getattr(coloring, name) is getattr(rlid, name)
+
     def test_c6_level_table(self):
         g = cycle(6)
         c, levels = bipartite_three_coloring(g)

@@ -45,6 +45,7 @@ from _helpers import cycle, path, star_graph, threshold_graph
 from _oracles import all_labeled_graphs
 
 P4_EDGELIST = "4\n0 1\n1 2\n2 3\n"
+C5_EDGELIST = "5\n0 1\n1 2\n2 3\n3 4\n4 0\n"
 
 
 def _write(tmp_path, name, text):
@@ -123,13 +124,27 @@ class TestParsing:
 
 class TestWriteResult:
     def test_solve_result_json(self):
-        res = chi_exact(path(4), "rlid")
+        res = chi_exact(cycle(5), "rlid")
         obj = json.loads(write_result(res, "json"))
         assert obj["parameter"] == "rlid"
-        assert obj["value"] == 3
+        assert obj["value"] == 4
         assert obj["status"] == "exact"
-        assert len(obj["witness"]) == 4
+        assert len(obj["witness"]) == 5
         assert obj["stats"]["nodes"] >= 1
+        assert obj["stats"]["closed_by"] == "search"
+        # P4 is connected bipartite: closed by the level coloring, no search
+        obj = json.loads(write_result(chi_exact(path(4), "rlid"), "json"))
+        assert (obj["value"], obj["status"], len(obj["witness"])) == (3, "exact", 4)
+        assert obj["stats"] == {"clique": 0, "closed_by": "bipartite-3", "nodes": 0, "per_k": []}
+
+    def test_closed_by_in_every_format(self):
+        res = chi_exact(path(4), "rlid")
+        assert b"# nodes=0 closed_by=bipartite-3\n" in write_result(res, "plain")
+        head, row = write_result(res, "tsv").decode().split("\n")[:2]
+        assert dict(zip(head.split("\t"), row.split("\t")))["stats.closed_by"] == '"bipartite-3"'
+        stop = chi_exact(cycle(5), "rlid", Budget(1))
+        assert json.loads(write_result(stop, "json"))["stats"]["closed_by"] is None
+        assert b"closed_by" not in write_result(stop, "plain")
 
     def test_solve_result_json_has_per_k_rows_and_clique(self):
         res = chi_exact(h_p(4).graph, "rlid")
@@ -398,10 +413,16 @@ class TestPlainWriter:
         assert capsys.readouterr().out.encode() == write_result(res, "plain")
 
     def test_unresolved_solve(self, tmp_path, capsys):
-        p = _write(tmp_path, "p4.txt", P4_EDGELIST)
+        p = _write(tmp_path, "c5.txt", C5_EDGELIST)
         assert main(["solve", "-i", p, "--node-budget", "1"]) == 3
         out = capsys.readouterr().out
         assert out.startswith("rlid unresolved: node budget exhausted\n")
+        assert out.encode() == write_result(chi_exact(cycle(5), "rlid", Budget(1)), "plain")
+        # P4 is closed without a search, so one node is enough
+        p = _write(tmp_path, "p4.txt", P4_EDGELIST)
+        assert main(["solve", "-i", p, "--node-budget", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("rlid = 3\n# nodes=0 closed_by=bipartite-3\n")
         assert out.encode() == write_result(chi_exact(path(4), "rlid", Budget(1)), "plain")
 
     @pytest.mark.parametrize(
@@ -565,9 +586,12 @@ class TestCli:
         assert "--node-budget must be positive, got %s" % budget in captured.err
 
     def test_node_budget_of_one_still_runs(self, tmp_path, capsys):
-        p = _write(tmp_path, "p4.txt", P4_EDGELIST)
+        p = _write(tmp_path, "c5.txt", C5_EDGELIST)
         assert main(["solve", "-i", p, "--node-budget", "1"]) == 3
         assert "node budget exhausted" in capsys.readouterr().out
+        p = _write(tmp_path, "p4.txt", P4_EDGELIST)
+        assert main(["solve", "-i", p, "--node-budget", "1"]) == 0
+        assert "rlid = 3" in capsys.readouterr().out
 
     def test_solve_json_output(self, tmp_path, capsys):
         p = _write(tmp_path, "p4.txt", P4_EDGELIST)

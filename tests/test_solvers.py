@@ -9,6 +9,7 @@ from rlid import (
     Budget,
     BudgetExceeded,
     GraphError,
+    bipartite_three_coloring,
     build_graph,
     chi_exact,
     decide_k_proper,
@@ -21,6 +22,7 @@ from rlid import (
     max_clique_size,
     quotient,
     random_split_graph,
+    verify_rlid,
 )
 from rlid.families import g_star, h_p, power_path, prop1_graph, q1, q2
 from rlid.graph import Graph, bits, edge_mask, graph_from_edge_mask, is_isomorphic
@@ -314,8 +316,8 @@ class TestChiExact:
         assert is_rlid(g, res.witness)
 
     @pytest.mark.parametrize(
-        "g", [path(7), cycle(7), h_p(4).graph, g_star(wheel(5)).graph, power_path(6)],
-        ids=["P7", "C7", "h_p4", "g_star_W5", "power_path6"],
+        "g", [cycle(5), cycle(7), h_p(4).graph, g_star(wheel(5)).graph, power_path(6)],
+        ids=["C5", "C7", "h_p4", "g_star_W5", "power_path6"],
     )
     def test_stats_nodes_are_the_budget_nodes_and_the_per_k_sum(self, g):
         budget = Budget()
@@ -337,6 +339,62 @@ class TestChiExact:
         assert [k for k, _ in res.stats.per_k] == [1, 3, 4, 5]
         assert sum(nodes for _, nodes in res.stats.per_k) == res.stats.nodes
         assert res.stats.clique == 16 == max_clique_size(quotient(g)[0])
+
+
+class TestBipartiteClosure:
+    """chi_exact closes connected bipartite rlid inputs with the level
+    coloring and builds no search plan."""
+
+    def test_every_connected_bipartite_graph_up_to_order_six(self):
+        checked = 0
+        for n in range(3, 7):
+            for edges in all_labeled_graphs(n):
+                if not (brute_connected(n, edges) and brute_bipartite(n, edges)):
+                    continue
+                g = build_graph(n, edges)
+                res = chi_exact(g, "rlid")
+                assert (res.value, res.status) == (3, "exact"), edges
+                assert verify_rlid(g, res.witness).valid
+                assert res.witness.used_colors() == {1, 2, 3}
+                stats = res.stats
+                assert (stats.nodes, stats.per_k, stats.closed_by) == (0, (), "bipartite-3")
+                assert res.witness == bipartite_three_coloring(g)[0]
+                searched = chi_exact(g, "rlid", search_two=True)
+                assert (searched.value, searched.stats.closed_by) == (3, "search"), edges
+                assert [k for k, _ in searched.stats.per_k] == [1, 2, 3]
+                checked += 1
+        assert checked == 3248
+
+    def test_disconnected_bipartite_input_still_searches(self):
+        two_p3 = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        res = chi_exact(two_p3, "rlid")
+        assert (res.value, res.status, res.stats.closed_by) == (3, "exact", "search")
+        assert [k for k, _ in res.stats.per_k] == [1, 3]
+        assert res.stats.nodes > 0
+
+    @pytest.mark.parametrize("g", [cycle(5), complete(3), star_graph(1)], ids=["C5", "K3", "K2"])
+    def test_other_inputs_search(self, g):
+        res = chi_exact(g, "rlid")
+        assert res.stats.closed_by == "search" and res.stats.per_k
+
+    @pytest.mark.parametrize("n", [1200, 10_000])
+    def test_shuffled_long_path_closes_under_a_one_node_budget(self, n):
+        label = list(range(n))
+        random.Random(n).shuffle(label)
+        g = build_graph(n, [(label[v], label[v + 1]) for v in range(n - 1)])
+        res = chi_exact(g, "rlid", Budget(1))
+        assert (res.value, res.status, res.stats.nodes) == (3, "exact", 0)
+        assert res.stats.closed_by == "bipartite-3"
+        assert is_rlid(g, res.witness)
+        # the star-centre test reads vertex 0's open neighborhood mask,
+        # so the closed-neighborhood masks are never built
+        with pytest.raises(AttributeError):
+            Graph.closed.__get__(g)
+
+    def test_the_search_still_walks_a_long_path(self):
+        res = chi_exact(path(1200), "rlid", search_two=True)
+        assert (res.value, res.status, res.stats.closed_by) == (3, "exact", "search")
+        assert is_rlid(path(1200), res.witness)
 
 
 class TestGammaId:
