@@ -22,8 +22,8 @@ from .graph import (
     quotient,
     twin_representatives,
 )
-from .coloring import Coloring, is_rlid
-from .solvers import PARAMETERS, Budget, _search, _SearchPlan, gamma_id_exact
+from .coloring import is_rlid
+from .solvers import Budget, deepen, gamma_id_exact
 
 
 @dataclass(frozen=True)
@@ -118,32 +118,26 @@ def _plan_cost(g: Graph) -> int:
 def _search_bounds(g: Graph, lower: int, upper: int, budget: Budget):
     """The rlid search step: ``(lowers, uppers, notes)``.
 
-    On one rlid search plan, searches k = lower, lower + 1, ... while
-    k < upper.  Each k without an rlid k-coloring lifts the lower bound
-    to k + 1, listed once as ``search-infeasible`` with the last value;
-    the first witness, checked by ``is_rlid``, is the upper bound
-    ``search-witness``.  The plan build is charged to ``budget`` first
-    (``_plan_cost``), and a graph whose build alone exceeds it is
-    skipped without building the plan.  A budget stop keeps what was
-    proven and adds a note.
+    One ``deepen`` over k = lower .. upper - 1.  Each k without an rlid
+    k-coloring lifts the lower bound to k + 1, listed once as
+    ``search-infeasible`` with the last value; the first witness,
+    checked by ``is_rlid``, is the upper bound ``search-witness``.  The
+    plan build is charged to ``budget`` first (``_plan_cost``), and a
+    graph whose build alone exceeds it is skipped without building the
+    plan.  A budget stop keeps what was proven and adds a note.
     """
     cost = _plan_cost(g)
     if cost > budget.max_nodes:
         return [], [], ["search skipped: budget exceeded"]
     budget.nodes += cost
-    plan = _SearchPlan(g, PARAMETERS["rlid"])
+    res = deepen(g, "rlid", range(lower, upper), budget)
     lowers, uppers, notes = [], [], []
-    k = lower
-    try:
-        while k < upper:
-            found = _search(plan, k, budget)
-            if found is not None:
-                if not is_rlid(g, Coloring(found)):
-                    raise AssertionError("search witness %r is not an rlid coloring" % (found,))
-                uppers.append((k, "search-witness"))
-                break
-            k += 1
-    except BudgetExceeded:
+    k = upper if res.status == "infeasible" else res.stats.per_k[-1][0]
+    if res.status == "exact":
+        if not is_rlid(g, res.witness):
+            raise AssertionError("search witness %r is not an rlid coloring" % (res.witness,))
+        uppers.append((k, "search-witness"))
+    elif res.status == "budget-exceeded":
         notes.append("search at %d skipped: budget exceeded" % k)
     if k > lower:
         lowers.append((k, "search-infeasible"))

@@ -385,11 +385,12 @@ def level_three_coloring(g: Graph):
     for i, level in enumerate(level_masks):
         lv = tuple(bits(level))
         deeper = level_masks[i + 1] if i + 1 < len(level_masks) else 0
-        a = tuple(v for v in lv if not (adj[v] & deeper))
-        b = tuple(v for v in lv if adj[v] & deeper)
+        a, b = [], []
+        for v in lv:
+            (b if adj[v] & deeper else a).append(v)
         levels.append(lv)
-        a_sets.append(a)
-        b_sets.append(b)
+        a_sets.append(tuple(a))
+        b_sets.append(tuple(b))
         dead_end_color, other_color = _LEVEL_COLORS[i % 4]
         for v in a:
             colors[v] = dead_end_color

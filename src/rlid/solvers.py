@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from dataclasses import dataclass
 
 from .coloring import Coloring, is_identifying_code, level_three_coloring
@@ -130,16 +129,14 @@ class Budget:
 @dataclass(frozen=True)
 class SolveStats:
     """What a solve cost: ``nodes`` in all, ``per_k`` as one ``(k, nodes)``
-    row per k searched (chi_exact only), ``clique`` the size of the
-    clique the color-count cut used (0 when none), and ``wall_ms``.
-    ``closed_by`` says what settled an exact value: ``"search"`` (the
-    search found the witness and refuted every smaller k) or
-    ``"bipartite-3"`` (chi_exact's closure of connected bipartite rlid
-    inputs, see there); it is None on a budget stop.  Only ``wall_ms``
-    depends on the machine."""
+    row per k searched (``deepen`` only), and ``clique`` the size of the
+    clique the color-count cut used (0 when none).  ``closed_by`` says
+    what settled an exact value: ``"search"`` (the search found the
+    witness and refuted every smaller k) or ``"bipartite-3"``
+    (chi_exact's closure of connected bipartite rlid inputs, see
+    there); it is None otherwise.  No field depends on the machine."""
 
     nodes: int
-    wall_ms: float
     per_k: tuple = ()
     clique: int = 0
     closed_by: str | None = None
@@ -149,8 +146,9 @@ class SolveStats:
 class SolveResult:
     """Outcome of an exact computation.
 
-    ``status`` is "exact" or "budget-exceeded"; in the latter case
-    value and witness are None rather than a guess.
+    ``status`` is "exact", "budget-exceeded" or, from ``deepen`` only,
+    "infeasible"; in the latter two value and witness are None rather
+    than a guess.
     """
 
     parameter: str
@@ -515,14 +513,42 @@ def decide_k_proper(g: Graph, k: int, budget=None) -> Coloring | None:
     return _decide(g, k, "chromatic", budget)
 
 
+def deepen(g: Graph, parameter: str, ks, budget: Budget) -> SolveResult:
+    """Search the palette sizes ``ks`` in turn on one search plan.
+
+    The first k with a coloring gives exact k with that witness.  A
+    budget stop gives "budget-exceeded", and a refutation of every k
+    "infeasible"; both have value None.  ``stats.per_k`` has one
+    ``(k, nodes)`` row per k searched, the last one the k a budget stop
+    came in.
+    """
+    spec = PARAMETERS[parameter]
+    plan = _SearchPlan(g, spec)
+    per_k = []
+    status, value, witness, closed_by = "infeasible", None, None, None
+    for k in ks:
+        before = budget.nodes
+        try:
+            found = _search(plan, k, budget)
+        except BudgetExceeded:
+            found, status = None, "budget-exceeded"
+        per_k.append((k, budget.nodes - before))
+        if found is not None:
+            status, value, witness, closed_by = "exact", k, Coloring(found), "search"
+        if status != "infeasible":
+            break
+    stats = SolveStats(budget.nodes, tuple(per_k), len(plan.clique), closed_by)
+    return SolveResult(spec.name, value, witness, status, stats)
+
+
 def chi_exact(g: Graph, parameter: str = "rlid", budget=None, *, search_two: bool = False) -> SolveResult:
     """Minimum palette size for the requested parameter.
 
-    Iterative deepening over k.  For rlid the value 2 is impossible
-    (one color forces clique components, and the next feasible value
-    is 3), so k = 2 is skipped after k = 1 fails; pass
-    ``search_two=True`` to search it anyway, e.g. when auditing that
-    very law.
+    Iterative deepening over k (``deepen`` over k = 1..n).  For rlid
+    the value 2 is impossible (one color forces clique components, and
+    the next feasible value is 3), so k = 2 is skipped after k = 1
+    fails; pass ``search_two=True`` to search it anyway, e.g. when
+    auditing that very law.
 
     rlid on a connected bipartite graph of order >= 3 is closed before
     any search plan is built: such a graph is not complete, so the
@@ -544,38 +570,19 @@ def chi_exact(g: Graph, parameter: str = "rlid", budget=None, *, search_two: boo
     parameter = spec.name
     if budget is None:
         budget = Budget()
-    start = time.perf_counter()
     if g.n == 0:
-        stats = SolveStats(0, 0.0, closed_by="search")
-        return SolveResult(parameter, 0, Coloring(()), "exact", stats)
+        return SolveResult(parameter, 0, Coloring(()), "exact", SolveStats(0, closed_by="search"))
     skip_two = parameter == "rlid" and not search_two
     if skip_two:
         found = level_three_coloring(g)
         if found is not None:
-            wall_ms = (time.perf_counter() - start) * 1000
-            stats = SolveStats(budget.nodes, wall_ms, closed_by="bipartite-3")
+            stats = SolveStats(budget.nodes, closed_by="bipartite-3")
             return SolveResult(parameter, 3, found[0], "exact", stats)
-    plan = _SearchPlan(g, spec)
-    ks = list(range(1, g.n + 1))
-    if skip_two and g.n >= 2:
-        ks.remove(2)
-    per_k = []
-
-    def stats(closed_by=None):
-        wall_ms = (time.perf_counter() - start) * 1000
-        return SolveStats(budget.nodes, wall_ms, tuple(per_k), len(plan.clique), closed_by)
-
-    for k in ks:
-        before = budget.nodes
-        try:
-            found = _search(plan, k, budget)
-        except BudgetExceeded:
-            per_k.append((k, budget.nodes - before))
-            return SolveResult(parameter, None, None, "budget-exceeded", stats())
-        per_k.append((k, budget.nodes - before))
-        if found is not None:
-            return SolveResult(parameter, k, Coloring(found), "exact", stats("search"))
-    raise AssertionError("deepening ran out at k = n; rainbow fallback should exist")
+    ks = [k for k in range(1, g.n + 1) if not (skip_two and k == 2)]
+    result = deepen(g, parameter, ks, budget)
+    if result.status == "infeasible":
+        raise AssertionError("deepening ran out at k = n; rainbow fallback should exist")
+    return result
 
 
 # -- minimum identifying code -------------------------------------------
@@ -731,23 +738,20 @@ def gamma_id_exact(g: Graph, budget=None) -> SolveResult:
     _require_twin_free(g)
     if budget is None:
         budget = Budget()
-    start = time.perf_counter()
     n = g.n
     if n == 0:
-        stats = SolveStats(0, 0.0, closed_by="search")
-        return SolveResult("gamma-id", 0, frozenset(), "exact", stats)
+        return SolveResult("gamma-id", 0, frozenset(), "exact", SolveStats(0, closed_by="search"))
     try:
         sets, containing, live = _code_constraints(g, budget.spend)
         kept = [sets[i] for i in bits(live)]
         greedy = _greedy_code(containing, live)
         code_mask = _min_hitting_set(kept, n, n.bit_length(), greedy, budget.spend)
     except BudgetExceeded:
-        stats = SolveStats(budget.nodes, (time.perf_counter() - start) * 1000)
-        return SolveResult("gamma-id", None, None, "budget-exceeded", stats)
+        return SolveResult("gamma-id", None, None, "budget-exceeded", SolveStats(budget.nodes))
     witness = frozenset(bits(code_mask))
     if not is_identifying_code(g, witness):
         raise AssertionError("hitting set %r is not an identifying code" % (code_mask,))
-    stats = SolveStats(budget.nodes, (time.perf_counter() - start) * 1000, closed_by="search")
+    stats = SolveStats(budget.nodes, closed_by="search")
     return SolveResult("gamma-id", len(witness), witness, "exact", stats)
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from rlid import bounds as bounds_mod
+from rlid import solvers as solvers_mod
 from rlid import (
     Budget,
     Coloring,
@@ -244,7 +245,7 @@ class TestBoundsReport:
         def refuse(*args):
             raise AssertionError("search plan built")
 
-        monkeypatch.setattr(bounds_mod, "_SearchPlan", refuse)
+        monkeypatch.setattr(solvers_mod, "_SearchPlan", refuse)
         assert bounds_mod._plan_cost(g) > bounds_mod.GAMMA_ID_NODE_BUDGET
         r = bounds_report(g)
         assert "search skipped: budget exceeded" in r.notes

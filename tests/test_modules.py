@@ -9,11 +9,6 @@ import rlid
 
 PACKAGE = Path(rlid.__file__).parent
 
-# (importing module, source module, private name) pairs that may cross:
-# the bounds search step runs the decider on its own plan
-ALLOWED = {("bounds", "solvers", "_search"), ("bounds", "solvers", "_SearchPlan")}
-
-
 def _private(name):
     return name.startswith("_") and not name.startswith("__")
 
@@ -58,9 +53,7 @@ def test_no_module_reads_another_modules_private_names():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         found += _cross_module_private_names(path)
-    assert [x for x in found if x not in ALLOWED] == []
-    # the exemption is still in use, so it cannot go stale unnoticed
-    assert set(found) == ALLOWED
+    assert found == []
 
 
 def test_solvers_does_not_import_families():

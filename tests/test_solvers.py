@@ -33,6 +33,7 @@ from rlid.solvers import (
     _min_hitting_set,
     _search,
     _SearchPlan,
+    deepen,
 )
 
 from _helpers import complete, cycle, path, star_graph, wheel
@@ -339,6 +340,31 @@ class TestChiExact:
         assert [k for k, _ in res.stats.per_k] == [1, 3, 4, 5]
         assert sum(nodes for _, nodes in res.stats.per_k) == res.stats.nodes
         assert res.stats.clique == 16 == max_clique_size(quotient(g)[0])
+
+
+class TestDeepen:
+    """One search plan deepened over the given palette sizes: exact at
+    the first k with a coloring, else infeasible or a budget stop."""
+
+    def test_every_k_refuted_is_infeasible(self):
+        budget = Budget()
+        res = deepen(cycle(5), "rlid", range(3, 4), budget)
+        assert (res.status, res.value, res.witness) == ("infeasible", None, None)
+        assert res.stats.per_k == ((3, budget.nodes),) and res.stats.closed_by is None
+
+    def test_first_k_with_a_coloring_is_exact(self):
+        res = deepen(cycle(5), "rlid", range(3, 6), Budget())
+        assert (res.status, res.value, res.stats.closed_by) == ("exact", 4, "search")
+        assert [k for k, _ in res.stats.per_k] == [3, 4]
+        assert is_rlid(cycle(5), res.witness)
+
+    @pytest.mark.parametrize("cap, last", [(2, 3), (25, 4)])
+    def test_budget_stop_is_the_last_row(self, cap, last):
+        budget = Budget(cap)
+        res = deepen(cycle(5), "rlid", range(3, 6), budget)
+        assert (res.status, res.value, res.witness) == ("budget-exceeded", None, None)
+        assert res.stats.per_k[-1][0] == last
+        assert res.stats.nodes == budget.nodes == cap + 1 == sum(n for _, n in res.stats.per_k)
 
 
 class TestBipartiteClosure:
