@@ -23,7 +23,7 @@ from .graph import (
     twin_representatives,
 )
 from .coloring import is_rlid
-from .solvers import Budget, deepen, gamma_id_exact
+from .solvers import Budget, deepen, gamma_id_exact, plan_cost
 
 
 @dataclass(frozen=True)
@@ -103,18 +103,6 @@ def _charge(budget, step):
         budget.nodes += step.nodes
 
 
-def _plan_cost(g: Graph) -> int:
-    """Nodes charged for building the rlid search plan of ``g``.
-
-    Its pair loop stores each vertex of N[u] | N[v] for every
-    constrained pair, an edge, so at most deg u + deg v + 2 per edge:
-    sum(deg^2) + 2m in all.  Its order loop scans the uncolored
-    vertices once per step: n(n + 1) / 2.
-    """
-    square = sum(a.bit_count() ** 2 for a in g.adj)
-    return square + 2 * g.edge_count + g.n * (g.n + 1) // 2
-
-
 def _search_bounds(g: Graph, lower: int, upper: int, budget: Budget):
     """The rlid search step: ``(lowers, uppers, notes)``.
 
@@ -122,11 +110,12 @@ def _search_bounds(g: Graph, lower: int, upper: int, budget: Budget):
     k-coloring lifts the lower bound to k + 1, listed once as
     ``search-infeasible`` with the last value; the first witness,
     checked by ``is_rlid``, is the upper bound ``search-witness``.  The
-    plan build is charged to ``budget`` first (``_plan_cost``), and a
-    graph whose build alone exceeds it is skipped without building the
-    plan.  A budget stop keeps what was proven and adds a note.
+    plan build is charged to ``budget`` first (``solvers.plan_cost``),
+    and a graph whose build alone exceeds it is skipped without
+    building the plan.  A budget stop keeps what was proven and adds a
+    note.
     """
-    cost = _plan_cost(g)
+    cost = plan_cost(g)
     if cost > budget.max_nodes:
         return [], [], ["search skipped: budget exceeded"]
     budget.nodes += cost

@@ -75,7 +75,7 @@ _SWEEP_COLUMNS = {
     "n": lambda g, budget: g.n,
     "m": lambda g, budget: g.edge_count,
     "t": lambda g, budget: twin_partition(g).t,
-    "omega": lambda g, budget: max_clique_size(g),
+    "omega": lambda g, budget: max_clique_size(g, budget),
     **{name: functools.partial(_chi, name) for name in solvers.PARAMETERS},
     "gammaid": lambda g, budget: solvers.gamma_id_exact(g, budget).value,
     "quotient_rlid": lambda g, budget: _chi("rlid", quotient(g)[0], budget),
@@ -384,7 +384,7 @@ def _cmd_reduce(args) -> int:
         if args.k is None:
             raise UsageError("reduce --action lift needs --k")
         base = io.parse_coloring_file(args.certificate_path, g.n)
-        lifted = families.lift_coloring_gstar(g, base, args.k, inst)
+        lifted = families.lift_coloring_gstar(g, base, args.k)
         _emit_coloring(lifted, args, inst.graph, roles=inst.roles)
         return 0
     if args.action == "project":

@@ -338,7 +338,8 @@ def prop1_graph(p: int) -> FamilyInstance:
 
     colors = [0] * n
     pairs = list(itertools.combinations(range(1, p), 2))
-    assert len(pairs) == t
+    if len(pairs) != t:
+        raise AssertionError("%d color pairs for %d twinned originals" % (len(pairs), t))
     for i in range(t):
         colors[i] = pairs[i][0]
         colors[core.n + i] = pairs[i][1]
@@ -523,7 +524,10 @@ def split_separator(g: Graph, part: SplitPartition) -> frozenset:
         todo.append((k2, rest))
         todo.append((k1, rest))
     sep = frozenset(sep)
-    assert len(sep) <= max(len(part.clique) - 1, 0)
+    if len(sep) > max(len(part.clique) - 1, 0):
+        raise AssertionError(
+            "separator has %d vertices for a clique part of %d" % (len(sep), len(part.clique))
+        )
     return sep
 
 

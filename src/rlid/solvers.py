@@ -9,13 +9,16 @@ order (a static, pair-check version of DSATUR's saturation rule).  It
 breaks color symmetry by allowing at most one brand-new color per step
 and prunes as soon as both closed neighborhoods of a constrained pair
 are fully colored with equal color sets; each check ORs the colors of
-``N[u] & N[v]`` once and then only the two differences.  Backtracking
-runs on an explicit stack, so path-like inputs of any length search
-without recursion.  Search is deterministic: fixed vertex order,
-ascending color trials.  Every color trial is one node of the caller's
-``Budget``; the search counts them in a local and writes the count back
-on each exit, so ``budget.nodes`` reads the same as if it had called
-``Budget.spend`` per node.
+``N[u] & N[v]`` once and then only the two differences.  The plan is
+one record per step of that order: the vertex, the colored vertices it
+must differ from, the pair checks it completes, and whether it is a
+member of the clique below.  Backtracking runs on an explicit stack,
+so path-like inputs of any length search without recursion.  Search
+is deterministic: fixed vertex order, ascending color trials.  Every
+color trial is one node of the caller's ``Budget``; the search counts
+them in a local and writes the count back on each exit, so
+``budget.nodes`` reads the same as if it had called ``Budget.spend``
+per node.
 
 In rlid, lid and id modes two more cuts apply, both proven necessary
 for every valid coloring:
@@ -42,7 +45,9 @@ for every valid coloring:
   |C(K)| <= k - ceil(log2 |K|).  C(K) only grows as the search colors
   more of K, so a partial coloring that breaks the bound has no valid
   completion.  The plan uses a maximum such clique when it has at
-  least three members.
+  least three members.  The search keeps C(K) as one color mask per
+  step, extended when it advances past a member, so a member's step
+  tests the bound with one bit count.
 
 Both cuts only compare or count colors, so renaming colors keeps them;
 the at-most-one-new-color rule and the values stay exact.
@@ -174,8 +179,10 @@ def _require_twin_free(g: Graph):
 class _SearchPlan:
     """Per-(graph, parameter) precomputation shared across k values.
 
-    ``order`` is the coloring order, built in one greedy pass: each
-    step colors the uncolored vertex with the highest score
+    ``steps`` holds one record ``(v, earlier, checks, in_clique)`` per
+    step of the coloring order, appended as the order is built in one
+    greedy pass: each step colors the uncolored vertex v with the
+    highest score
     ``lead * L + forced * F + closes * B**2 + seen * B + rank``
     (``B = n + 1``, ``F`` above any ``closes * B**2``, ``L = n * F``
     above every other term), where ``forced`` counts its colored
@@ -195,12 +202,12 @@ class _SearchPlan:
     search exact and the at-most-one-new-color rule valid; proper mode
     has no D, so its order is unchanged.
 
-    ``earlier[i]`` lists the vertices colored before ``order[i]`` that
-    must get another color: its D-neighbors, and in proper and lid
-    modes its graph neighbors too.  ``checks[i]`` holds one
-    ``(common, only_u, only_v)`` triple of vertex tuples per pair whose
-    last member is ``order[i]``: ``N[u] & N[v]``, ``N[u] - N[v]`` and
-    ``N[v] - N[u]``.
+    ``earlier`` lists the vertices colored before v that must get
+    another color: its D-neighbors, and in proper and lid modes its
+    graph neighbors too.  ``checks`` holds one ``(common, only_u,
+    only_v)`` triple of vertex tuples per pair whose last member is v:
+    ``N[u] & N[v]``, ``N[u] - N[v]`` and ``N[v] - N[u]``.
+    ``in_clique`` says v is a member of ``clique`` (below).
 
     The constrained pairs u < v (adjacent non-twins; every pair in id
     mode; none in proper mode) are walked once, u then v ascending, and
@@ -222,14 +229,16 @@ class _SearchPlan:
       contains C(K), the colors on K; the |K| sets differ, and k colors
       offer 2^(k - |C(K)|) supersets of C(K).  So |C(K)| <= k - ``slack``
       with ``slack = ceil(log2 |K|)``, and C(K) only grows as the search
-      colors more of K.  ``clique_before[i]`` lists the members colored
-      before ``order[i]`` when it is a member, else None.  The clique
-      search runs only when an adjacent constrained pair has a common
-      neighbor (a triangle of non-twins needs one), and gives up
-      without a cut past ``PLAN_CLIQUE_NODE_BUDGET`` nodes.
+      colors more of K, so the cut is checked only at the steps whose
+      ``in_clique`` is set.  The clique search runs only when an
+      adjacent constrained pair has a common neighbor (a triangle of
+      non-twins needs one), and gives up without a cut past
+      ``PLAN_CLIQUE_NODE_BUDGET`` nodes.
+
+    ``plan_cost`` bounds the work of this build in search nodes.
     """
 
-    __slots__ = ("n", "order", "earlier", "checks", "clique", "slack", "clique_before")
+    __slots__ = ("n", "steps", "clique", "slack")
 
     def __init__(self, g: Graph, spec: Parameter):
         if spec.twin_free:
@@ -337,23 +346,19 @@ class _SearchPlan:
                     score[v] += lead_step
         # proper mode has no pairs, so its forced masks are all zero
         differ = [a | d for a, d in zip(adj, forced)] if mode in ("proper", "lid") else forced
+        members = set(self.clique)
         uncolored = set(range(n))
         colored = 0
-        order, earlier, checks = [], [], []
+        steps = []
         for _ in range(n):
             v = max(uncolored, key=score.__getitem__)
             uncolored.remove(v)
-            order.append(v)
+            apart = []
             must = differ[v] & colored
-            if must:
-                apart = []
-                while must:
-                    low = must & -must
-                    apart.append(low.bit_length() - 1)
-                    must ^= low
-                earlier.append(tuple(apart))
-            else:
-                earlier.append(())
+            while must:
+                low = must & -must
+                apart.append(low.bit_length() - 1)
+                must ^= low
             colored |= 1 << v
             rest = adj[v] & ~colored
             while rest:
@@ -373,33 +378,38 @@ class _SearchPlan:
                     done.append(layout[p])
                 elif not rest & (rest - 1):
                     score[rest.bit_length() - 1] += closes_step
-            checks.append(tuple(done))
-        self.order = tuple(order)
-        self.earlier = tuple(earlier)
-        self.checks = tuple(checks)
-        before = [None] * n
-        if self.clique:
-            members = []
-            for i, v in enumerate(order):
-                if v in self.clique:
-                    before[i] = tuple(members)
-                    members.append(v)
-        self.clique_before = tuple(before)
+            steps.append((v, tuple(apart), tuple(done), v in members))
+        self.steps = tuple(steps)
+
+
+def plan_cost(g: Graph) -> int:
+    """Nodes to charge for building the rlid ``_SearchPlan`` of ``g``.
+
+    Its pair loop stores each vertex of N[u] | N[v] for every
+    constrained pair, an edge, so at most deg u + deg v + 2 per edge:
+    sum(deg^2) + 2m in all.  Its order loop scans the uncolored
+    vertices once per step: n(n + 1) / 2.
+    """
+    square = sum(a.bit_count() ** 2 for a in g.adj)
+    return square + 2 * g.edge_count + g.n * (g.n + 1) // 2
 
 
 def _search(plan: _SearchPlan, k: int, budget: Budget):
     """Find a valid assignment with at most k colors, or None.
 
     Backtracking with an explicit stack, so the depth is not bounded
-    by the interpreter's recursion limit: step i colors ``order[i]``,
-    ``trial[i]`` is the next color it tries and ``used[i]`` the
-    number of colors in use before it.  A color is cut when an earlier
-    vertex of ``earlier[i]`` has it, when it would put more than
-    ``k - slack`` colors on the plan's clique, or when a pair check it
-    completes finds equal color sets.  Each color trial is one node:
-    the count goes on from ``budget.nodes`` in a local and is stored
-    back on every exit, and node ``max_nodes + 1`` raises
-    BudgetExceeded as ``Budget.spend`` would.
+    by the interpreter's recursion limit: step i unpacks its record
+    ``(v, earlier, checks, in_clique)`` from ``plan.steps``;
+    ``trial[i]`` is the next color it tries, ``used[i]`` the number of
+    colors in use before it and ``on_clique[i]`` the mask of colors on
+    the clique members colored before it, both filled in when the
+    search advances to step i.  A color is cut when a vertex of
+    ``earlier`` has it, when v is a clique member, the clique already
+    carries ``k - slack`` colors and the color is not one of them, or
+    when a pair check it completes finds equal color sets.  Each color
+    trial is one node: the count goes on from ``budget.nodes`` in a
+    local and is stored back on every exit, and node ``max_nodes + 1``
+    raises BudgetExceeded as ``Budget.spend`` would.
     """
     n = plan.n
     if n == 0:
@@ -408,31 +418,22 @@ def _search(plan: _SearchPlan, k: int, budget: Budget):
     if plan.clique and limit < 1:
         return None
     col = [0] * n
-    order = plan.order
-    earlier = plan.earlier
-    checks = plan.checks
-    clique_before = plan.clique_before
+    steps = plan.steps
     nodes, cap = budget.nodes, budget.max_nodes
     trial = [1] * n
     used = [0] * n
+    on_clique = [0] * n
     i = 0
     while True:
-        v = order[i]
-        enbrs = earlier[i]
-        pair_checks = checks[i]
+        v, enbrs, pair_checks, in_clique = steps[i]
         top = used[i] + 1
         if top > k:
             top = k
         # colors the clique count allows: all (-1), or only those
         # already on the clique once it carries ``limit`` of them
         allowed = -1
-        members = clique_before[i]
-        if members is not None:
-            on_clique = 0
-            for w in members:
-                on_clique |= 1 << col[w]
-            if on_clique.bit_count() >= limit:
-                allowed = on_clique
+        if in_clique and on_clique[i].bit_count() >= limit:
+            allowed = on_clique[i]
         c = trial[i]
         while c <= top:
             nodes += 1
@@ -474,6 +475,7 @@ def _search(plan: _SearchPlan, k: int, budget: Budget):
             i += 1
             trial[i] = 1
             used[i] = used[i - 1] if c <= used[i - 1] else c
+            on_clique[i] = on_clique[i - 1] | 1 << c if in_clique else on_clique[i - 1]
 
 
 def _decide(g: Graph, k: int, name: str, budget) -> Coloring | None:

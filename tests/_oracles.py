@@ -416,9 +416,9 @@ def reference_plan(g, mode):
     elimination order comes from ``brute_degeneracy`` and the clique
     from the package's ``max_clique`` (the one shared piece).  ``mode``
     is a search mode ("rlid", "lid", "id", "proper"); the twin-free
-    precondition is the caller's.  Returns the plan's seven slots in
-    ``__slots__`` order: ``(n, order, earlier, checks, clique, slack,
-    clique_before)``.
+    precondition is the caller's.  Returns ``(n, order, earlier,
+    checks, clique, slack, clique_before)``; the plan holds order,
+    earlier, checks and clique_before (as a flag) in its step records.
     """
     from rlid.graph import BudgetExceeded, max_clique
     from rlid.solvers import PLAN_CLIQUE_NODE_BUDGET, Budget

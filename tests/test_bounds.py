@@ -126,7 +126,7 @@ class TestBoundsReport:
         # lower 4 with a stop in the search at 4, to closed; every
         # budget stop leaves a note and never a false bound.
         g = g_star(wheel(5)).graph
-        cost = bounds_mod._plan_cost(g)
+        cost = solvers_mod.plan_cost(g)
         steps = []
         for nodes in range(cost - 10, cost + 200, 2):
             monkeypatch.setattr(bounds_mod, "GAMMA_ID_NODE_BUDGET", nodes)
@@ -150,7 +150,7 @@ class TestBoundsReport:
         # count goes on from there; pinned from the search that spent its
         # nodes one Budget.spend() call at a time
         g = g_star(wheel(5)).graph
-        budget = Budget(bounds_mod._plan_cost(g) + extra)
+        budget = Budget(solvers_mod.plan_cost(g) + extra)
         r = bounds_report(g, budget=budget)
         assert r.notes == (
             "search at %d skipped: budget exceeded" % stopped_at,
@@ -161,7 +161,7 @@ class TestBoundsReport:
 
     def test_caller_budget_caps_the_search_steps(self):
         g = g_star(wheel(5)).graph
-        cost = bounds_mod._plan_cost(g)
+        cost = solvers_mod.plan_cost(g)
         roomy = Budget(10**6)
         assert bounds_report(g, budget=roomy).exact == 4
         assert roomy.nodes > cost  # the plan and the search are charged
@@ -246,7 +246,7 @@ class TestBoundsReport:
             raise AssertionError("search plan built")
 
         monkeypatch.setattr(solvers_mod, "_SearchPlan", refuse)
-        assert bounds_mod._plan_cost(g) > bounds_mod.GAMMA_ID_NODE_BUDGET
+        assert solvers_mod.plan_cost(g) > bounds_mod.GAMMA_ID_NODE_BUDGET
         r = bounds_report(g)
         assert "search skipped: budget exceeded" in r.notes
         assert r.best_lower < r.best_upper

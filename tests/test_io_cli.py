@@ -822,6 +822,20 @@ class TestCli:
             assert main(argv + given) == 0
             assert capsys.readouterr().out == want
 
+    def test_sweep_omega_obeys_the_node_budget(self, capsys):
+        # a 40-clique needs more than one clique-search node, so omega
+        # stops like every other search column: "-", and a skipped row
+        argv = ["sweep", "--family", "random-split", "--count", "1", "--clique-size", "40",
+                "--stable-size", "3", "--params", "omega"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1].split("\t")[4] == "40"
+        assert main(argv + ["--node-budget", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split("\t")[4] == "-"
+        assert main(argv + ["--node-budget", "1", "--assert", "omega >= 1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].split("\t")[4:] == ["-", "skip"]
+        assert captured.err == "sweep: 1 graphs, 0 failures, 1 skipped\n"
+
     @pytest.mark.parametrize("family", ["random-split", "random-twins"])
     def test_sweep_negative_count_is_a_usage_error(self, capsys, family):
         argv = ["sweep", "--family", family, "--params", "n"]

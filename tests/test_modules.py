@@ -1,6 +1,6 @@
 """Module boundaries inside the package: no module reads another
-module's private names, and the search module stands below the
-families."""
+module's private names, the search module stands below the families,
+and no check is an ``assert`` statement that ``python -O`` drops."""
 
 import ast
 from pathlib import Path
@@ -58,3 +58,13 @@ def test_no_module_reads_another_modules_private_names():
 
 def test_solvers_does_not_import_families():
     assert "families" not in _imported_modules(PACKAGE / "solvers.py")
+
+
+def test_the_package_holds_no_assert_statement():
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -87,23 +87,23 @@ class TestSearchPlan:
                 if spec.twin_free and not brute_twin_free(n, edges):
                     continue
                 plan = _SearchPlan(build_graph(n, edges), spec)
-                assert sorted(plan.order) == list(range(n))
-                assert len(plan.earlier) == len(plan.checks) == n
-                pos = {v: i for i, v in enumerate(plan.order)}
+                order = [v for v, _, _, _ in plan.steps]
+                assert sorted(order) == list(range(n))
+                pos = {v: i for i, v in enumerate(order)}
                 got = []
-                for i, step in enumerate(plan.checks):
-                    for check in step:
+                for i, (_, _, checks, _) in enumerate(plan.steps):
+                    for check in checks:
                         # the check sits at the step coloring its last member
                         assert max(pos[w] for part in check for w in part) == i
                         got.append(check)
                 assert sorted(got) == _expected_checks(n, edges, spec.mode)
                 nbrs = adjacency(n, edges)
                 forced = brute_forced_differences(n, edges, spec.mode)
-                for i, v in enumerate(plan.order):
+                for i, (v, earlier, _, _) in enumerate(plan.steps):
                     want = {w for w in range(n) if pos[w] < i and frozenset((v, w)) in forced}
                     if spec.mode in ("proper", "lid"):
                         want.update(w for w in nbrs[v] if pos[w] < i)
-                    assert sorted(plan.earlier[i]) == sorted(want)
+                    assert sorted(earlier) == sorted(want)
                 # the cut's clique: pairwise adjacent non-twins, as large
                 # as the quotient's maximum clique, and only from size 3
                 closed = closed_neighborhoods(n, edges)
@@ -114,12 +114,8 @@ class TestSearchPlan:
                     assert plan.clique == ()
                 else:
                     assert len(plan.clique) == omega
-                members = [v for v in plan.order if v in plan.clique]
-                for i, v in enumerate(plan.order):
-                    if v in plan.clique:
-                        assert plan.clique_before[i] == tuple(members[: members.index(v)])
-                    else:
-                        assert plan.clique_before[i] is None
+                for v, _, _, in_clique in plan.steps:
+                    assert in_clique is (v in plan.clique)
 
     @pytest.mark.parametrize(
         "g, size",
@@ -129,7 +125,7 @@ class TestSearchPlan:
     def test_forced_difference_clique_is_colored_first(self, g, size):
         edges = list(g.edges())
         forced = brute_forced_differences(g.n, edges, "rlid")
-        head = _SearchPlan(g, PARAMETERS["rlid"]).order[:size]
+        head = [v for v, _, _, _ in _SearchPlan(g, PARAMETERS["rlid"]).steps[:size]]
         for a, b in combinations(head, 2):
             assert frozenset((a, b)) in forced
 
@@ -139,13 +135,14 @@ class TestSearchPlan:
         monkeypatch.setattr("rlid.solvers.PLAN_CLIQUE_NODE_BUDGET", 1)
         plan = _SearchPlan(g, PARAMETERS["rlid"])
         assert (plan.clique, plan.slack) == ((), 0)
-        assert set(plan.clique_before) == {None}
+        assert not any(in_clique for _, _, _, in_clique in plan.steps)
         assert chi_exact(g, "rlid").value == 4
 
     def test_plan_matches_the_reference_build(self):
         # the in-place pair walk builds the same plan, field for field, as
-        # the pair-list build it replaced, so every search visits the same
-        # nodes: all labeled graphs of order <= 5, the gadgets of the
+        # the pair-list build it replaced, its order, earlier, checks and
+        # clique_before folded into step records, so every search visits
+        # the same nodes: all labeled graphs of order <= 5, the gadgets of the
         # connected twin-free graphs of order 3-4, a few family members
         # and a shuffled long path
         graphs = [build_graph(n, edges) for n in range(6) for edges in all_labeled_graphs(n)]
@@ -165,7 +162,11 @@ class TestSearchPlan:
                     continue
                 plan = _SearchPlan(g, spec)
                 got = tuple(getattr(plan, slot) for slot in _SearchPlan.__slots__)
-                assert got == reference_plan(g, spec.mode), (name, sorted(g.edges()))
+                n, order, earlier, checks, clique, slack, before = reference_plan(g, spec.mode)
+                steps = tuple(
+                    (v, e, c, b is not None) for v, e, c, b in zip(order, earlier, checks, before)
+                )
+                assert got == (n, steps, clique, slack), (name, sorted(g.edges()))
                 plans += 1
         assert plans == 3564
 
