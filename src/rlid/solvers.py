@@ -8,12 +8,13 @@ colored neighbors, then the one latest in the degeneracy elimination
 order (a static, pair-check version of DSATUR's saturation rule).  It
 breaks color symmetry by allowing at most one brand-new color per step
 and prunes as soon as both closed neighborhoods of a constrained pair
-are fully colored with equal color sets; each check ORs the colors of
-``N[u] & N[v]`` once and then only the two differences.  The plan is
-one record per step of that order: the vertex, the colored vertices it
-must differ from, the pair checks it completes, and whether it is a
-member of the clique below.  Backtracking runs on an explicit stack,
-so path-like inputs of any length search without recursion.  Search
+are fully colored with equal color sets; each closed neighborhood's
+color set is one mask, set as its last member gets a color, so a check
+is one compare.  The plan is one record per step of that order: the
+vertex, the colored vertices it must differ from, the closed
+neighborhoods and pair checks it completes, and whether it is a member
+of the clique below.  Backtracking runs on an explicit stack, so
+path-like inputs of any length search without recursion.  Search
 is deterministic: fixed vertex order, ascending color trials.  Every
 color trial is one node of the caller's ``Budget``; the search counts
 them in a local and writes the count back on each exit, so
@@ -176,13 +177,23 @@ def _require_twin_free(g: Graph):
             )
 
 
+def _members(mask: int) -> tuple:
+    """``tuple(bits(mask))`` without a generator, for the plan's loops."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 class _SearchPlan:
     """Per-(graph, parameter) precomputation shared across k values.
 
-    ``steps`` holds one record ``(v, earlier, checks, in_clique)`` per
-    step of the coloring order, appended as the order is built in one
-    greedy pass: each step colors the uncolored vertex v with the
-    highest score
+    ``steps`` holds one record ``(v, earlier, closing, checks,
+    in_clique)`` per step of the coloring order, appended as the order
+    is built in one greedy pass: each step colors the uncolored vertex
+    v with the highest score
     ``lead * L + forced * F + closes * B**2 + seen * B + rank``
     (``B = n + 1``, ``F`` above any ``closes * B**2``, ``L = n * F``
     above every other term), where ``forced`` counts its colored
@@ -204,25 +215,28 @@ class _SearchPlan:
 
     ``earlier`` lists the vertices colored before v that must get
     another color: its D-neighbors, and in proper and lid modes its
-    graph neighbors too.  ``checks`` holds one ``(common, only_u,
-    only_v)`` triple of vertex tuples per pair whose last member is v:
-    ``N[u] & N[v]``, ``N[u] - N[v]`` and ``N[v] - N[u]``.
-    ``in_clique`` says v is a member of ``clique`` (below).
+    graph neighbors too.  ``closing`` holds ``(u, N[u] - {v})`` (a
+    vertex tuple) for each u with a constrained partner and v last in
+    N[u]; ``checks`` the constrained pairs ``(a, b)`` with v last in
+    ``N[a] | N[b]``.  ``in_clique`` says v is a member of ``clique``.
 
     The constrained pairs u < v (adjacent non-twins; every pair in id
-    mode; none in proper mode) are walked once, u then v ascending, and
-    each pair's three masks are walked bit by bit to build its triple,
-    the pair lists of its members (each in increasing pair order), its
-    D edges and the triangle test below.
+    mode; none in proper mode) are walked once for each vertex's
+    partners, D's edges and the triangle test below.  ``N[u] | N[b]``
+    contains v exactly when u or b lies in N[v], so after coloring v
+    each u in N[v] with at most one uncolored member of N[u] walks its
+    partners (twice per u at most); a pair with both ends in N[v] is
+    visited from the smaller.
 
     Two cuts hold in every valid coloring, and both only count or
     compare colors, so renaming colors keeps them:
 
-    - Forced differences.  A check with ``only_u = {a}`` and
-      ``only_v = {b}`` compares C(common) + c(a) with C(common) + c(b),
-      so c(a) != c(b).  One with ``only_u = {a}`` and ``only_v`` empty
-      compares C(N[v]) + c(a) with C(N[v]), so c(a) differs from every
-      color on N[v].  D holds these pairs.
+    - Forced differences.  A pair with ``N[u] - N[v] = {a}`` and
+      ``N[v] - N[u] = {b}`` compares C(N[u] & N[v]) + c(a) with
+      C(N[u] & N[v]) + c(b), so c(a) != c(b).  One with
+      ``N[u] - N[v] = {a}`` and N[v] inside N[u] compares C(N[v]) + c(a)
+      with C(N[v]), so c(a) differs from every color on N[v].  D holds
+      these pairs.
     - Clique color count.  ``clique`` is a maximum clique K of
       pairwise non-twins (over twin-class representatives), kept when
       |K| >= 3.  Every member's N[] contains K, so its color set
@@ -248,9 +262,7 @@ class _SearchPlan:
         adj, closed = g.adj, g.closed
         self.n = n
 
-        left = []          # per pair: its members not colored yet
-        layout = []        # per pair: its check triple
-        member_of = [[] for _ in range(n)]
+        partners = [[] for _ in range(n)]  # per vertex: the vertices paired with it
         forced = [0] * n   # D's adjacency masks
         triangle = False
         if mode != "proper":
@@ -266,44 +278,21 @@ class _SearchPlan:
                     cv = closed[v]
                     if cv == cu:
                         continue
-                    p = len(left)
-                    left.append(cu | cv)
+                    partners[u].append(v)
+                    partners[v].append(u)
                     both = cu & cv
                     ou, ov = cu ^ both, cv ^ both
-                    common, lu, lv = [], [], []
-                    mask = both
-                    while mask:
-                        low = mask & -mask
-                        w = low.bit_length() - 1
-                        common.append(w)
-                        member_of[w].append(p)
-                        mask ^= low
-                    mask = ou
-                    while mask:
-                        low = mask & -mask
-                        w = low.bit_length() - 1
-                        lu.append(w)
-                        member_of[w].append(p)
-                        mask ^= low
-                    mask = ov
-                    while mask:
-                        low = mask & -mask
-                        w = low.bit_length() - 1
-                        lv.append(w)
-                        member_of[w].append(p)
-                        mask ^= low
-                    layout.append((tuple(common), tuple(lu), tuple(lv)))
                     if not (ou & (ou - 1) or ov & (ov - 1)):
                         if ou and ov:
                             forced[ou.bit_length() - 1] |= ov
                             forced[ov.bit_length() - 1] |= ou
                         else:
                             # one side is a single vertex a, the other N[] is all common
-                            a = (ou | ov).bit_length() - 1
-                            forced[a] |= both
-                            for w in common:
-                                forced[w] |= ou | ov
-                    if not triangle and len(common) > 2 and adj[u] >> v & 1:
+                            a = ou | ov
+                            forced[a.bit_length() - 1] |= both
+                            for w in _members(both):
+                                forced[w] |= a
+                    if not triangle and both.bit_count() > 2 and adj[u] >> v & 1:
                         triangle = True
 
         self.clique = ()
@@ -322,7 +311,7 @@ class _SearchPlan:
             score[v] = rank
         seen_step = n + 1
         closes_step = seen_step * seen_step
-        forced_step = closes_step * (len(layout) + 1)
+        forced_step = closes_step * (sum(map(len, partners)) // 2 + 1)
         if any(f & (f - 1) for f in forced):
             # a greedy clique of D, led by the vertex with the most
             # D-neighbors among the candidates (higher score on ties)
@@ -348,47 +337,51 @@ class _SearchPlan:
         differ = [a | d for a, d in zip(adj, forced)] if mode in ("proper", "lid") else forced
         members = set(self.clique)
         uncolored = set(range(n))
-        colored = 0
+        free = (1 << n) - 1  # the uncolored vertices
         steps = []
         for _ in range(n):
             v = max(uncolored, key=score.__getitem__)
             uncolored.remove(v)
-            apart = []
-            must = differ[v] & colored
-            while must:
-                low = must & -must
-                apart.append(low.bit_length() - 1)
-                must ^= low
-            colored |= 1 << v
-            rest = adj[v] & ~colored
-            while rest:
-                low = rest & -rest
-                score[low.bit_length() - 1] += seen_step
-                rest ^= low
-            rest = forced[v] & ~colored
+            free ^= 1 << v
+            apart = _members(differ[v] & ~free)
+            rest = forced[v] & free
             while rest:
                 low = rest & -rest
                 score[low.bit_length() - 1] += forced_step
                 rest ^= low
-            done = []
-            for p in member_of[v]:
-                rest = left[p] ^ (1 << v)
-                left[p] = rest
-                if not rest:
-                    done.append(layout[p])
-                elif not rest & (rest - 1):
-                    score[rest.bit_length() - 1] += closes_step
-            steps.append((v, tuple(apart), tuple(done), v in members))
+            closing, done = [], []
+            near = closed[v]
+            mask = near
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                u = low.bit_length() - 1
+                if low & free:  # an uncolored neighbor of v
+                    score[u] += seen_step
+                own = closed[u] & free
+                if own & (own - 1) or not partners[u]:
+                    continue
+                if not own:
+                    closing.append((u, _members(closed[u] ^ 1 << v)))
+                for b in partners[u]:
+                    if b < u and near >> b & 1:
+                        continue  # the visit from b covers this pair
+                    rest = own | closed[b] & free
+                    if not rest:
+                        done.append((u, b))
+                    elif not rest & (rest - 1):
+                        score[rest.bit_length() - 1] += closes_step
+            steps.append((v, apart, tuple(closing), tuple(done), v in members))
         self.steps = tuple(steps)
 
 
 def plan_cost(g: Graph) -> int:
     """Nodes to charge for building the rlid ``_SearchPlan`` of ``g``.
 
-    Its pair loop stores each vertex of N[u] | N[v] for every
-    constrained pair, an edge, so at most deg u + deg v + 2 per edge:
-    sum(deg^2) + 2m in all.  Its order loop scans the uncolored
-    vertices once per step: n(n + 1) / 2.
+    An upper bound on the build's work, not what it stores: the sizes
+    of N[u] | N[v] over the constrained pairs (edges), at most
+    deg u + deg v + 2 each, sum to sum(deg^2) + 2m, and the order
+    loop's scans of the uncolored vertices add n(n + 1) / 2.
     """
     square = sum(a.bit_count() ** 2 for a in g.adj)
     return square + 2 * g.edge_count + g.n * (g.n + 1) // 2
@@ -399,17 +392,21 @@ def _search(plan: _SearchPlan, k: int, budget: Budget):
 
     Backtracking with an explicit stack, so the depth is not bounded
     by the interpreter's recursion limit: step i unpacks its record
-    ``(v, earlier, checks, in_clique)`` from ``plan.steps``;
+    ``(v, earlier, closing, checks, in_clique)`` from ``plan.steps``;
     ``trial[i]`` is the next color it tries, ``used[i]`` the number of
     colors in use before it and ``on_clique[i]`` the mask of colors on
     the clique members colored before it, both filled in when the
-    search advances to step i.  A color is cut when a vertex of
-    ``earlier`` has it, when v is a clique member, the clique already
-    carries ``k - slack`` colors and the color is not one of them, or
-    when a pair check it completes finds equal color sets.  Each color
-    trial is one node: the count goes on from ``budget.nodes`` in a
-    local and is stored back on every exit, and node ``max_nodes + 1``
-    raises BudgetExceeded as ``Budget.spend`` would.
+    search advances to step i, as is ``base[u]``, the colors on
+    ``rest`` for each ``(u, rest)`` of ``closing`` (fixed while the
+    search is at step i or deeper).  A trial of color c sets ``cs[u] =
+    base[u] | 1 << c``, so a check ``(a, b)`` is ``cs[a] == cs[b]``.
+    A color is cut when a vertex of ``earlier`` has it, when v is a
+    clique member, the clique already carries ``k - slack`` colors and
+    the color is not one of them, or when a pair check it completes
+    finds equal color sets.  Each color trial is one node: the count
+    goes on from ``budget.nodes`` in a local and is stored back on every
+    exit, and node ``max_nodes + 1`` raises BudgetExceeded as
+    ``Budget.spend`` would.
     """
     n = plan.n
     if n == 0:
@@ -418,6 +415,8 @@ def _search(plan: _SearchPlan, k: int, budget: Budget):
     if plan.clique and limit < 1:
         return None
     col = [0] * n
+    base = [0] * n     # per closing vertex u: the colors on its ``rest``
+    cs = [0] * n       # per closing vertex u: the colors on N[u]
     steps = plan.steps
     nodes, cap = budget.nodes, budget.max_nodes
     trial = [1] * n
@@ -425,7 +424,7 @@ def _search(plan: _SearchPlan, k: int, budget: Budget):
     on_clique = [0] * n
     i = 0
     while True:
-        v, enbrs, pair_checks, in_clique = steps[i]
+        v, enbrs, closing, pair_checks, in_clique = steps[i]
         top = used[i] + 1
         if top > k:
             top = k
@@ -446,17 +445,11 @@ def _search(plan: _SearchPlan, k: int, budget: Budget):
                         break
                 else:  # no earlier vertex that must differ has c
                     col[v] = c
-                    for common, lu, lv in pair_checks:
-                        m = 0
-                        for w in common:
-                            m |= 1 << col[w]
-                        mu = m
-                        for w in lu:
-                            mu |= 1 << col[w]
-                        mv = m
-                        for w in lv:
-                            mv |= 1 << col[w]
-                        if mu == mv:
+                    bit = 1 << c
+                    for u, _ in closing:
+                        cs[u] = base[u] | bit
+                    for a, b in pair_checks:
+                        if cs[a] == cs[b]:
                             break
                     else:  # every check passed: v keeps c
                         break
@@ -476,6 +469,11 @@ def _search(plan: _SearchPlan, k: int, budget: Budget):
             trial[i] = 1
             used[i] = used[i - 1] if c <= used[i - 1] else c
             on_clique[i] = on_clique[i - 1] | 1 << c if in_clique else on_clique[i - 1]
+            for u, rest in steps[i][2]:
+                m = 0
+                for w in rest:
+                    m |= 1 << col[w]
+                base[u] = m
 
 
 def _decide(g: Graph, k: int, name: str, budget) -> Coloring | None:

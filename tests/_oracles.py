@@ -2,8 +2,9 @@
 
 Everything here works on (n, edge list) pairs with plain Python sets and
 itertools, sharing no code with the package under test, except that
-``reference_plan`` borrows its clique search and
-``reference_full_palette`` its graph operations and isomorphism test.
+``reference_plan`` borrows its clique search, ``reference_search`` the
+budget exception and ``reference_full_palette`` its graph operations
+and isomorphism test.
 Deliberately slow; intended for n up to about 7.
 """
 
@@ -417,8 +418,10 @@ def reference_plan(g, mode):
     from the package's ``max_clique`` (the one shared piece).  ``mode``
     is a search mode ("rlid", "lid", "id", "proper"); the twin-free
     precondition is the caller's.  Returns ``(n, order, earlier,
-    checks, clique, slack, clique_before)``; the plan holds order,
-    earlier, checks and clique_before (as a flag) in its step records.
+    checks, clique, slack, clique_before)``, each check being the pair
+    ``(u, v)`` with its ``(common, only_u, only_v)`` triple; the plan
+    holds order, earlier, the checks' pairs and clique_before (as a
+    flag) in its step records.
     """
     from rlid.graph import BudgetExceeded, max_clique
     from rlid.solvers import PLAN_CLIQUE_NODE_BUDGET, Budget
@@ -465,7 +468,7 @@ def reference_plan(g, mode):
             else:
                 lv.append(w)
             rest ^= low
-        layout.append((tuple(common), tuple(lu), tuple(lv)))
+        layout.append(((u, v), (tuple(common), tuple(lu), tuple(lv))))
         if not (ou & (ou - 1) or ov & (ov - 1)):
             if ou and ov:
                 forced[ou.bit_length() - 1] |= ov
@@ -562,6 +565,85 @@ def reference_plan(g, mode):
                 before[i] = tuple(members)
                 members.append(v)
     return n, tuple(order), tuple(earlier), tuple(checks), clique, slack, tuple(before)
+
+
+def reference_search(plan, k, budget):
+    """The k-decider's search on ``reference_plan``'s check triples.
+
+    Frozen copy of the triple-check form of ``rlid.solvers._search``:
+    each pair check ORs the colors of its common part once and then
+    those of each difference, and compares the two sets.  ``plan`` is
+    ``reference_plan``'s tuple.  Returns the color list or None, counts
+    one node per color trial on from ``budget.nodes`` and raises
+    BudgetExceeded at node ``max_nodes + 1``, as the package's search.
+    """
+    from rlid.graph import BudgetExceeded
+
+    n, order, earlier, checks, clique, slack, before = plan
+    steps = [
+        (v, e, tuple(triple for _, triple in c), b is not None)
+        for v, e, c, b in zip(order, earlier, checks, before)
+    ]
+    if n == 0:
+        return []
+    limit = k - slack
+    if clique and limit < 1:
+        return None
+    col = [0] * n
+    nodes, cap = budget.nodes, budget.max_nodes
+    trial = [1] * n
+    used = [0] * n
+    on_clique = [0] * n
+    i = 0
+    while True:
+        v, enbrs, pair_checks, in_clique = steps[i]
+        top = used[i] + 1
+        if top > k:
+            top = k
+        allowed = -1
+        if in_clique and on_clique[i].bit_count() >= limit:
+            allowed = on_clique[i]
+        c = trial[i]
+        while c <= top:
+            nodes += 1
+            if nodes > cap:
+                budget.nodes = nodes
+                raise BudgetExceeded("node budget %d exceeded" % cap, nodes)
+            if allowed >> c & 1:
+                for w in enbrs:
+                    if col[w] == c:
+                        break
+                else:
+                    col[v] = c
+                    for common, lu, lv in pair_checks:
+                        m = 0
+                        for w in common:
+                            m |= 1 << col[w]
+                        mu = m
+                        for w in lu:
+                            mu |= 1 << col[w]
+                        mv = m
+                        for w in lv:
+                            mv |= 1 << col[w]
+                        if mu == mv:
+                            break
+                    else:
+                        break
+            c += 1
+        if c > top:
+            if i == 0:
+                budget.nodes = nodes
+                return None
+            i -= 1
+        elif i + 1 == n:
+            budget.nodes = nodes
+            return col
+        else:
+            trial[i] = c + 1
+            i += 1
+            trial[i] = 1
+            used[i] = used[i - 1] if c <= used[i - 1] else c
+            on_clique[i] = on_clique[i - 1] | 1 << c if in_clique else on_clique[i - 1]
 
 
 def reference_full_palette(g):

@@ -56,26 +56,18 @@ from _oracles import (
     reference_greedy_code,
     reference_min_hitting_set,
     reference_plan,
+    reference_search,
 )
 
 
 def _expected_checks(n, edges, mode):
-    """The (common, only_u, only_v) triple of every pair the mode constrains."""
+    """Every pair u < v the mode constrains, sorted."""
     closed = closed_neighborhoods(n, edges)
     if mode == "proper":
-        pairs = []
-    elif mode == "id":
-        pairs = list(combinations(range(n), 2))
-    else:
-        pairs = [(u, v) for u, v in edges if closed[u] != closed[v]]
-    return sorted(
-        (
-            tuple(sorted(closed[u] & closed[v])),
-            tuple(sorted(closed[u] - closed[v])),
-            tuple(sorted(closed[v] - closed[u])),
-        )
-        for u, v in pairs
-    )
+        return []
+    if mode == "id":
+        return list(combinations(range(n), 2))
+    return sorted(tuple(sorted(e)) for e in edges if closed[e[0]] != closed[e[1]])
 
 
 class TestSearchPlan:
@@ -87,26 +79,34 @@ class TestSearchPlan:
                 if spec.twin_free and not brute_twin_free(n, edges):
                     continue
                 plan = _SearchPlan(build_graph(n, edges), spec)
-                order = [v for v, _, _, _ in plan.steps]
+                order = [step[0] for step in plan.steps]
                 assert sorted(order) == list(range(n))
                 pos = {v: i for i, v in enumerate(order)}
-                got = []
-                for i, (_, _, checks, _) in enumerate(plan.steps):
-                    for check in checks:
-                        # the check sits at the step coloring its last member
-                        assert max(pos[w] for part in check for w in part) == i
-                        got.append(check)
-                assert sorted(got) == _expected_checks(n, edges, spec.mode)
+                closed = closed_neighborhoods(n, edges)
+                expected = _expected_checks(n, edges, spec.mode)
+                got, closers = [], []
+                for i, (v, _, closing, checks, _) in enumerate(plan.steps):
+                    for a, b in checks:
+                        # the check sits at the step coloring the last
+                        # member of N[a] | N[b]
+                        assert max(pos[w] for w in closed[a] | closed[b]) == i
+                        got.append(tuple(sorted((a, b))))
+                    for u, rest in closing:
+                        # N[u]'s color set is set at its last member's step
+                        assert max(pos[w] for w in closed[u]) == i
+                        assert rest == tuple(sorted(closed[u] - {v}))
+                        closers.append(u)
+                assert sorted(got) == expected
+                assert sorted(closers) == sorted({w for pair in expected for w in pair})
                 nbrs = adjacency(n, edges)
                 forced = brute_forced_differences(n, edges, spec.mode)
-                for i, (v, earlier, _, _) in enumerate(plan.steps):
+                for i, (v, earlier, _, _, _) in enumerate(plan.steps):
                     want = {w for w in range(n) if pos[w] < i and frozenset((v, w)) in forced}
                     if spec.mode in ("proper", "lid"):
                         want.update(w for w in nbrs[v] if pos[w] < i)
                     assert sorted(earlier) == sorted(want)
                 # the cut's clique: pairwise adjacent non-twins, as large
                 # as the quotient's maximum clique, and only from size 3
-                closed = closed_neighborhoods(n, edges)
                 for a, b in combinations(plan.clique, 2):
                     assert b in nbrs[a] and closed[a] != closed[b]
                 omega = brute_max_clique(*brute_quotient(n, edges))
@@ -114,7 +114,7 @@ class TestSearchPlan:
                     assert plan.clique == ()
                 else:
                     assert len(plan.clique) == omega
-                for v, _, _, in_clique in plan.steps:
+                for v, _, _, _, in_clique in plan.steps:
                     assert in_clique is (v in plan.clique)
 
     @pytest.mark.parametrize(
@@ -125,7 +125,7 @@ class TestSearchPlan:
     def test_forced_difference_clique_is_colored_first(self, g, size):
         edges = list(g.edges())
         forced = brute_forced_differences(g.n, edges, "rlid")
-        head = [v for v, _, _, _ in _SearchPlan(g, PARAMETERS["rlid"]).steps[:size]]
+        head = [step[0] for step in _SearchPlan(g, PARAMETERS["rlid"]).steps[:size]]
         for a, b in combinations(head, 2):
             assert frozenset((a, b)) in forced
 
@@ -135,16 +135,16 @@ class TestSearchPlan:
         monkeypatch.setattr("rlid.solvers.PLAN_CLIQUE_NODE_BUDGET", 1)
         plan = _SearchPlan(g, PARAMETERS["rlid"])
         assert (plan.clique, plan.slack) == ((), 0)
-        assert not any(in_clique for _, _, _, in_clique in plan.steps)
+        assert not any(in_clique for _, _, _, _, in_clique in plan.steps)
         assert chi_exact(g, "rlid").value == 4
 
     def test_plan_matches_the_reference_build(self):
-        # the in-place pair walk builds the same plan, field for field, as
-        # the pair-list build it replaced, its order, earlier, checks and
-        # clique_before folded into step records, so every search visits
-        # the same nodes: all labeled graphs of order <= 5, the gadgets of the
-        # connected twin-free graphs of order 3-4, a few family members
-        # and a shuffled long path
+        # the partner walk builds the same plan as the pair-list build it
+        # replaced: the same order, earlier, in_clique, clique and slack
+        # field for field, and each step's checks are the pairs of the
+        # reference's check triples at that step: all labeled graphs of
+        # order <= 5, the gadgets of the connected twin-free graphs of
+        # order 3-4, a few family members and a shuffled long path
         graphs = [build_graph(n, edges) for n in range(6) for edges in all_labeled_graphs(n)]
         for n in (3, 4):
             for g in enumerate_graphs(n, lambda g: g.is_connected() and is_twin_free(g)):
@@ -161,14 +161,56 @@ class TestSearchPlan:
                 if spec.twin_free and not twin_free:
                     continue
                 plan = _SearchPlan(g, spec)
-                got = tuple(getattr(plan, slot) for slot in _SearchPlan.__slots__)
+                got = [
+                    (v, e, sorted(tuple(sorted(p)) for p in c), f) for v, e, _, c, f in plan.steps
+                ]
                 n, order, earlier, checks, clique, slack, before = reference_plan(g, spec.mode)
-                steps = tuple(
-                    (v, e, c, b is not None) for v, e, c, b in zip(order, earlier, checks, before)
+                want = [
+                    (v, e, sorted(p for p, _ in c), b is not None)
+                    for v, e, c, b in zip(order, earlier, checks, before)
+                ]
+                assert (plan.n, got, plan.clique, plan.slack) == (n, want, clique, slack), (
+                    name,
+                    sorted(g.edges()),
                 )
-                assert got == (n, steps, clique, slack), (name, sorted(g.edges()))
                 plans += 1
         assert plans == 3564
+        assert _SearchPlan.__slots__ == ("n", "steps", "clique", "slack")
+
+    def test_search_matches_the_reference_search(self):
+        # the mask-compare search returns the same coloring (or None) and
+        # leaves the same node count as the triple-check search it
+        # replaced, run on the reference plan, for every k and under
+        # budgets that stop it at node 2, 8 or 301 or never: all labeled
+        # graphs of order <= 5 and a few named graphs and cycles.  Without
+        # a cap lid and id run for hours on the longer cycles, so on the
+        # named graphs and cycles they get a 2,000-node cap instead.
+        small = [build_graph(n, edges) for n in range(6) for edges in all_labeled_graphs(n)]
+        named = [h_p(4).graph, prop1_graph(4).graph, power_path(6), g_star(wheel(5)).graph]
+        named += [cycle(n) for n in range(4, 41)]
+        runs = 0
+        for g in small + named:
+            twin_free = is_twin_free(g)
+            for name in ("rlid", "lid", "id", "chromatic"):
+                spec = PARAMETERS[name]
+                if spec.twin_free and not twin_free:
+                    continue
+                plan = _SearchPlan(g, spec)
+                ref = reference_plan(g, spec.mode)
+                last = 2000 if spec.twin_free and g.n > 5 else None
+                for k in range(1, g.n + 1):
+                    for cap in (1, 7, 300, last):
+                        outcomes = []
+                        for search, p in ((_search, plan), (reference_search, ref)):
+                            budget = Budget(cap)
+                            try:
+                                found = search(p, k, budget)
+                            except BudgetExceeded as exc:
+                                found = ("stop", exc.nodes)
+                            outcomes.append((found, budget.nodes))
+                        assert outcomes[0] == outcomes[1], (name, k, cap, sorted(g.edges()))
+                        runs += 1
+        assert runs == 82552
 
     def test_gadget_sweep_node_guard(self):
         # proper 3-coloring of every connected twin-free graph of order 3..5
