@@ -136,8 +136,9 @@ def _search_bounds(g: Graph, lower: int, upper: int, budget: Budget):
 def bounds_report(g: Graph, *, budget=None) -> BoundsReport:
     """Certified bounds on the rlid optimum, cheapest first.
 
-    1. The cheap bounds.  Upper: order, 3 for bipartite graphs of
-       order >= 3, omega + 2 for connected twin-free split graphs.
+    1. The cheap bounds.  Upper: order, 3 when the twin quotient is
+       bipartite of order >= 3, omega + 2 for connected twin-free split
+       graphs.
        Lower: the quotient-clique log bound, the one-color rule (clique
        unions are exactly the 1-graphs) and the impossibility of 2.
     2. While best lower L < best upper U: the rlid search step
@@ -149,7 +150,8 @@ def bounds_report(g: Graph, *, budget=None) -> BoundsReport:
        search, only when it could beat U: gamma-id >= ceil(log2(n+1)),
        so it is skipped, with a "not run" note, when L == U or
        n.bit_length() + 1 is not below U.
-    4. With twins and L < U: the quotient's best upper bound.
+    4. With twins and L < U: the best upper bound of the quotient
+       taken in step 1.
 
     Each search step runs under GAMMA_ID_NODE_BUDGET nodes, cut to
     what is left of ``budget`` when one is given, and its nodes are
@@ -180,10 +182,15 @@ def bounds_report(g: Graph, *, budget=None) -> BoundsReport:
     except BudgetExceeded:
         notes.append("log-omega-quotient skipped: clique budget exceeded")
 
-    if g.n >= 3 and bipartition(g) is not None:
+    # 3 when the twin quotient q is bipartite of order >= 3: then each
+    # component's quotient is K1 (a clique, colored 1) or connected
+    # bipartite of order >= 3, whose level coloring lifts to the
+    # component (coloring.quotient_three_coloring)
+    twin_free = classes == g.n
+    q = g if twin_free else quotient(g)[0]
+    if q.n >= 3 and bipartition(q) is not None:
         uppers.append((3, "bipartite-3"))
 
-    twin_free = classes == g.n
     part = find_split_partition(g)
     if part is not None and g.is_connected() and twin_free:
         # the clique side is a maximum clique, hence maximal: the
@@ -214,7 +221,7 @@ def bounds_report(g: Graph, *, budget=None) -> BoundsReport:
         else:
             notes.append("gamma-id-plus-1 not run: cannot tighten %d..%d" % (lower, upper))
     elif lower < upper:
-        sub = bounds_report(quotient(g)[0], budget=budget)
+        sub = bounds_report(q, budget=budget)
         uppers.append((sub.best_upper, "quotient"))
         notes.extend("quotient: " + s for s in sub.notes)
 

@@ -7,16 +7,18 @@ additionally demands properness and exempts nothing; id demands
 distinct neighborhood color sets for all vertex pairs.
 
 The bipartite three-coloring lives here too, below both ``solvers``
-(whose ``chi_exact`` closes connected bipartite inputs with it) and
-``families`` (which re-exports it): it is one level walk plus the
-rlid verifier.
+(whose ``chi_exact`` closes with it every connected graph whose twin
+quotient is bipartite of order >= 3) and ``families`` (which
+re-exports it): it is one level walk plus the rlid verifier.  On a
+graph with twins the same walk colors each twin class as the walk on
+the quotient would, without building the quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, bits
+from .graph import Graph, GraphError, members
 
 
 class ColoringError(ValueError):
@@ -332,15 +334,94 @@ class LevelDecomposition:
 _LEVEL_COLORS = ((1, 1), (1, 2), (3, 3), (3, 2))
 
 
-def _independent(adj, mask) -> bool:
-    """No edge joins two vertices of ``mask``."""
+def _twin_edges_only(g: Graph, mask, twins: bool, root=None) -> bool:
+    """No edge inside ``mask`` joins two vertices of different twin
+    classes, edges at a twin of ``root`` aside; with ``twins`` false, no
+    edge inside ``mask`` at all.  The closed-neighborhood masks are read
+    only once an edge inside ``mask`` turns up."""
+    adj = g.adj
     rest = mask
     while rest:
         low = rest & -rest
-        if adj[low.bit_length() - 1] & mask:
-            return False
         rest ^= low
+        v = low.bit_length() - 1
+        inner = adj[v] & rest
+        if not inner:
+            continue
+        if not twins:
+            return False
+        closed = g.closed
+        exempt = None if root is None else closed[root]
+        if closed[v] == exempt:
+            continue
+        for w in members(inner):
+            if closed[w] != closed[v] and closed[w] != exempt:
+                return False
     return True
+
+
+def _level_colors(g: Graph, twins: bool):
+    """The BFS-level coloring, unverified, as (root, levels, per-level
+    (dead ends, others) lists, colors), or None.
+
+    With ``twins`` false, g must be a connected bipartite graph of order
+    >= 3.  With ``twins`` true, g must be a connected graph whose twin
+    quotient is bipartite of order >= 3, and the walk runs on g itself:
+    twins sit on one level, apart from the root's twins, which sit on
+    level 1 next to all of it, so the levels hold whole twin classes,
+    the quotient is bipartite exactly when every other edge inside a
+    level joins twins, and each vertex gets the color its class gets in
+    the quotient's walk.  A root twin has no neighbor on level 2, so
+    the table gives it the root's color, 1.
+    """
+    n = g.n
+    if n < 3:
+        return None
+    adj = g.adj
+    full = (1 << n) - 1
+    # the root is the first vertex that is not universal: the
+    # quotient's vertex 0 unless that is a star's centre, the one root
+    # the table fails from
+    root = 0
+    while adj[root] | 1 << root == full:
+        root += 1
+        if root == n:
+            return None  # complete: the quotient is one vertex
+    if not _twin_edges_only(g, adj[root], twins, root):
+        return None
+    level_masks = g.levels(root)
+    if sum(level_masks) != full:
+        return None
+    for level in level_masks[2:]:
+        if not _twin_edges_only(g, level, twins):
+            return None
+    levels, split = [], []
+    colors = [0] * n
+    for i, level in enumerate(level_masks):
+        lv = members(level)
+        deeper = level_masks[i + 1] if i + 1 < len(level_masks) else 0
+        a, b = [], []
+        for v in lv:
+            (b if adj[v] & deeper else a).append(v)
+        levels.append(lv)
+        split.append((a, b))
+        dead_end_color, other_color = _LEVEL_COLORS[i % 4]
+        for v in a:
+            colors[v] = dead_end_color
+        for v in b:
+            colors[v] = other_color
+    return root, levels, split, colors
+
+
+def _verified(g: Graph, colors, what: str) -> Coloring:
+    """``colors`` as a 3-color Coloring once ``is_rlid`` accepts it on g;
+    TheoremCounterexample otherwise, rather than return it quietly."""
+    coloring = Coloring(colors, palette=3)
+    if is_rlid(g, coloring):
+        return coloring
+    raise TheoremCounterexample(
+        "%s with no 3-color rlid coloring: edges=%r" % (what, g.edges())
+    )
 
 
 def level_three_coloring(g: Graph):
@@ -366,43 +447,38 @@ def level_three_coloring(g: Graph):
     TheoremCounterexample is raised rather than return an invalid
     coloring quietly.
     """
-    n = g.n
-    if n < 3:
+    found = _level_colors(g, False)
+    if found is None:
         return None
-    adj = g.adj
-    full = (1 << n) - 1
-    root = 1 if adj[0] | 1 == full else 0
-    if not _independent(adj, adj[root]):
-        return None
-    level_masks = g.levels(root)
-    if sum(level_masks) != full:
-        return None
-    for level in level_masks[2:]:
-        if not _independent(adj, level):
-            return None
-    levels, a_sets, b_sets = [], [], []
-    colors = [0] * n
-    for i, level in enumerate(level_masks):
-        lv = tuple(bits(level))
-        deeper = level_masks[i + 1] if i + 1 < len(level_masks) else 0
-        a, b = [], []
-        for v in lv:
-            (b if adj[v] & deeper else a).append(v)
-        levels.append(lv)
-        a_sets.append(tuple(a))
-        b_sets.append(tuple(b))
-        dead_end_color, other_color = _LEVEL_COLORS[i % 4]
-        for v in a:
-            colors[v] = dead_end_color
-        for v in b:
-            colors[v] = other_color
-    decomp = LevelDecomposition(root, tuple(levels), tuple(a_sets), tuple(b_sets))
-    coloring = Coloring(colors, palette=3)
-    if is_rlid(g, coloring):
-        return coloring, decomp
-    raise TheoremCounterexample(
-        "connected bipartite graph with no 3-color rlid coloring: edges=%r" % (g.edges(),)
+    root, levels, split, colors = found
+    decomp = LevelDecomposition(
+        root,
+        tuple(levels),
+        tuple(tuple(a) for a, _ in split),
+        tuple(tuple(b) for _, b in split),
     )
+    return _verified(g, colors, "connected bipartite graph"), decomp
+
+
+def quotient_three_coloring(g: Graph):
+    """A verified rlid 3-coloring of a connected graph whose twin
+    quotient is bipartite of order >= 3, or None for any other graph.
+
+    The rlid condition exempts adjacent twins, and N[x] is the union of
+    the twin classes of the quotient vertices in N[rep(x)].  So when
+    each class takes the color its representative gets in the quotient,
+    C(N[x]) is the color set of N[rep(x)] there, and an rlid coloring
+    of the quotient lifts to g.  The coloring is the level coloring of
+    the quotient, so on a bipartite graph (its own quotient) it is
+    ``level_three_coloring``'s.  No quotient is built: one level walk
+    on g, which reads the closed-neighborhood masks only at an edge
+    inside a level, so a bipartite graph never builds them.  The result
+    is verified once, on g.
+    """
+    found = _level_colors(g, True)
+    if found is None:
+        return None
+    return _verified(g, found[-1], "graph with a bipartite twin quotient")
 
 
 def bipartite_three_coloring(g: Graph):

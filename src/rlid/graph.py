@@ -45,6 +45,17 @@ def bits(mask: int):
         mask ^= low
 
 
+def members(mask: int) -> tuple:
+    """The set bit positions of ``mask`` in increasing order, as a tuple:
+    ``tuple(bits(mask))`` without a generator, about twice as fast."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def mask_of(vertices) -> int:
     m = 0
     for v in vertices:
@@ -136,7 +147,7 @@ class Graph:
         mask on each call when the graph holds masks."""
         if self._nbrs is not None:
             return self._nbrs[v]
-        return tuple(bits(self.adj[v]))
+        return members(self.adj[v])
 
     def _neighbor_tuples(self):
         return tuple(map(self.neighbors, range(self.n)))

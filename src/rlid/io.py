@@ -381,14 +381,27 @@ def _flatten(obj, prefix=""):
 # which costs more than the search or verification it reports; the long
 # lists of a result are laid out here instead, byte for byte alike
 def _int_list_json(items, depth):
-    """A list of ints, or of int lists, laid out as the indenting encoder
-    lays it out ``depth`` levels deep."""
+    """A list of ints laid out as the indenting encoder lays it out
+    ``depth`` levels deep."""
     if not items:
         return "[]"
-    if isinstance(items[0], list):
-        items = [_int_list_json(row, depth + 1) for row in items]
     pad = "\n" + "  " * (depth + 1)
     return "[%s%s\n%s]" % (pad, ("," + pad).join(map(str, items)), "  " * depth)
+
+
+# one [v, c] row of a solve result's coloring witness, two levels deep
+_WITNESS_ROW = "    [\n      %d,\n      %d\n    ]"
+
+
+def _witness_json(witness) -> str:
+    """A solve result's witness laid out one level deep: a coloring as
+    one template row per ``[v, c]`` pair, a vertex set as its sorted
+    members."""
+    if isinstance(witness, frozenset):
+        return _int_list_json(sorted(witness), 1)
+    if not witness.colors:
+        return "[]"
+    return "[\n%s\n  ]" % ",\n".join(map(_WITNESS_ROW.__mod__, enumerate(witness.colors)))
 
 
 # one violation of a verification report, two levels deep
@@ -441,7 +454,8 @@ def write_result(result, fmt: str = "json", comments=()) -> bytes:
     if fmt == "json":
         if isinstance(result, SolveResult) and obj["witness"] is not None:
             # "witness" sorts after every other key, so it closes the object
-            witness = _int_list_json(obj.pop("witness"), 1)
+            del obj["witness"]
+            witness = _witness_json(result.witness)
             head = json.dumps(obj, sort_keys=True, indent=2)[:-2]
             return (head + ',\n  "witness": ' + witness + "\n}\n").encode()
         return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()

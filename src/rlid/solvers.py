@@ -54,12 +54,15 @@ Both cuts only compare or count colors, so renaming colors keeps them;
 the at-most-one-new-color rule and the values stay exact.
 
 One input class needs no search.  ``chi_exact`` for rlid, unless asked
-to search k = 2, returns 3 at once on a connected bipartite graph of
-order >= 3: the lower bound is the no-two law (the graph is not
-complete), and the witness is the BFS-level coloring of
-``coloring.level_three_coloring``, checked by ``is_rlid``.  Such a
-result spends no nodes and says ``closed_by == "bipartite-3"`` in its
-stats; every other exact result says ``"search"``.
+to search k = 2, returns 3 at once on a connected graph whose twin
+quotient is bipartite of order >= 3 (a bipartite graph of order >= 3
+is its own quotient): the lower bound is the no-two law (the graph is
+not complete), and the witness is the BFS-level coloring of the
+quotient, each twin class colored like its representative
+(``coloring.quotient_three_coloring``), checked by ``is_rlid`` on the
+graph.  Such a result spends no nodes and says ``closed_by ==
+"bipartite-3"`` in its stats; every other exact result says
+``"search"``.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from .coloring import Coloring, is_identifying_code, level_three_coloring
+from .coloring import Coloring, is_identifying_code, quotient_three_coloring
 from .graph import (
     BudgetExceeded,
     Graph,
@@ -77,6 +80,7 @@ from .graph import (
     degeneracy,
     is_isomorphic,
     max_clique,
+    members,
     twin_partition,
     twin_representatives,
 )
@@ -139,8 +143,9 @@ class SolveStats:
     clique the color-count cut used (0 when none).  ``closed_by`` says
     what settled an exact value: ``"search"`` (the search found the
     witness and refuted every smaller k) or ``"bipartite-3"``
-    (chi_exact's closure of connected bipartite rlid inputs, see
-    there); it is None otherwise.  No field depends on the machine."""
+    (chi_exact's closure of connected rlid inputs whose twin quotient
+    is bipartite, see there); it is None otherwise.  No field depends
+    on the machine."""
 
     nodes: int
     per_k: tuple = ()
@@ -175,16 +180,6 @@ def _require_twin_free(g: Graph):
                 "vertices %d and %d are twins; lid, id and identifying codes "
                 "need a twin-free graph" % cls[:2]
             )
-
-
-def _members(mask: int) -> tuple:
-    """``tuple(bits(mask))`` without a generator, for the plan's loops."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 class _SearchPlan:
@@ -290,7 +285,7 @@ class _SearchPlan:
                             # one side is a single vertex a, the other N[] is all common
                             a = ou | ov
                             forced[a.bit_length() - 1] |= both
-                            for w in _members(both):
+                            for w in members(both):
                                 forced[w] |= a
                     if not triangle and both.bit_count() > 2 and adj[u] >> v & 1:
                         triangle = True
@@ -335,7 +330,7 @@ class _SearchPlan:
                     score[v] += lead_step
         # proper mode has no pairs, so its forced masks are all zero
         differ = [a | d for a, d in zip(adj, forced)] if mode in ("proper", "lid") else forced
-        members = set(self.clique)
+        clique_members = set(self.clique)
         uncolored = set(range(n))
         free = (1 << n) - 1  # the uncolored vertices
         steps = []
@@ -343,7 +338,7 @@ class _SearchPlan:
             v = max(uncolored, key=score.__getitem__)
             uncolored.remove(v)
             free ^= 1 << v
-            apart = _members(differ[v] & ~free)
+            apart = members(differ[v] & ~free)
             rest = forced[v] & free
             while rest:
                 low = rest & -rest
@@ -362,7 +357,7 @@ class _SearchPlan:
                 if own & (own - 1) or not partners[u]:
                     continue
                 if not own:
-                    closing.append((u, _members(closed[u] ^ 1 << v)))
+                    closing.append((u, members(closed[u] ^ 1 << v)))
                 for b in partners[u]:
                     if b < u and near >> b & 1:
                         continue  # the visit from b covers this pair
@@ -371,7 +366,7 @@ class _SearchPlan:
                         done.append((u, b))
                     elif not rest & (rest - 1):
                         score[rest.bit_length() - 1] += closes_step
-            steps.append((v, apart, tuple(closing), tuple(done), v in members))
+            steps.append((v, apart, tuple(closing), tuple(done), v in clique_members))
         self.steps = tuple(steps)
 
 
@@ -550,17 +545,20 @@ def chi_exact(g: Graph, parameter: str = "rlid", budget=None, *, search_two: boo
     fails; pass ``search_two=True`` to search it anyway, e.g. when
     auditing that very law.
 
-    rlid on a connected bipartite graph of order >= 3 is closed before
-    any search plan is built: such a graph is not complete, so the
-    value is at least 3 by the law above, and
-    ``coloring.level_three_coloring`` gives a verified 3-coloring.  The
-    result is exact 3 with that witness, ``stats.closed_by ==
-    "bipartite-3"``, no nodes spent and no ``per_k`` rows.  On any
-    other graph the attempt stops after at most one ``Graph.levels``
-    walk and O(n) work, and the deepening runs as before, with
+    rlid on a connected graph whose twin quotient is bipartite of order
+    >= 3 is closed before any search plan is built: such a graph is not
+    complete, so the value is at least 3 by the law above, and
+    ``coloring.quotient_three_coloring`` gives a 3-coloring, verified
+    once on the graph: the level coloring of the quotient, each twin
+    class colored like its representative (a bipartite graph is its
+    own quotient).  The result is exact 3 with that witness,
+    ``stats.closed_by == "bipartite-3"``, no nodes spent and no
+    ``per_k`` rows.  On any other graph the attempt stops after at
+    most one ``Graph.levels`` walk, O(n) work and one look at each edge
+    inside a level, and the deepening runs as before, with
     ``closed_by == "search"`` on an exact result.  ``search_two=True``
     skips the closure, so it still searches every k from 1.  A
-    disconnected input is searched too, bipartite or not.
+    disconnected input is searched too.
     """
     spec = PARAMETERS.get(parameter)
     if spec is None:
@@ -574,10 +572,10 @@ def chi_exact(g: Graph, parameter: str = "rlid", budget=None, *, search_two: boo
         return SolveResult(parameter, 0, Coloring(()), "exact", SolveStats(0, closed_by="search"))
     skip_two = parameter == "rlid" and not search_two
     if skip_two:
-        found = level_three_coloring(g)
+        found = quotient_three_coloring(g)
         if found is not None:
             stats = SolveStats(budget.nodes, closed_by="bipartite-3")
-            return SolveResult(parameter, 3, found[0], "exact", stats)
+            return SolveResult(parameter, 3, found, "exact", stats)
     ks = [k for k in range(1, g.n + 1) if not (skip_two and k == 2)]
     result = deepen(g, parameter, ks, budget)
     if result.status == "infeasible":

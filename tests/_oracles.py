@@ -3,8 +3,9 @@
 Everything here works on (n, edge list) pairs with plain Python sets and
 itertools, sharing no code with the package under test, except that
 ``reference_plan`` borrows its clique search, ``reference_search`` the
-budget exception and ``reference_full_palette`` its graph operations
-and isomorphism test.
+budget exception, ``reference_full_palette`` its graph operations
+and isomorphism test, and ``reference_quotient_three_coloring`` the
+twin quotient and the bipartite level coloring.
 Deliberately slow; intended for n up to about 7.
 """
 
@@ -676,3 +677,22 @@ def reference_full_palette(g):
         elif not is_isomorphic(factor, power_path(k)):
             return False
     return True
+
+
+def reference_quotient_three_coloring(g):
+    """The colors of the level coloring of g's twin quotient, each twin
+    class colored like its representative, or None when the quotient
+    has no level coloring: ``rlid.coloring.quotient_three_coloring``
+    built from ``quotient`` and ``level_three_coloring``."""
+    from rlid.coloring import level_three_coloring
+    from rlid.graph import quotient
+
+    q, part = quotient(g)
+    found = level_three_coloring(q)
+    if found is None:
+        return None
+    colors = [0] * g.n
+    for c, cls in zip(found[0].colors, part.classes):
+        for v in cls:
+            colors[v] = c
+    return tuple(colors)

@@ -8,6 +8,7 @@ from rlid import (
     Budget,
     Coloring,
     GraphError,
+    bipartition,
     bounds_report,
     build_graph,
     characterize_full_palette,
@@ -24,7 +25,7 @@ from rlid import (
 from rlid.families import find_split_partition, g_star, h_p, power_path, prop1_graph, q1, q2
 from rlid.solvers import enumerate_graphs
 
-from _helpers import complete, cycle, path, threshold_graph, wheel
+from _helpers import blow_up, complete, cycle, path, star_graph, threshold_graph, wheel
 from _oracles import (
     all_labeled_graphs,
     brute_is_clique_union,
@@ -62,18 +63,38 @@ class TestLogOmegaLowerBound:
 
 
 class TestBoundsReport:
-    def test_quotient_step_closes_a_path_with_a_twin(self):
-        # P200 plus a closed twin of vertex 5: the search step runs out of
-        # budget on 201 vertices, and the quotient, P200, is bipartite
+    def test_bipartite_quotient_closes_a_path_with_a_twin(self):
+        # P200 plus a closed twin of vertex 5: the quotient, P200, is
+        # bipartite, so the cheap bounds meet and nothing is searched
         edges = [(i, i + 1) for i in range(199)] + [(200, 4), (200, 5), (200, 6)]
         g = build_graph(201, edges)
-        r = bounds_report(g)
+        budget = Budget(10**6)
+        r = bounds_report(g, budget=budget)
         assert r.lower_bounds == ((3, "no-two-rule"), (2, "log-omega-quotient"))
-        assert r.upper_bounds == ((201, "order-n"), (3, "quotient"))
+        assert r.upper_bounds == ((201, "order-n"), (3, "bipartite-3"))
         assert r.exact == 3 == chi_exact(g, "rlid").value
+        assert r.notes == ()
+        # the search step charges the plan build before it searches
+        assert budget.nodes < solvers_mod.plan_cost(g)
+
+    def test_tripled_c8_closes_before_the_search_step(self):
+        g = blow_up(cycle(8), 3)
+        budget = Budget(10**6)
+        r = bounds_report(g, budget=budget)
+        assert r.upper_bounds == ((24, "order-n"), (3, "bipartite-3"))
+        assert (r.exact, r.notes) == (3, ())
+        assert budget.nodes < solvers_mod.plan_cost(g)
+
+    def test_quotient_step_bounds_a_clique_blow_up_of_c5(self):
+        # every vertex of C5 a K40: the search step is skipped on 200
+        # vertices, and the report on the quotient, C5, gives 4
+        g = blow_up(cycle(5), 40)
+        r = bounds_report(g)
+        assert r.upper_bounds == ((200, "order-n"), (4, "quotient"))
+        assert (r.best_lower, r.best_upper, r.exact) == (3, 4, None)
         assert r.notes == (
             "search skipped: budget exceeded",
-            "quotient: gamma-id-plus-1 not run: cannot tighten 3..3",
+            "quotient: gamma-id-plus-1 not run: cannot tighten 4..4",
         )
 
     def test_p4_exact_three(self):
@@ -260,13 +281,34 @@ class TestBoundsReport:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_listed_bound_is_sound(self, n):
-        for g in enumerate_graphs(n, lambda g: g.is_connected()):
+        # every labeled graph, the disconnected ones included; the
+        # bipartite-3 bound also fires on graphs that are not bipartite
+        # but whose twin quotient is
+        quotient_only = 0
+        for g in enumerate_graphs(n):
             r = bounds_report(g)
             truth = chi_exact(g, "rlid", search_two=True).value
             for value, prov in r.lower_bounds:
                 assert value <= truth, (prov, value, truth, list(g.edges()))
             for value, prov in r.upper_bounds:
                 assert value >= truth, (prov, value, truth, list(g.edges()))
+            if (3, "bipartite-3") in r.upper_bounds and bipartition(g) is None:
+                quotient_only += 1
+        assert (quotient_only > 0) == (n >= 4)
+
+    @pytest.mark.parametrize(
+        "g",
+        [blow_up(cycle(8), 3), blow_up(path(4), 2), blow_up(star_graph(3), 3)],
+        ids=["C8 x3", "P4 x2", "K1,3 x3"],
+    )
+    def test_listed_bounds_of_blow_ups_are_sound(self, g):
+        # the blow-ups of a bipartite graph and their disjoint union
+        two = build_graph(2 * g.n, g.edges() + [(u + g.n, v + g.n) for u, v in g.edges()])
+        for h in (g, two):
+            r = bounds_report(h)
+            truth = chi_exact(h, "rlid", search_two=True).value
+            assert (3, "bipartite-3") in r.upper_bounds
+            assert r.best_lower <= truth <= r.best_upper == 3
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_cheap_rules_follow_the_twin_classes(self, n):

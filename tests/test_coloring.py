@@ -25,8 +25,10 @@ from rlid import (
     verify_rlid,
     write_result,
 )
+from rlid.coloring import quotient_three_coloring
+from rlid.graph import Graph
 
-from _helpers import complete, cycle, path, star_graph
+from _helpers import blow_up, complete, cycle, grid, path, star_graph
 from _oracles import (
     all_labeled_graphs,
     brute_is_id,
@@ -34,6 +36,7 @@ from _oracles import (
     brute_is_lid,
     brute_is_proper,
     brute_is_rlid,
+    reference_quotient_three_coloring,
     reference_violations,
 )
 
@@ -279,3 +282,69 @@ class TestViolationTuplesMatchReference:
         colors = [rng.randint(1, 12) for _ in range(n)]
         code = [v for v in range(n) if rng.random() < 0.5]
         self.check(n, edges, colors, code)
+
+
+def _shuffled_blow_up(rng, n):
+    """A random graph on n vertices, bipartite with probability about
+    0.7, each vertex replaced by a clique of 1 to 3 twins and the
+    vertices relabeled at random."""
+    edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
+             if (u - v) % 2 and rng.random() < 0.4]
+    if rng.random() < 0.3:
+        edges += [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.1]
+    size = [rng.randint(1, 3) for _ in range(n)]
+    first = list(itertools.accumulate([0] + size))
+    label = list(range(first[-1]))
+    rng.shuffle(label)
+    pairs = [(first[v] + i, first[v] + j) for v in range(n)
+             for i, j in itertools.combinations(range(size[v]), 2)]
+    pairs += [(first[u] + i, first[v] + j) for u, v in edges
+              for i in range(size[u]) for j in range(size[v])]
+    return build_graph(first[-1], [(label[a], label[b]) for a, b in pairs])
+
+
+class TestQuotientThreeColoring:
+    """One level walk on g gives the lift of the quotient's level
+    coloring, without building the quotient."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_labeled_graph_matches_the_lifted_quotient_coloring(self, n):
+        closed = 0
+        for edges in all_labeled_graphs(n):
+            g = build_graph(n, edges)
+            found = quotient_three_coloring(g)
+            expected = reference_quotient_three_coloring(g)
+            assert (None if found is None else found.colors) == expected, edges
+            closed += found is not None
+        assert closed == {0: 0, 1: 0, 2: 0, 3: 3, 4: 37, 5: 460, 6: 7461}[n]
+
+    def test_shuffled_blow_ups_match_the_lifted_quotient_coloring(self):
+        rng = random.Random(28)
+        closed = 0
+        for _ in range(1500):
+            g = _shuffled_blow_up(rng, rng.randint(3, 12))
+            found = quotient_three_coloring(g)
+            expected = reference_quotient_three_coloring(g)
+            assert (None if found is None else found.colors) == expected, g.edges()
+            closed += found is not None
+        assert closed > 300
+
+    def test_a_bipartite_graph_builds_no_closed_masks(self):
+        g = grid(6, 7)
+        found = quotient_three_coloring(g)
+        with pytest.raises(AttributeError):
+            Graph.closed.__get__(g)
+        assert found.colors == reference_quotient_three_coloring(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            blow_up(complete(2), 3),
+            blow_up(cycle(5), 2),
+            blow_up(build_graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]), 2),
+        ],
+        ids=["K6", "C5 x2", "2 P4 x2"],
+    )
+    def test_other_graphs_give_none(self, g):
+        # a one-vertex quotient, an odd-cycle quotient, a disconnected graph
+        assert quotient_three_coloring(g) is None

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from rlid import (
     Budget,
     Coloring,
+    SolveResult,
+    SolveStats,
     bounds_report,
     build_graph,
     chi_exact,
@@ -41,7 +43,7 @@ from rlid.cli import main
 from rlid.families import g_star, h_p, power_path, prop1_graph, q1, q2, star
 from rlid.io import MAX_ORDER, ParseError, _jsonable
 
-from _helpers import cycle, path, star_graph, threshold_graph
+from _helpers import blow_up, cycle, grid, path, star_graph, threshold_graph
 from _oracles import all_labeled_graphs
 
 P4_EDGELIST = "4\n0 1\n1 2\n2 3\n"
@@ -244,6 +246,24 @@ class TestJsonTemplates:
         assert {r.status for r in results} == {"exact", "budget-exceeded"}
         for r in results:
             assert write_result(r, "json") == self._reference(r), r
+
+    def test_witness_rows_match_the_json_encoder(self):
+        """One template row per [v, c] pair: multi-digit vertices and
+        colors, a lifted twin-quotient coloring, and vertex-set witnesses."""
+        rng = random.Random(28)
+        witnesses = [
+            Coloring(()),
+            Coloring([7]),
+            Coloring(range(1, 101)),
+            Coloring([rng.randint(1, 12) for _ in range(1500)]),
+            chi_exact(blow_up(grid(5, 5), 2), "rlid").witness,
+            frozenset(),
+            frozenset({0, 7, 1234}),
+        ]
+        for witness in witnesses:
+            r = SolveResult("rlid", 3, witness, "exact", SolveStats(0, closed_by="search"))
+            expected = json.dumps(_jsonable(r), sort_keys=True, indent=2) + "\n"
+            assert write_result(r, "json") == expected.encode(), witness
 
     def test_empty_witness_and_empty_violation_list(self):
         rep = verify_identifying_code(path(3), [0])

@@ -36,7 +36,7 @@ from rlid.solvers import (
     deepen,
 )
 
-from _helpers import complete, cycle, path, star_graph, wheel
+from _helpers import blow_up, complete, cycle, grid, path, star_graph, wheel
 from _oracles import (
     adjacency,
     all_labeled_graphs,
@@ -411,8 +411,9 @@ class TestDeepen:
 
 
 class TestBipartiteClosure:
-    """chi_exact closes connected bipartite rlid inputs with the level
-    coloring and builds no search plan."""
+    """chi_exact closes connected rlid inputs whose twin quotient is
+    bipartite of order >= 3 with the level coloring and builds no search
+    plan."""
 
     def test_every_connected_bipartite_graph_up_to_order_six(self):
         checked = 0
@@ -433,6 +434,56 @@ class TestBipartiteClosure:
                 assert [k for k, _ in searched.stats.per_k] == [1, 2, 3]
                 checked += 1
         assert checked == 3248
+
+    def test_every_connected_graph_with_a_bipartite_twin_quotient_up_to_order_six(self):
+        checked = 0
+        for n in range(3, 7):
+            for edges in all_labeled_graphs(n):
+                if brute_twin_free(n, edges) or not brute_connected(n, edges):
+                    continue
+                order, quotient_edges = brute_quotient(n, edges)
+                if order < 3 or not brute_bipartite(order, quotient_edges):
+                    continue
+                g = build_graph(n, edges)
+                res = chi_exact(g, "rlid")
+                assert (res.value, res.status) == (3, "exact"), edges
+                colors = res.witness.colors
+                assert brute_is_rlid(n, edges, colors), edges
+                assert set(colors) == {1, 2, 3}
+                closed = closed_neighborhoods(n, edges)
+                for u, v in combinations(range(n), 2):
+                    if closed[u] == closed[v]:
+                        assert colors[u] == colors[v], edges
+                stats = res.stats
+                assert (stats.nodes, stats.per_k, stats.closed_by) == (0, (), "bipartite-3")
+                searched = chi_exact(g, "rlid", search_two=True)
+                assert (searched.value, searched.stats.closed_by) == (3, "search"), edges
+                checked += 1
+        assert checked == 4713
+
+    @pytest.mark.parametrize(
+        "g", [blow_up(grid(5, 5), 2), blow_up(cycle(20), 3)], ids=["5x5 grid x2", "C20 x3"]
+    )
+    def test_clique_blow_ups_of_bipartite_graphs_close_under_a_one_node_budget(self, g):
+        res = chi_exact(g, "rlid", Budget(1))
+        assert (res.value, res.status, res.stats.nodes) == (3, "exact", 0)
+        assert res.stats.closed_by == "bipartite-3"
+        assert is_rlid(g, res.witness)
+        for cls in quotient(g)[1].classes:
+            assert len({res.witness[v] for v in cls}) == 1
+
+    def test_disconnected_input_with_a_bipartite_twin_quotient_still_searches(self):
+        paw = [(0, 1), (1, 2), (0, 2), (2, 3)]
+        two_paws = build_graph(8, paw + [(u + 4, v + 4) for u, v in paw])
+        res = chi_exact(two_paws, "rlid")
+        assert (res.value, res.status, res.stats.closed_by) == (3, "exact", "search")
+        assert res.stats.nodes > 0
+
+    def test_bipartite_three_coloring_keeps_its_bipartite_contract(self):
+        paw = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        assert chi_exact(paw, "rlid").stats.closed_by == "bipartite-3"
+        with pytest.raises(GraphError, match="graph is not bipartite"):
+            bipartite_three_coloring(paw)
 
     def test_disconnected_bipartite_input_still_searches(self):
         two_p3 = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
