@@ -37,10 +37,10 @@ from .graph import (
     Graph,
     GraphError,
     bipartition,
-    bits,
     edge_mask,
     is_twin_free,
     max_clique_size,
+    members,
     quotient,
     twin_partition,
 )
@@ -407,7 +407,7 @@ def _random_twins_graph(seed: int) -> Graph:
         x = rng.randrange(g.n)
         closed = g.adj[x] | (1 << x)
         masks = list(g.adj) + [closed]
-        for v in bits(closed):
+        for v in members(closed):
             masks[v] |= 1 << g.n
         g = Graph.from_adj_masks(g.n + 1, masks)
     return g

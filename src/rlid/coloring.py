@@ -424,42 +424,6 @@ def _verified(g: Graph, colors, what: str) -> Coloring:
     )
 
 
-def level_three_coloring(g: Graph):
-    """The BFS-level three-coloring of a connected bipartite graph of
-    order >= 3, as (coloring, decomposition), or None for any other
-    graph.
-
-    Levels are taken from vertex 0, or from vertex 1 when vertex 0 is
-    universal: the only universal vertex a connected bipartite graph
-    can have is a star's centre, the one root the table fails from.
-    That test reads vertex 0's open neighborhood mask, so the
-    closed-neighborhood masks are never built.  The graph is bipartite
-    exactly when no edge lies inside a level.  Level 1 is the root's
-    neighborhood, so it is checked before the walk, which rejects any
-    graph with a triangle through the root; then one ``Graph.levels``
-    walk gives the other levels and shows whether the graph is
-    connected.  A miss costs at most that walk and one look at each
-    vertex's neighbor mask.
-
-    Level colors follow the residue table 1 / 1-or-2 / 3 / 3-or-2,
-    where a level-i vertex counts as a dead end (first option) when it
-    has no neighbor one level deeper.  The result is verified, and a
-    TheoremCounterexample is raised rather than return an invalid
-    coloring quietly.
-    """
-    found = _level_colors(g, False)
-    if found is None:
-        return None
-    root, levels, split, colors = found
-    decomp = LevelDecomposition(
-        root,
-        tuple(levels),
-        tuple(tuple(a) for a, _ in split),
-        tuple(tuple(b) for _, b in split),
-    )
-    return _verified(g, colors, "connected bipartite graph"), decomp
-
-
 def quotient_three_coloring(g: Graph):
     """A verified rlid 3-coloring of a connected graph whose twin
     quotient is bipartite of order >= 3, or None for any other graph.
@@ -470,7 +434,7 @@ def quotient_three_coloring(g: Graph):
     C(N[x]) is the color set of N[rep(x)] there, and an rlid coloring
     of the quotient lifts to g.  The coloring is the level coloring of
     the quotient, so on a bipartite graph (its own quotient) it is
-    ``level_three_coloring``'s.  No quotient is built: one level walk
+    ``bipartite_three_coloring``'s.  No quotient is built: one level walk
     on g, which reads the closed-neighborhood masks only at an edge
     inside a level, so a bipartite graph never builds them.  The result
     is verified once, on g.
@@ -482,17 +446,40 @@ def quotient_three_coloring(g: Graph):
 
 
 def bipartite_three_coloring(g: Graph):
-    """Three-color a connected bipartite graph via BFS levels.
+    """Three-color a connected bipartite graph of order >= 3 via BFS
+    levels; returns (coloring, decomposition).
 
-    Returns (coloring, decomposition) as ``level_three_coloring`` does,
-    and raises GraphError, saying which condition fails, for a graph of
-    order below 3, a disconnected graph or an odd cycle.
+    Levels are taken from vertex 0, or from vertex 1 when vertex 0 is
+    universal: the only universal vertex a connected bipartite graph
+    can have is a star's centre, the one root the table fails from.
+    That test reads vertex 0's open neighborhood mask, so the
+    closed-neighborhood masks are never built.  The graph is bipartite
+    exactly when no edge lies inside a level.  Level 1 is the root's
+    neighborhood, so it is checked before the walk, which rejects any
+    graph with a triangle through the root; then one ``Graph.levels``
+    walk gives the other levels and shows whether the graph is
+    connected.  A miss costs at most that walk and one look at each
+    vertex's neighbor mask before the GraphError is chosen: order
+    below 3, then a disconnected graph, then an odd cycle.
+
+    Level colors follow the residue table 1 / 1-or-2 / 3 / 3-or-2,
+    where a level-i vertex counts as a dead end (first option) when it
+    has no neighbor one level deeper.  The result is verified, and a
+    TheoremCounterexample is raised rather than return an invalid
+    coloring quietly.
     """
-    found = level_three_coloring(g)
-    if found is not None:
-        return found
-    if g.n < 3:
-        raise GraphError("need order >= 3, got %d" % g.n)
-    if not g.is_connected():
-        raise GraphError("need a connected graph")
-    raise GraphError("graph is not bipartite")
+    found = _level_colors(g, False)
+    if found is None:
+        if g.n < 3:
+            raise GraphError("need order >= 3, got %d" % g.n)
+        if not g.is_connected():
+            raise GraphError("need a connected graph")
+        raise GraphError("graph is not bipartite")
+    root, levels, split, colors = found
+    decomp = LevelDecomposition(
+        root,
+        tuple(levels),
+        tuple(tuple(a) for a, _ in split),
+        tuple(tuple(b) for _, b in split),
+    )
+    return _verified(g, colors, "connected bipartite graph"), decomp

@@ -32,10 +32,10 @@ from .coloring import (  # noqa: F401  (the bipartite coloring is re-exported)
 from .graph import (
     Graph,
     GraphError,
-    bits,
     build_graph,
     is_twin_free,
     mask_of,
+    members,
     quotient,
 )
 
@@ -133,9 +133,9 @@ def h_p(p: int) -> FamilyInstance:
         edges.append((y0 + i - 1, yp0 + i - 1))
     for q in range(csize):
         if q.bit_count() >= 2:
-            for i in bits(q):
+            for i in members(q):
                 edges.append((q, z0 + i))
-    roles = ["x:{%s}" % ",".join(str(i + 1) for i in bits(q)) for q in range(csize)]
+    roles = ["x:{%s}" % ",".join(str(i + 1) for i in members(q)) for q in range(csize)]
     roles += ["y:%d" % i for i in range(1, p + 1)]
     roles += ["y':%d" % i for i in range(1, p + 1)]
     roles += ["z:%d" % i for i in range(1, p + 1)]
@@ -226,7 +226,7 @@ def lift_coloring_gstar(g: Graph, c: Coloring, k: int, inst: FamilyInstance | No
         q = next(x for x in range(1, k + 1) if x != c.colors[u] and x != c.colors[v])
         out += [q, q]
     for v in range(n):
-        out.append(c.colors[min(bits(g.adj[v]))])
+        out.append(c.colors[min(members(g.adj[v]))])
     return Coloring(out, palette=k)
 
 
@@ -263,9 +263,9 @@ def q1(p: int) -> FamilyInstance:
     n = csize + (p - 1)
     edges = list(itertools.combinations(range(csize), 2))
     for q in range(csize):
-        for i in bits(q):
+        for i in members(q):
             edges.append((q, csize + i))
-    roles = ["x:{%s}" % ",".join(str(i + 1) for i in bits(q)) for q in range(csize)]
+    roles = ["x:{%s}" % ",".join(str(i + 1) for i in members(q)) for q in range(csize)]
     roles += ["s:%d" % i for i in range(1, p)]
     g = build_graph(n, edges)
     colors = [p + 1] + [p] * (csize - 1) + [i for i in range(1, p)]
@@ -401,10 +401,10 @@ def _check_split(g: Graph, part: SplitPartition):
     smask = mask_of(part.stable)
     if kmask & smask or (kmask | smask) != (1 << g.n) - 1:
         raise GraphError("clique and stable parts must partition the vertex set")
-    for v in bits(kmask):
+    for v in members(kmask):
         if g.adj[v] & kmask != kmask ^ (1 << v):
             raise GraphError("clique part is not complete at vertex %d" % v)
-    for v in bits(smask):
+    for v in members(smask):
         if g.adj[v] & smask:
             raise GraphError("stable part has an internal edge at vertex %d" % v)
     return kmask, smask
@@ -420,7 +420,7 @@ def _check_separator_input(g: Graph, part: SplitPartition, user: str):
         raise GraphError("%s needs a connected graph" % user)
     if not is_twin_free(g):
         raise GraphError("%s needs a twin-free graph" % user)
-    for v in bits(smask):
+    for v in members(smask):
         if g.adj[v] & kmask == kmask:
             raise GraphError(
                 "%s needs a maximal clique part: stable vertex %d sees all of it" % (user, v)
@@ -437,7 +437,7 @@ def maximal_split_partition(g: Graph, part: SplitPartition) -> SplitPartition:
     grown clique side: one pass is enough.
     """
     kmask, smask = _check_split(g, part)
-    for v in bits(smask):
+    for v in members(smask):
         if g.adj[v] & kmask == kmask:
             return SplitPartition(part.clique | {v}, part.stable - {v})
     return part
@@ -603,7 +603,7 @@ def _split_case_colors(g: Graph, part: SplitPartition) -> list:
             if a_mask:
                 colors[y] = e3
         else:
-            first, *rest = bits(a_mask)
+            first, *rest = members(a_mask)
             colors[first] = e2
             for v in rest:
                 colors[v] = e3
@@ -639,8 +639,10 @@ def split_rlid_coloring(g: Graph, part: SplitPartition) -> Coloring:
             frozenset(new_of_old[v] for v in part.clique if v in new_of_old),
             frozenset(new_of_old[v] for v in part.stable if v in new_of_old),
         )
-        q_colors = split_rlid_coloring(q, q_part).colors
-        colors = [q_colors[new_of_old[tp.representative_map[v]]] for v in range(g.n)]
+        colors = [0] * g.n
+        for c, cls in zip(split_rlid_coloring(q, q_part).colors, tp.classes):
+            for v in cls:
+                colors[v] = c
     candidate = Coloring(colors)
     if is_rlid(g, candidate):
         return candidate

@@ -76,7 +76,6 @@ from .graph import (
     BudgetExceeded,
     Graph,
     GraphError,
-    bits,
     degeneracy,
     is_isomorphic,
     max_clique,
@@ -604,9 +603,9 @@ def _code_constraints(g: Graph, spend):
     found = set(closed)
     for u in range(n):
         near = 0
-        for w in bits(closed[u]):
+        for w in members(closed[u]):
             near |= closed[w]
-        for v in bits(near & ~((2 << u) - 1)):
+        for v in members(near & ~((2 << u) - 1)):
             spend()
             found.add(closed[u] ^ closed[v])
     sets = sorted(found, key=lambda m: (m.bit_count(), m))
@@ -617,7 +616,7 @@ def _code_constraints(g: Graph, spend):
     rows = [bytearray(width) for _ in range(n)]
     for i, c in enumerate(sets):
         byte, bit = i >> 3, 1 << (i & 7)
-        for w in bits(c):
+        for w in members(c):
             rows[w][byte] |= bit
     containing = [int.from_bytes(row, "little") for row in rows]
     dropped = 0
@@ -626,7 +625,7 @@ def _code_constraints(g: Graph, spend):
         if dropped & own:
             continue
         over = -1
-        for w in bits(c):
+        for w in members(c):
             over &= containing[w]
             if over == own:
                 break
@@ -699,7 +698,7 @@ def _min_hitting_set(sets: list, n: int, floor: int, best: int, spend) -> int:
     # explicit stack of [chosen, unmet, pick, candidates, next index]
     spend()
     root = expand(0, sets, 0, 0)
-    stack = [] if root is None else [[0, root[0], root[1], list(bits(root[1])), 0]]
+    stack = [] if root is None else [[0, root[0], root[1], list(members(root[1])), 0]]
     while stack:
         frame = stack[-1]
         chosen, unmet, pick, cands, i = frame
@@ -719,7 +718,7 @@ def _min_hitting_set(sets: list, n: int, floor: int, best: int, spend) -> int:
             if size < best_size:
                 best, best_size = child, size
             continue
-        stack.append([child, rest, nxt, list(bits(nxt)), 0])
+        stack.append([child, rest, nxt, list(members(nxt)), 0])
     return best
 
 
@@ -741,12 +740,12 @@ def gamma_id_exact(g: Graph, budget=None) -> SolveResult:
         return SolveResult("gamma-id", 0, frozenset(), "exact", SolveStats(0, closed_by="search"))
     try:
         sets, containing, live = _code_constraints(g, budget.spend)
-        kept = [sets[i] for i in bits(live)]
+        kept = [sets[i] for i in members(live)]
         greedy = _greedy_code(containing, live)
         code_mask = _min_hitting_set(kept, n, n.bit_length(), greedy, budget.spend)
     except BudgetExceeded:
         return SolveResult("gamma-id", None, None, "budget-exceeded", SolveStats(budget.nodes))
-    witness = frozenset(bits(code_mask))
+    witness = frozenset(members(code_mask))
     if not is_identifying_code(g, witness):
         raise AssertionError("hitting set %r is not an identifying code" % (code_mask,))
     stats = SolveStats(budget.nodes, closed_by="search")
@@ -795,7 +794,7 @@ def enumerate_graphs(order: int, filter=None, *, up_to_iso: bool = False):
             continue
         if up_to_iso:
             deg = [a.bit_count() for a in g.adj]
-            nbr_degs = tuple(sorted(tuple(sorted(deg[w] for w in bits(a))) for a in g.adj))
+            nbr_degs = tuple(sorted(tuple(sorted(deg[w] for w in members(a))) for a in g.adj))
             key = (tuple(sorted(deg)), nbr_degs)
             reps = seen_buckets.setdefault(key, [])
             if any(is_isomorphic(g, r) for r in reps):

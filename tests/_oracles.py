@@ -683,13 +683,15 @@ def reference_quotient_three_coloring(g):
     """The colors of the level coloring of g's twin quotient, each twin
     class colored like its representative, or None when the quotient
     has no level coloring: ``rlid.coloring.quotient_three_coloring``
-    built from ``quotient`` and ``level_three_coloring``."""
-    from rlid.coloring import level_three_coloring
-    from rlid.graph import quotient
+    built from ``quotient`` and ``bipartite_three_coloring``, whose
+    GraphError reads as None."""
+    from rlid.coloring import bipartite_three_coloring
+    from rlid.graph import GraphError, quotient
 
     q, part = quotient(g)
-    found = level_three_coloring(q)
-    if found is None:
+    try:
+        found = bipartite_three_coloring(q)
+    except GraphError:
         return None
     colors = [0] * g.n
     for c, cls in zip(found[0].colors, part.classes):

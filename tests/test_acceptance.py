@@ -42,7 +42,7 @@ from rlid.families import (
     q1,
     q2,
 )
-from rlid.graph import bipartition, bits, is_isomorphic
+from rlid.graph import bipartition, is_isomorphic, members
 from rlid.solvers import enumerate_graphs
 
 from conftest import ACCEPTANCE_VERDICTS
@@ -164,7 +164,7 @@ def _planted_twin_graph(seed):
     for _ in range(rng.randint(1, 7 - base_n)):
         x = rng.randrange(g.n)
         new_edges = list(g.edges())
-        new_edges += [(v, g.n) for v in bits(g.closed[x])]
+        new_edges += [(v, g.n) for v in members(g.closed[x])]
         g = build_graph(g.n + 1, new_edges)
     return g
 

@@ -24,7 +24,7 @@ from rlid import (
     verify_rlid,
 )
 from rlid.families import g_star, power_path, prop1_graph
-from rlid.graph import Graph, bits, graph_from_edge_mask, twin_representatives
+from rlid.graph import Graph, graph_from_edge_mask, members, twin_representatives
 from rlid.solvers import Budget
 
 from _helpers import complete, cycle, path, star_graph
@@ -42,12 +42,12 @@ from _oracles import (
 class TestBuildGraph:
     def test_p4_closed_neighborhood(self):
         g = path(4)
-        assert set(bits(g.closed[1])) == {0, 1, 2}
+        assert set(members(g.closed[1])) == {0, 1, 2}
 
     def test_singleton(self):
         g = build_graph(1, [])
         assert g.n == 1
-        assert set(bits(g.closed[0])) == {0}
+        assert set(members(g.closed[0])) == {0}
 
     def test_duplicate_edges_collapse(self):
         g = build_graph(3, [(0, 1), (1, 0), (1, 2)])
@@ -140,7 +140,7 @@ class TestLevels:
             for mask, edges in enumerate(all_labeled_graphs(n)):
                 for g in (graph_from_edge_mask(n, mask), Graph(n, edges)):
                     for s in range(n):
-                        got = [list(bits(level)) for level in g.levels(s)]
+                        got = [list(members(level)) for level in g.levels(s)]
                         assert got == brute_distance_classes(n, edges, s), (n, edges, s)
 
     def test_bipartition_matches_the_oracle_on_every_small_graph(self):
@@ -278,7 +278,7 @@ class TestCliqueAndBipartition:
             g = build_graph(n, edges)
             closed = closed_neighborhoods(n, edges)
             smallest = {v for v in range(n) if all(closed[u] != closed[v] for u in range(v))}
-            assert set(bits(twin_representatives(g))) == smallest, edges
+            assert set(members(twin_representatives(g))) == smallest, edges
             assert twin_partition(g).representatives == tuple(sorted(smallest)), edges
 
 

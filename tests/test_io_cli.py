@@ -613,6 +613,39 @@ class TestCli:
         assert main(["solve", "-i", p, "--node-budget", "1"]) == 0
         assert "rlid = 3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "env, argv, code, err",
+        [
+            ("abc", ["solve", "-i", "p4"], 2, "RLID_NODE_BUDGET must be an integer, got 'abc'"),
+            ("0", ["solve", "-i", "p4"], 2, "RLID_NODE_BUDGET must be positive, got 0"),
+            (None, ["solve"], 2, "this command needs --input"),
+            (None, ["construct", "star"], 2, "construct needs --size for family 'star'"),
+            (None, ["color-split", "-i", "c4"], 1, "no clique/stable partition exists"),
+            (None, ["reduce", "-i", "p4", "--action", "lift"], 2,
+             "reduce --action lift needs --certificate"),
+            (None, ["reduce", "-i", "p4", "--action", "lift", "--certificate", "cert"], 2,
+             "reduce --action lift needs --k"),
+        ],
+        ids=["env-budget-abc", "env-budget-0", "solve-no-input", "construct-no-size",
+             "color-split-c4", "lift-no-certificate", "lift-no-k"],
+    )
+    def test_refused_invocations_exit_with_their_code(
+        self, tmp_path, capsys, monkeypatch, env, argv, code, err
+    ):
+        files = {
+            "p4": _write(tmp_path, "p4.txt", P4_EDGELIST),
+            "c4": _write(tmp_path, "c4.txt", "4\n0 1\n1 2\n2 3\n3 0\n"),
+            "cert": _write(tmp_path, "cert.txt", "0 1\n1 2\n2 2\n3 1\n"),
+        }
+        if env is None:
+            monkeypatch.delenv("RLID_NODE_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("RLID_NODE_BUDGET", env)
+        assert main([files.get(a, a) for a in argv]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert err in captured.err
+
     def test_solve_json_output(self, tmp_path, capsys):
         p = _write(tmp_path, "p4.txt", P4_EDGELIST)
         assert main(["solve", "-i", p, "--output", "json"]) == 0

@@ -22,7 +22,7 @@ from rlid import (
     write_graph_dimacs,
     write_graph_edgelist,
 )
-from rlid.graph import bits, edge_mask, is_isomorphic, join
+from rlid.graph import edge_mask, is_isomorphic, join, members
 
 from _oracles import brute_is_clique_union, brute_is_rlid
 
@@ -63,11 +63,11 @@ def graph_with_planted_twins(draw):
     for x in clones:
         x %= g.n
         masks = list(g.adj) + [g.closed[x]]
-        for v in bits(g.closed[x]):
+        for v in members(g.closed[x]):
             masks[v] |= 1 << g.n
         g = build_graph(
             g.n + 1,
-            [(u, v) for u in range(g.n + 1) for v in bits(masks[u]) if u < v],
+            [(u, v) for u in range(g.n + 1) for v in members(masks[u]) if u < v],
         )
     return g
 

@@ -25,7 +25,7 @@ from rlid import (
     verify_rlid,
 )
 from rlid.families import g_star, h_p, power_path, prop1_graph, q1, q2
-from rlid.graph import Graph, bits, edge_mask, graph_from_edge_mask, is_isomorphic
+from rlid.graph import Graph, edge_mask, graph_from_edge_mask, is_isomorphic, members
 from rlid.solvers import (
     PARAMETERS,
     _code_constraints,
@@ -479,11 +479,19 @@ class TestBipartiteClosure:
         assert (res.value, res.status, res.stats.closed_by) == (3, "exact", "search")
         assert res.stats.nodes > 0
 
-    def test_bipartite_three_coloring_keeps_its_bipartite_contract(self):
-        paw = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-        assert chi_exact(paw, "rlid").stats.closed_by == "bipartite-3"
+    @pytest.mark.parametrize(
+        "g",
+        [
+            build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+            blow_up(grid(5, 5), 2),
+            blow_up(cycle(20), 3),
+        ],
+        ids=["paw", "5x5 grid x2", "C20 x3"],
+    )
+    def test_bipartite_three_coloring_keeps_its_bipartite_contract(self, g):
+        assert chi_exact(g, "rlid").stats.closed_by == "bipartite-3"
         with pytest.raises(GraphError, match="graph is not bipartite"):
-            bipartite_three_coloring(paw)
+            bipartite_three_coloring(g)
 
     def test_disconnected_bipartite_input_still_searches(self):
         two_p3 = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
@@ -619,7 +627,7 @@ class TestGammaId:
         stops = 0
         for g in graphs:
             sets, containing, live = _code_constraints(g, lambda: None)
-            kept = [sets[i] for i in bits(live)]
+            kept = [sets[i] for i in members(live)]
             greedy = _greedy_code(containing, live)
             for budget in (300, 20000):
                 got = run(_min_hitting_set, kept, g.n, greedy, budget)
