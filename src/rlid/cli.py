@@ -4,9 +4,9 @@ Subcommands: solve, decide, verify, bounds, quotient, construct,
 color-bipartite, color-split, reduce, sweep.  Exit codes: 0 success,
 1 infeasible or invalid, 2 usage error, 3 budget exhausted.  The
 default node budget can be overridden with the RLID_NODE_BUDGET
-environment variable.  Files are read and results laid out by ``io``;
-``_emit_bytes`` writes them all, sweep's table a row at a time as each
-row is computed.
+environment variable.  Files are read and results laid out by ``io``,
+which alone acts on --output; ``_emit_bytes`` writes them all, sweep's
+table a row at a time as each row is computed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from math import comb
 from . import bounds as bounds_mod
 from . import families, io, solvers
 from .coloring import (  # noqa: F401  (verifiers are looked up by name)
-    Coloring,
     ColoringError,
     verify_id,
     verify_identifying_code,
@@ -93,7 +92,14 @@ def _parse_terms(text: str):
     for tok in tokens:
         if expect_atom:
             if tok.isdecimal():  # isdigit() also takes "²", which int() rejects
-                terms.append((sign, int(tok)))
+                try:
+                    value = int(tok)
+                except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+                    raise UsageError(
+                        "integer of %d digits in assertion exceeds the limit of %d digits"
+                        % (len(tok), sys.get_int_max_str_digits())
+                    ) from None
+                terms.append((sign, value))
             elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
                 if tok not in _SWEEP_COLUMNS:
                     raise UsageError(
@@ -168,14 +174,6 @@ def _emit_bytes(data, args):
         sys.stdout.writelines(chunk.decode() for chunk in chunks)
 
 
-def _emit_coloring(c: Coloring, args, g: Graph, comments=(), roles=None):
-    """Emit a coloring of g; ``comments`` head plain text, ``roles`` tip DOT nodes."""
-    if args.output == "dot":
-        _emit_bytes(io.export_dot(g, c, roles), args)
-    else:
-        _emit_bytes(io.write_result(c, args.output, comments), args)
-
-
 # -- command handlers ---------------------------------------------------
 #
 # Each handler takes the argparse namespace of its subcommand and
@@ -200,16 +198,9 @@ def _cmd_decide(args) -> int:
     decide = getattr(solvers, solvers.PARAMETERS[args.parameter].decider)
     found = decide(g, args.k, _budget(args))
     if found is None:
-        if args.output == "json":
-            obj = {"parameter": args.parameter, "k": args.k, "coloring": None}
-            _emit_bytes(io.write_result(obj, "json"), args)
-        elif args.output == "dot":
-            _emit_bytes(io.export_dot(g), args)
-        else:
-            answer = "no %s coloring with %d colors\n" % (args.parameter, args.k)
-            _emit_bytes(answer.encode(), args)
+        _emit_bytes(io.write_no_coloring(g, args.parameter, args.k, args.output), args)
         return 1
-    _emit_coloring(found, args, g)
+    _emit_bytes(io.write_coloring(g, found, args.output, (), None), args)
     return 0
 
 
@@ -234,22 +225,23 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    g = _load_graph(args)
-    q, part = quotient(g)
-    if args.output == "dot":
-        _emit_bytes(io.export_dot(q), args)
-        return 0
-    comments = ["twin classes with >= 2 members: %d" % part.t]
-    comments += [
-        "class %d: %s" % (i, " ".join(map(str, cls)))
-        for i, cls in enumerate(part.classes)
-    ]
-    _emit_bytes(io.write_graph_edgelist(q, comments), args)
+    q, part = quotient(_load_graph(args))
+    _emit_bytes(io.write_quotient(q, part, args.output), args)
     return 0
 
 
-# the most edges construct builds; io.MAX_ORDER bounds the vertices
+# the most edges construct builds or a random-split draw may have;
+# io.MAX_ORDER bounds the vertices
 MAX_CONSTRUCT_EDGES = 2_000_000
+
+
+def _check_caps(what: str, order: int, edges: int):
+    """Refuse ``what`` unbuilt when its order or edge count exceeds
+    io.MAX_ORDER or MAX_CONSTRUCT_EDGES."""
+    for name, value, top in zip(("order", "edge count"), (order, edges),
+                                (io.MAX_ORDER, MAX_CONSTRUCT_EDGES)):
+        if value > top:
+            raise UsageError("%s exceeds the maximum %s %d" % (what, name, top))
 
 
 def _size(args, size_of) -> int:
@@ -260,11 +252,7 @@ def _size(args, size_of) -> int:
     p = args.size
     # every family's smallest size is positive, below it its builder raises GraphError
     if p > 0:
-        for what, value, top in zip(("order", "edge count"), size_of(p),
-                                    (io.MAX_ORDER, MAX_CONSTRUCT_EDGES)):
-            if value > top:
-                raise UsageError("construct %s --size %d exceeds the maximum %s %d"
-                                 % (args.family, p, what, top))
+        _check_caps("construct %s --size %d" % (args.family, p), *size_of(p))
     return p
 
 
@@ -301,45 +289,16 @@ _FAMILIES = {
 }
 
 
-def _emit_instance(inst, args, family: str, comments):
-    """Emit a family instance; ``comments`` head the plain edge list."""
-    g = inst.graph
-    if args.output == "dot":
-        _emit_bytes(io.export_dot(g, inst.canonical_coloring, inst.roles), args)
-    elif args.output == "json":
-        obj = {
-            "family": family,
-            "n": g.n,
-            "edges": [[u, v] for u, v in g.edges()],
-            "roles": {str(v): r for v, r in inst.roles.items()},
-            "expected_rlid": inst.expected_chi_rlid,
-            "coloring": None if inst.canonical_coloring is None
-                        else [[v, c] for v, c in enumerate(inst.canonical_coloring.colors)],
-        }
-        _emit_bytes(io.write_result(obj, "json"), args)
-    else:
-        _emit_bytes(io.write_graph_edgelist(g, comments), args)
-
-
 def _cmd_construct(args) -> int:
-    inst = _FAMILIES[args.family](args)
-    g = inst.graph
-    comments = ["family %s  order %d" % (args.family, g.n)]
-    if inst.expected_chi_rlid is not None:
-        comments.append("expected rlid chromatic number: %d" % inst.expected_chi_rlid)
-    for v in range(g.n):
-        parts = ["vertex %d" % v, "role=%s" % inst.roles.get(v, "?")]
-        if inst.canonical_coloring is not None:
-            parts.append("color=%d" % inst.canonical_coloring.colors[v])
-        comments.append("  ".join(parts))
-    _emit_instance(inst, args, args.family, comments)
+    _emit_bytes(io.write_instance(_FAMILIES[args.family](args), args.family, args.output), args)
     return 0
 
 
 def _cmd_color_bipartite(args) -> int:
     g = _load_graph(args)
     c, levels = families.bipartite_three_coloring(g)
-    _emit_coloring(c, args, g, ["root %d, %d levels" % (levels.root, len(levels.levels))])
+    comments = ["root %d, %d levels" % (levels.root, len(levels.levels))]
+    _emit_bytes(io.write_coloring(g, c, args.output, comments, None), args)
     return 0
 
 
@@ -365,7 +324,8 @@ def _cmd_color_split(args) -> int:
             return 1
     part = families.maximal_split_partition(g, part)
     c = families.split_rlid_coloring(g, part)
-    _emit_coloring(c, args, g, ["clique %s" % " ".join(map(str, sorted(part.clique)))])
+    comments = ["clique %s" % " ".join(map(str, sorted(part.clique)))]
+    _emit_bytes(io.write_coloring(g, c, args.output, comments, None), args)
     return 0
 
 
@@ -373,10 +333,8 @@ def _cmd_reduce(args) -> int:
     g = _load_graph(args)
     inst = families.g_star(g)
     if args.action == "gadget":
-        # the same instance as "construct gstar", with the same outputs
-        comments = ["gadget of a %d-vertex input, order %d" % (g.n, inst.graph.n)]
-        comments += ["vertex %d  role=%s" % (v, inst.roles[v]) for v in range(inst.graph.n)]
-        _emit_instance(inst, args, "gstar", comments)
+        # the same instance as "construct gstar", with the same bytes
+        _emit_bytes(io.write_instance(inst, "gstar", args.output), args)
         return 0
     if args.certificate_path is None:
         raise UsageError("reduce --action %s needs --certificate" % args.action)
@@ -385,11 +343,12 @@ def _cmd_reduce(args) -> int:
             raise UsageError("reduce --action lift needs --k")
         base = io.parse_coloring_file(args.certificate_path, g.n)
         lifted = families.lift_coloring_gstar(g, base, args.k)
-        _emit_coloring(lifted, args, inst.graph, roles=inst.roles)
+        _emit_bytes(io.write_coloring(inst.graph, lifted, args.output, (), inst.roles), args)
         return 0
     if args.action == "project":
         gadget_col = io.parse_coloring_file(args.certificate_path, inst.graph.n)
-        _emit_coloring(families.project_coloring_gstar(inst, gadget_col), args, g)
+        projected = families.project_coloring_gstar(inst, gadget_col)
+        _emit_bytes(io.write_coloring(g, projected, args.output, (), None), args)
         return 0
     raise UsageError("unknown reduce action %r" % (args.action,))
 
@@ -419,8 +378,9 @@ _SPLIT_DRAW = {"clique_size": 6, "stable_size": 6, "edge_prob": 0.5}
 
 def _check_split_draw(args):
     """Fill in random-split's draw options, or refuse them for any other
-    family.  Called before any graph is drawn, so a bad value is a usage
-    error rather than a failed draw."""
+    family.  Called before any graph is drawn, so a bad value, or sizes
+    whose rows could not be written, is a usage error rather than a
+    failed draw."""
     if args.family != "random-split":
         for name in _SPLIT_DRAW:
             if getattr(args, name) is not None:
@@ -436,6 +396,19 @@ def _check_split_draw(args):
             raise UsageError("%s must be at least 1, got %d" % (flag, size))
     if not 0 <= args.edge_prob <= 1:
         raise UsageError("--edge-prob must be in [0, 1], got %r" % (args.edge_prob,))
+    # a row's edge mask numbers the clique's pairs before the stable pairs,
+    # which are never edges, so it has as many bits as the fullest draw has edges
+    a, b = args.clique_size, args.stable_size
+    what = "random-split --clique-size %d --stable-size %d" % (a, b)
+    edges = comb(a, 2) + a * b
+    _check_caps(what, a + b, edges)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    if digits:
+        top = (10 ** digits).bit_length() - 1  # the most bits str() writes in ``digits`` digits
+        if edges > top:
+            raise UsageError("%s may draw an edge mask of %d bits, more than the %d that fit "
+                             "the %d-digit limit of sys.get_int_max_str_digits()"
+                             % (what, edges, top, digits))
 
 
 def _enumerated(predicate, args):

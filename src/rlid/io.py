@@ -1,7 +1,7 @@
 """File formats: graph parsing, result serialization, DOT export.
 
 This module is the only code that lays out input or output bytes: the
-command line reads files and writes every result through it.
+command line reads files through it and passes --output on to it.
 
 Two graph formats.  "dimacs": optional comment lines "c ...", one
 header "p edge <n> <m>", then edge lines "e <u> <v>" with 1-indexed
@@ -470,6 +470,57 @@ def write_result(result, fmt: str = "json", comments=()) -> bytes:
 def write_table(rows) -> bytes:
     """Tab-separated rows, one line each; a None cell is written "-"."""
     return _line_bytes(["\t".join("-" if x is None else str(x) for x in row) for row in rows])
+
+
+def write_coloring(g: Graph, c: Coloring, fmt: str, comments, roles) -> bytes:
+    """A coloring of g; ``comments`` head plain text, ``roles`` (or None) tip DOT nodes."""
+    if fmt == "dot":
+        return export_dot(g, c, roles)
+    return write_result(c, fmt, comments)
+
+
+def write_no_coloring(g: Graph, parameter: str, k: int, fmt: str) -> bytes:
+    """Decide's answer that g has no such coloring; DOT draws g uncolored."""
+    if fmt == "dot":
+        return export_dot(g)
+    if fmt == "json":
+        return write_result({"parameter": parameter, "k": k, "coloring": None}, "json")
+    return ("no %s coloring with %d colors\n" % (parameter, k)).encode()
+
+
+def write_quotient(q: Graph, part, fmt: str) -> bytes:
+    """A twin quotient and its graph's partition; classes head the plain edge list."""
+    if fmt == "dot":
+        return export_dot(q)
+    comments = ["twin classes with >= 2 members: %d" % part.t]
+    comments += [
+        "class %d: %s" % (i, " ".join(map(str, cls)))
+        for i, cls in enumerate(part.classes)
+    ]
+    return write_graph_edgelist(q, comments)
+
+
+def write_instance(inst, family: str, fmt: str) -> bytes:
+    """A family instance; vertex roles head the plain edge list."""
+    g, c = inst.graph, inst.canonical_coloring
+    if fmt == "dot":
+        return export_dot(g, c, inst.roles)
+    if fmt == "json":
+        return write_result({
+            "family": family,
+            "n": g.n,
+            "edges": [[u, v] for u, v in g.edges()],
+            "roles": {str(v): r for v, r in inst.roles.items()},
+            "expected_rlid": inst.expected_chi_rlid,
+            "coloring": None if c is None else _jsonable(c)["colors"],
+        }, "json")
+    comments = ["family %s  order %d" % (family, g.n)]
+    if inst.expected_chi_rlid is not None:
+        comments.append("expected rlid chromatic number: %d" % inst.expected_chi_rlid)
+    for v in range(g.n):
+        color = "" if c is None else "  color=%d" % c.colors[v]
+        comments.append("vertex %d  role=%s%s" % (v, inst.roles[v], color))
+    return write_graph_edgelist(g, comments)
 
 
 def export_dot(g: Graph, coloring: Coloring | None = None, roles=None) -> bytes:

@@ -2,10 +2,12 @@
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
 import logging
 import random
 import re
+import sys
 import time
 import tracemalloc
 
@@ -41,6 +43,7 @@ from rlid import (
 from rlid import cli
 from rlid.cli import main
 from rlid.families import g_star, h_p, power_path, prop1_graph, q1, q2, star
+from rlid.graph import edge_mask
 from rlid.io import MAX_ORDER, ParseError, _jsonable
 
 from _helpers import blow_up, cycle, grid, path, star_graph, threshold_graph
@@ -54,6 +57,17 @@ def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+@contextlib.contextmanager
+def _int_str_digits(limit):
+    """Python's int-to-str digit limit set to ``limit`` (0: none) inside."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 class TestParsing:
@@ -676,10 +690,16 @@ class TestCli:
         assert projected == {0: 1, 1: 2, 2: 1, 3: 2, 4: 3}
 
     def test_reduce_gadget_plain_is_an_edge_list(self, tmp_path, capsys):
+        # the gadget has one layout: reduce writes construct gstar's bytes
         p = _write(tmp_path, "p4.txt", P4_EDGELIST)
+        for output in ("plain", "json", "dot"):
+            assert main(["reduce", "-i", p, "-o", output]) == 0
+            out = capsys.readouterr().out
+            assert main(["construct", "gstar", "-i", p, "-o", output]) == 0
+            assert capsys.readouterr().out == out
         assert main(["reduce", "-i", p]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("# gadget of a 4-vertex input, order 14\n")
+        assert out.startswith("# family gstar  order 14\n# vertex 0  role=orig:0\n")
         assert parse_graph_text(out, "edgelist").adj == g_star(path(4)).graph.adj
 
     def test_reduce_gadget_json(self, tmp_path, capsys):
@@ -888,6 +908,97 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out.splitlines()[1].split("\t")[4:] == ["-", "skip"]
         assert captured.err == "sweep: 1 graphs, 0 failures, 1 skipped\n"
+
+    def test_sweep_refuses_an_assertion_literal_too_long_to_read(self, capsys):
+        argv = ["sweep", "--max-n", "2", "--assert"]
+        with _int_str_digits(4300):
+            assert main(argv + ["rlid <= " + "9" * 5000]) == 2
+            assert capsys.readouterr().err == (
+                "usage error: integer of 5000 digits in assertion exceeds the limit of 4300 "
+                "digits\n"
+            )
+            assert main(argv + ["rlid <= " + "9" * 4300]) == 0
+
+    @pytest.mark.parametrize(
+        "clique,stable,edge_prob", [(100, 60, "0.5"), (100, 93, "1"), (1, 14284, "1")]
+    )
+    def test_sweep_random_split_writes_masks_up_to_the_digit_limit(
+        self, capsys, clique, stable, edge_prob
+    ):
+        # the fullest draw of (1, 14284) has a 4300-digit mask
+        argv = ["sweep", "--family", "random-split", "--count", "1", "--params", "n",
+                "--clique-size", str(clique), "--stable-size", str(stable),
+                "--edge-prob", edge_prob]
+        with _int_str_digits(4300):
+            assert main(argv) == 0
+            g = random_split_graph(0, clique, stable, float(edge_prob))[0]
+            row = "random-split\t%d\t0\t%d\t%d" % (g.n, edge_mask(g), g.n)
+        assert capsys.readouterr().out.splitlines()[1] == row
+
+    @pytest.mark.parametrize(
+        "clique,stable,bits",
+        [(100, 100, 14950), (100, 94, 14350), (1, 14285, 14285), (170, 1, 14535)],
+    )
+    def test_sweep_random_split_refuses_masks_too_long_to_write(
+        self, monkeypatch, capsys, clique, stable, bits
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph was drawn")
+
+        monkeypatch.setattr(cli.families, "random_split_graph", refuse)
+        argv = ["sweep", "--family", "random-split", "--count", "1", "--params", "n",
+                "--clique-size", str(clique), "--stable-size", str(stable)]
+        with _int_str_digits(4300):
+            assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "usage error: random-split --clique-size %d --stable-size %d may draw an edge "
+            "mask of %d bits, more than the 14284 that fit the 4300-digit limit of "
+            "sys.get_int_max_str_digits()\n" % (clique, stable, bits)
+        )
+
+    @pytest.mark.parametrize("getter", ["zero", "absent"])
+    @pytest.mark.parametrize(
+        "clique,stable,refusal",
+        [(1, 49999, None), (1, 50000, "the maximum order 50000"),
+         (2000, 1, "the maximum edge count 2000000")],
+    )
+    def test_sweep_random_split_without_a_digit_limit_keeps_the_construct_caps(
+        self, monkeypatch, capsys, getter, clique, stable, refusal
+    ):
+        argv = ["sweep", "--family", "random-split", "--count", "1", "--params", "n",
+                "--clique-size", str(clique), "--stable-size", str(stable)]
+        with _int_str_digits(0):
+            # a Python before 3.10.7 has no digit limit and no getter for it
+            if getter == "absent":
+                monkeypatch.delattr(sys, "get_int_max_str_digits")
+            assert main(argv) == (0 if refusal is None else 2)
+        captured = capsys.readouterr()
+        if refusal is None:
+            assert captured.out.splitlines()[1].split("\t")[:2] == ["random-split", "50000"]
+        else:
+            assert captured.err == (
+                "usage error: random-split --clique-size %d --stable-size %d exceeds %s\n"
+                % (clique, stable, refusal)
+            )
+
+    @pytest.mark.parametrize(
+        "family,size",
+        [(f, p) for f in ("star", "power-path", "q2") for p in range(2, 12)]
+        + [("hp", p) for p in range(2, 7)]
+        + [("q1", p) for p in range(2, 8)]
+        + [("prop1", p) for p in range(4, 7)],
+    )
+    def test_construct_size_formulas_match_the_built_instance(self, monkeypatch, family, size):
+        checked = []
+        size_check = cli._size
+
+        def record(args, size_of):
+            checked.append(size_of(args.size))
+            return size_check(args, size_of)
+
+        monkeypatch.setattr(cli, "_size", record)
+        inst = cli._FAMILIES[family](argparse.Namespace(family=family, size=size))
+        assert checked == [(inst.graph.n, inst.graph.edge_count)]
 
     @pytest.mark.parametrize("family", ["random-split", "random-twins"])
     def test_sweep_negative_count_is_a_usage_error(self, capsys, family):

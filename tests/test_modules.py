@@ -68,3 +68,27 @@ def test_the_package_holds_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _is_attribute(node, owner, name):
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and (node.value.id, node.attr) == (owner, name)
+    )
+
+
+def test_cli_leaves_every_layout_to_io():
+    """``cli`` passes --output on to an ``io`` writer: it compares
+    ``args.output`` with nothing and calls no graph writer itself."""
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        if isinstance(node, ast.Compare) and any(
+            _is_attribute(x, "args", "output") for x in [node.left, *node.comparators]
+        ):
+            found.append("cli.py:%d compares args.output" % node.lineno)
+        if isinstance(node, ast.Call) and any(
+            _is_attribute(node.func, "io", name) for name in ("export_dot", "write_graph_edgelist")
+        ):
+            found.append("cli.py:%d calls io.%s" % (node.lineno, node.func.attr))
+    assert found == []
