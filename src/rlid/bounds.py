@@ -23,7 +23,7 @@ from .graph import (
     twin_representatives,
 )
 from .coloring import is_rlid
-from .solvers import Budget, deepen, gamma_id_exact, plan_cost
+from .solvers import Budget, cheap_bounds, deepen, gamma_id_exact, plan_cost
 
 
 @dataclass(frozen=True)
@@ -136,11 +136,10 @@ def _search_bounds(g: Graph, lower: int, upper: int, budget: Budget):
 def bounds_report(g: Graph, *, budget=None) -> BoundsReport:
     """Certified bounds on the rlid optimum, cheapest first.
 
-    1. The cheap bounds.  Upper: order, 3 when the twin quotient is
-       bipartite of order >= 3, omega + 2 for connected twin-free split
-       graphs.
-       Lower: the quotient-clique log bound, the one-color rule (clique
-       unions are exactly the 1-graphs) and the impossibility of 2.
+    1. The cheap bounds: ``solvers.cheap_bounds`` (order, the one-color
+       rule, the no-two law and bipartite-3, the last with a verified
+       witness), then the quotient-clique log bound (lower) and
+       omega + 2 for connected twin-free split graphs (upper).
     2. While best lower L < best upper U: the rlid search step
        (``_search_bounds``), which deepens one rlid search from L and
        adds ``search-infeasible`` (lower) and ``search-witness``
@@ -150,8 +149,8 @@ def bounds_report(g: Graph, *, budget=None) -> BoundsReport:
        search, only when it could beat U: gamma-id >= ceil(log2(n+1)),
        so it is skipped, with a "not run" note, when L == U or
        n.bit_length() + 1 is not below U.
-    4. With twins and L < U: the best upper bound of the quotient
-       taken in step 1.
+    4. With twins and L < U: the best upper bound of the twin
+       quotient.
 
     Each search step runs under GAMMA_ID_NODE_BUDGET nodes, cut to
     what is left of ``budget`` when one is given, and its nodes are
@@ -160,37 +159,16 @@ def bounds_report(g: Graph, *, budget=None) -> BoundsReport:
     """
     if g.n == 0:
         return BoundsReport(((0, "order-n"),), ((0, "order-n"),), 0, 0, 0)
-    lowers = []
-    uppers = []
+    lowers, uppers = cheap_bounds(g)
+    uppers = [(v, prov) for v, prov, _ in uppers]
     notes = []
-
-    uppers.append((g.n, "order-n"))
-
-    # twins are adjacent, so each component holds at least one twin
-    # class, and exactly one when it is a clique
-    classes = len(set(g.closed))
-    cliques_only = classes == len(g.components())
-    if cliques_only:
-        lowers.append((1, "one-color-rule"))
-        uppers.append((1, "one-color-rule"))
-    else:
-        # Not a clique union: one color is impossible, and two never happens.
-        lowers.append((3, "no-two-rule"))
 
     try:
         lowers.append((lower_bound_log_omega(g, budget), "log-omega-quotient"))
     except BudgetExceeded:
         notes.append("log-omega-quotient skipped: clique budget exceeded")
 
-    # 3 when the twin quotient q is bipartite of order >= 3: then each
-    # component's quotient is K1 (a clique, colored 1) or connected
-    # bipartite of order >= 3, whose level coloring lifts to the
-    # component (coloring.quotient_three_coloring)
-    twin_free = classes == g.n
-    q = g if twin_free else quotient(g)[0]
-    if q.n >= 3 and bipartition(q) is not None:
-        uppers.append((3, "bipartite-3"))
-
+    twin_free = is_twin_free(g)
     part = find_split_partition(g)
     if part is not None and g.is_connected() and twin_free:
         # the clique side is a maximum clique, hence maximal: the
@@ -221,7 +199,7 @@ def bounds_report(g: Graph, *, budget=None) -> BoundsReport:
         else:
             notes.append("gamma-id-plus-1 not run: cannot tighten %d..%d" % (lower, upper))
     elif lower < upper:
-        sub = bounds_report(q, budget=budget)
+        sub = bounds_report(quotient(g)[0], budget=budget)
         uppers.append((sub.best_upper, "quotient"))
         notes.extend("quotient: " + s for s in sub.notes)
 

@@ -442,16 +442,18 @@ _SWEEP_FAMILIES = {
 
 
 def _sweep_row(task):
-    """Append the edge mask and the columns' values (None on GraphError or
-    BudgetExceeded) to the task's row; module-level so a pool can pickle it."""
+    """Append the edge mask and the columns' values to the task's row, a
+    skipped value as why: "budget" for a budget stop, "precondition" for
+    a GraphError; module-level so a pool can pickle it."""
     row, adj, names, node_budget = task
     g = Graph.from_adj_masks(row[1], adj)
     row.append(edge_mask(g))
     for name in names:
         try:
-            row.append(_SWEEP_COLUMNS[name](g, solvers.Budget(node_budget)))
-        except (GraphError, BudgetExceeded):
-            row.append(None)
+            value = _SWEEP_COLUMNS[name](g, solvers.Budget(node_budget))
+        except (GraphError, BudgetExceeded) as exc:
+            value = "precondition" if isinstance(exc, GraphError) else None
+        row.append("budget" if value is None else value)  # None: a search's budget stop
     return row
 
 
@@ -501,7 +503,7 @@ def _cmd_sweep(args) -> int:
             tally["graphs"] += 1
             if check is not None:
                 values = row[4:]
-                verdict = ("skip" if None in values
+                verdict = ("skip" if any(isinstance(x, str) for x in values)
                            else "pass" if check(dict(zip(names, values))) else "fail")
                 tally[verdict] += 1
                 row.append(verdict)

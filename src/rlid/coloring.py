@@ -7,11 +7,11 @@ additionally demands properness and exempts nothing; id demands
 distinct neighborhood color sets for all vertex pairs.
 
 The bipartite three-coloring lives here too, below both ``solvers``
-(whose ``chi_exact`` closes with it every connected graph whose twin
-quotient is bipartite of order >= 3) and ``families`` (which
-re-exports it): it is one level walk plus the rlid verifier.  On a
-graph with twins the same walk colors each twin class as the walk on
-the quotient would, without building the quotient.
+(whose ``cheap_bounds`` takes from it the one-color rule, the no-two
+law's hypothesis and the bipartite-3 witness) and ``families`` (which
+re-exports it): it is one level walk per component plus the rlid
+verifier.  On a graph with twins the same walk colors each twin class
+as the walk on the quotient would, without building the quotient.
 """
 
 from __future__ import annotations
@@ -334,7 +334,7 @@ class LevelDecomposition:
 _LEVEL_COLORS = ((1, 1), (1, 2), (3, 3), (3, 2))
 
 
-def _twin_edges_only(g: Graph, mask, twins: bool, root=None) -> bool:
+def _twin_edges_only(g: Graph, mask, twins: bool, root: int) -> bool:
     """No edge inside ``mask`` joins two vertices of different twin
     classes, edges at a twin of ``root`` aside; with ``twins`` false, no
     edge inside ``mask`` at all.  The closed-neighborhood masks are read
@@ -351,7 +351,7 @@ def _twin_edges_only(g: Graph, mask, twins: bool, root=None) -> bool:
         if not twins:
             return False
         closed = g.closed
-        exempt = None if root is None else closed[root]
+        exempt = closed[root]
         if closed[v] == exempt:
             continue
         for w in members(inner):
@@ -361,62 +361,57 @@ def _twin_edges_only(g: Graph, mask, twins: bool, root=None) -> bool:
 
 
 def _level_colors(g: Graph, twins: bool):
-    """The BFS-level coloring, unverified, as (root, levels, per-level
-    (dead ends, others) lists, colors), or None.
+    """The BFS-level coloring, unverified, as (one (root, level masks,
+    per-level (dead ends, others) lists) part per component that is not
+    a clique, colors), or None.
 
-    With ``twins`` false, g must be a connected bipartite graph of order
-    >= 3.  With ``twins`` true, g must be a connected graph whose twin
-    quotient is bipartite of order >= 3, and the walk runs on g itself:
-    twins sit on one level, apart from the root's twins, which sit on
-    level 1 next to all of it, so the levels hold whole twin classes,
-    the quotient is bipartite exactly when every other edge inside a
-    level joins twins, and each vertex gets the color its class gets in
-    the quotient's walk.  A root twin has no neighbor on level 2, so
-    the table gives it the root's color, 1.
+    Each component is walked from its first vertex that is not
+    universal in it (a clique has none and keeps color 1): the
+    quotient's smallest vertex unless that is a star's centre, the one
+    root the table fails from.  With ``twins`` false, the component
+    must be bipartite; with ``twins`` true, its twin quotient, and the
+    walk runs on g itself: twins sit on one level, apart from the
+    root's twins, which sit on level 1 next to all of it, so the
+    quotient is bipartite exactly when every other edge inside a level
+    joins twins, and each vertex gets the color its class gets in the
+    quotient's walk (a root twin gets the root's, 1).
     """
-    n = g.n
-    if n < 3:
-        return None
     adj = g.adj
-    full = (1 << n) - 1
-    # the root is the first vertex that is not universal: the
-    # quotient's vertex 0 unless that is a star's centre, the one root
-    # the table fails from
-    root = 0
-    while adj[root] | 1 << root == full:
-        root += 1
-        if root == n:
-            return None  # complete: the quotient is one vertex
-    if not _twin_edges_only(g, adj[root], twins, root):
-        return None
-    level_masks = g.levels(root)
-    if sum(level_masks) != full:
-        return None
-    for level in level_masks[2:]:
-        if not _twin_edges_only(g, level, twins):
-            return None
-    levels, split = [], []
-    colors = [0] * n
-    for i, level in enumerate(level_masks):
-        lv = members(level)
-        deeper = level_masks[i + 1] if i + 1 < len(level_masks) else 0
-        a, b = [], []
-        for v in lv:
-            (b if adj[v] & deeper else a).append(v)
-        levels.append(lv)
-        split.append((a, b))
-        dead_end_color, other_color = _LEVEL_COLORS[i % 4]
-        for v in a:
-            colors[v] = dead_end_color
-        for v in b:
-            colors[v] = other_color
-    return root, levels, split, colors
+    colors = [1] * g.n
+    parts = []
+    rest = (1 << g.n) - 1
+    while rest:
+        root = (rest & -rest).bit_length() - 1
+        if not _twin_edges_only(g, adj[root], twins, root):
+            return None  # level 1 is checked before the walk, which it often saves
+        level_masks, first = g.levels(root), 2
+        comp = sum(level_masks)
+        rest ^= comp
+        if len(level_masks) < 3:  # the root is universal in its component
+            root = next((v for v in members(comp) if adj[v] | 1 << v != comp), None)
+            if root is None:
+                continue  # a clique, whose quotient is one vertex
+            level_masks, first = g.levels(root), 1
+        for level in level_masks[first:]:
+            if not _twin_edges_only(g, level, twins, root):
+                return None
+        split = []
+        for i, (level, deeper) in enumerate(zip(level_masks, level_masks[1:] + [0])):
+            pair = _LEVEL_COLORS[i % 4]
+            a, b = [], []
+            for v in members(level):
+                onward = adj[v] & deeper != 0
+                (b if onward else a).append(v)
+                colors[v] = pair[onward]
+            split.append((a, b))
+        parts.append((root, level_masks, split))
+    return parts, colors
 
 
 def _verified(g: Graph, colors, what: str) -> Coloring:
-    """``colors`` as a 3-color Coloring once ``is_rlid`` accepts it on g;
+    """``colors`` as a Coloring once ``is_rlid`` accepts it on g;
     TheoremCounterexample otherwise, rather than return it quietly."""
-    coloring = Coloring(colors, palette=3)
+    coloring = Coloring(colors)
     if is_rlid(g, coloring):
         return coloring
     raise TheoremCounterexample(
@@ -425,8 +420,9 @@ def _verified(g: Graph, colors, what: str) -> Coloring:
 
 
 def quotient_three_coloring(g: Graph):
-    """A verified rlid 3-coloring of a connected graph whose twin
-    quotient is bipartite of order >= 3, or None for any other graph.
+    """The verified level coloring of g when each component's twin
+    quotient is one vertex (a clique, colored 1) or bipartite of order
+    >= 3 (colored 1 to 3), or None for any other graph.
 
     The rlid condition exempts adjacent twins, and N[x] is the union of
     the twin classes of the quotient vertices in N[rep(x)].  So when
@@ -435,14 +431,14 @@ def quotient_three_coloring(g: Graph):
     of the quotient lifts to g.  The coloring is the level coloring of
     the quotient, so on a bipartite graph (its own quotient) it is
     ``bipartite_three_coloring``'s.  No quotient is built: one level walk
-    on g, which reads the closed-neighborhood masks only at an edge
-    inside a level, so a bipartite graph never builds them.  The result
-    is verified once, on g.
+    per component of g, which reads the closed-neighborhood masks only
+    at an edge inside a level, so a bipartite graph never builds them.
+    The result is verified once, on g.
     """
     found = _level_colors(g, True)
     if found is None:
         return None
-    return _verified(g, found[-1], "graph with a bipartite twin quotient")
+    return _verified(g, found[1], "graph with bipartite twin quotients")
 
 
 def bipartite_three_coloring(g: Graph):
@@ -450,16 +446,11 @@ def bipartite_three_coloring(g: Graph):
     levels; returns (coloring, decomposition).
 
     Levels are taken from vertex 0, or from vertex 1 when vertex 0 is
-    universal: the only universal vertex a connected bipartite graph
-    can have is a star's centre, the one root the table fails from.
-    That test reads vertex 0's open neighborhood mask, so the
-    closed-neighborhood masks are never built.  The graph is bipartite
-    exactly when no edge lies inside a level.  Level 1 is the root's
-    neighborhood, so it is checked before the walk, which rejects any
-    graph with a triangle through the root; then one ``Graph.levels``
-    walk gives the other levels and shows whether the graph is
-    connected.  A miss costs at most that walk and one look at each
-    vertex's neighbor mask before the GraphError is chosen: order
+    universal (a star's centre, the one root the table fails from), a
+    test on the open neighborhood masks, so the closed-neighborhood
+    masks are never built.  The graph is bipartite exactly when no edge
+    lies inside a level.  A miss costs at most a ``Graph.levels`` walk
+    per component and one more before the GraphError is chosen: order
     below 3, then a disconnected graph, then an odd cycle.
 
     Level colors follow the residue table 1 / 1-or-2 / 3 / 3-or-2,
@@ -468,17 +459,17 @@ def bipartite_three_coloring(g: Graph):
     TheoremCounterexample is raised rather than return an invalid
     coloring quietly.
     """
-    found = _level_colors(g, False)
-    if found is None:
+    parts, colors = _level_colors(g, False) or ((), None)
+    if len(parts) != 1 or sum(parts[0][1]) != (1 << g.n) - 1:
         if g.n < 3:
             raise GraphError("need order >= 3, got %d" % g.n)
         if not g.is_connected():
             raise GraphError("need a connected graph")
         raise GraphError("graph is not bipartite")
-    root, levels, split, colors = found
+    root, level_masks, split = parts[0]
     decomp = LevelDecomposition(
         root,
-        tuple(levels),
+        tuple(map(members, level_masks)),
         tuple(tuple(a) for a, _ in split),
         tuple(tuple(b) for _, b in split),
     )

@@ -293,7 +293,8 @@ def _jsonable(result):
                 "nodes": result.stats.nodes,
                 "per_k": [list(row) for row in result.stats.per_k],
                 "clique": result.stats.clique,
-                "closed_by": result.stats.closed_by,
+                "lower_by": result.stats.lower_by,
+                "upper_by": result.stats.upper_by,
             },
         }
     if isinstance(result, BoundsReport):
@@ -340,8 +341,8 @@ def _plain_lines(result) -> list:
         else:
             lines = ["%s unresolved: node budget exhausted" % result.parameter]
         line = "# nodes=%d" % result.stats.nodes
-        if result.stats.closed_by is not None:
-            line += " closed_by=%s" % result.stats.closed_by
+        if result.stats.lower_by is not None:
+            line += " lower_by=%s upper_by=%s" % (result.stats.lower_by, result.stats.upper_by)
         lines.append(line)
         if isinstance(result.witness, Coloring):
             lines += _coloring_lines(result.witness)
@@ -468,8 +469,8 @@ def write_result(result, fmt: str = "json", comments=()) -> bytes:
 
 
 def write_table(rows) -> bytes:
-    """Tab-separated rows, one line each; a None cell is written "-"."""
-    return _line_bytes(["\t".join("-" if x is None else str(x) for x in row) for row in rows])
+    """Tab-separated rows, one line each."""
+    return _line_bytes(["\t".join(map(str, row)) for row in rows])
 
 
 def write_coloring(g: Graph, c: Coloring, fmt: str, comments, roles) -> bytes:

@@ -53,23 +53,21 @@ for every valid coloring:
 Both cuts only compare or count colors, so renaming colors keeps them;
 the at-most-one-new-color rule and the values stay exact.
 
-One input class needs no search.  ``chi_exact`` for rlid, unless asked
-to search k = 2, returns 3 at once on a connected graph whose twin
-quotient is bipartite of order >= 3 (a bipartite graph of order >= 3
-is its own quotient): the lower bound is the no-two law (the graph is
-not complete), and the witness is the BFS-level coloring of the
-quotient, each twin class colored like its representative
-(``coloring.quotient_three_coloring``), checked by ``is_rlid`` on the
-graph.  Such a result spends no nodes and says ``closed_by ==
-"bipartite-3"`` in its stats; every other exact result says
-``"search"``.
+The search runs only between the bounds of ``cheap_bounds``, which
+``chi_exact`` and ``bounds.bounds_report`` share, so for rlid a clique
+union closes at 1 and a graph whose component quotients are each one
+vertex or bipartite closes at 3, with no search.  An exact result
+names the two bounds that met in ``stats.lower_by`` and
+``stats.upper_by``.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .coloring import Coloring, is_identifying_code, quotient_three_coloring
 from .graph import (
@@ -139,17 +137,17 @@ class Budget:
 class SolveStats:
     """What a solve cost: ``nodes`` in all, ``per_k`` as one ``(k, nodes)``
     row per k searched (``deepen`` only), and ``clique`` the size of the
-    clique the color-count cut used (0 when none).  ``closed_by`` says
-    what settled an exact value: ``"search"`` (the search found the
-    witness and refuted every smaller k) or ``"bipartite-3"``
-    (chi_exact's closure of connected rlid inputs whose twin quotient
-    is bipartite, see there); it is None otherwise.  No field depends
-    on the machine."""
+    clique the color-count cut used (0 when none).  ``lower_by`` and
+    ``upper_by`` name the two bounds that met on an exact value: a
+    ``cheap_bounds`` tag, ``"search-infeasible"`` (the k below it was
+    refuted) or ``"search-witness"``; both are None on a budget stop.
+    No field depends on the machine."""
 
     nodes: int
     per_k: tuple = ()
     clique: int = 0
-    closed_by: str | None = None
+    lower_by: str | None = None
+    upper_by: str | None = None
 
 
 @dataclass(frozen=True)
@@ -510,16 +508,16 @@ def decide_k_proper(g: Graph, k: int, budget=None) -> Coloring | None:
 def deepen(g: Graph, parameter: str, ks, budget: Budget) -> SolveResult:
     """Search the palette sizes ``ks`` in turn on one search plan.
 
-    The first k with a coloring gives exact k with that witness.  A
-    budget stop gives "budget-exceeded", and a refutation of every k
-    "infeasible"; both have value None.  ``stats.per_k`` has one
-    ``(k, nodes)`` row per k searched, the last one the k a budget stop
-    came in.
+    The first k with a coloring gives exact k with that witness
+    (``search-witness``).  A budget stop gives "budget-exceeded", and a
+    refutation of every k "infeasible" (``search-infeasible``); both
+    have value None.  ``stats.per_k`` has one ``(k, nodes)`` row per k
+    searched, the last one the k a budget stop came in.
     """
     spec = PARAMETERS[parameter]
     plan = _SearchPlan(g, spec)
     per_k = []
-    status, value, witness, closed_by = "infeasible", None, None, None
+    status, value, witness = "infeasible", None, None
     for k in ks:
         before = budget.nodes
         try:
@@ -528,36 +526,61 @@ def deepen(g: Graph, parameter: str, ks, budget: Budget) -> SolveResult:
             found, status = None, "budget-exceeded"
         per_k.append((k, budget.nodes - before))
         if found is not None:
-            status, value, witness, closed_by = "exact", k, Coloring(found), "search"
+            status, value, witness = "exact", k, Coloring(found)
         if status != "infeasible":
             break
-    stats = SolveStats(budget.nodes, tuple(per_k), len(plan.clique), closed_by)
+    exact = status == "exact"
+    lower_by = "search-infeasible" if status != "budget-exceeded" and len(per_k) > exact else None
+    upper_by = "search-witness" if exact else None
+    stats = SolveStats(budget.nodes, tuple(per_k), len(plan.clique), lower_by, upper_by)
     return SolveResult(spec.name, value, witness, status, stats)
+
+
+_value = itemgetter(0)  # a bound's value: the key that picks the best bound
+
+
+@functools.lru_cache(maxsize=64)
+def _rainbow(n: int) -> Coloring:
+    """Each of the n vertices in its own color; one shared immutable copy per n."""
+    return Coloring(range(1, n + 1))
+
+
+def cheap_bounds(g: Graph, parameter: str = "rlid", search_two: bool = False):
+    """The bounds that need no search: lower bounds ``(value,
+    provenance)`` and upper bounds ``(value, provenance, witness)``.
+
+    Every parameter has the upper bound ``order-n`` with the rainbow
+    coloring (valid wherever the parameter's precondition holds), and a
+    graph with a vertex the lower bound 1 (``nonempty``).  For rlid,
+    unless ``search_two`` is set, one level walk per component
+    (``coloring.quotient_three_coloring``) decides instead: a clique
+    union gets 1..1 (``one-color-rule``, all ones), any other graph the
+    lower bound 3 (``no-two-rule``: two colors never suffice), and one
+    whose component quotients are each one vertex or bipartite the
+    upper bound 3 (``bipartite-3``).
+    """
+    n = g.n
+    uppers = [(n, "order-n", _rainbow(n))]
+    if n == 0:
+        return [(0, "order-n")], uppers
+    if parameter != "rlid" or search_two:
+        return [(1, "nonempty")], uppers
+    found = quotient_three_coloring(g)  # verified by is_rlid
+    if found is not None and found.palette == 1:
+        return [(1, "one-color-rule")], uppers + [(1, "one-color-rule", found)]
+    return [(3, "no-two-rule")], uppers + ([] if found is None else [(3, "bipartite-3", found)])
 
 
 def chi_exact(g: Graph, parameter: str = "rlid", budget=None, *, search_two: bool = False) -> SolveResult:
     """Minimum palette size for the requested parameter.
 
-    Iterative deepening over k (``deepen`` over k = 1..n).  For rlid
-    the value 2 is impossible (one color forces clique components, and
-    the next feasible value is 3), so k = 2 is skipped after k = 1
-    fails; pass ``search_two=True`` to search it anyway, e.g. when
-    auditing that very law.
-
-    rlid on a connected graph whose twin quotient is bipartite of order
-    >= 3 is closed before any search plan is built: such a graph is not
-    complete, so the value is at least 3 by the law above, and
-    ``coloring.quotient_three_coloring`` gives a 3-coloring, verified
-    once on the graph: the level coloring of the quotient, each twin
-    class colored like its representative (a bipartite graph is its
-    own quotient).  The result is exact 3 with that witness,
-    ``stats.closed_by == "bipartite-3"``, no nodes spent and no
-    ``per_k`` rows.  On any other graph the attempt stops after at
-    most one ``Graph.levels`` walk, O(n) work and one look at each edge
-    inside a level, and the deepening runs as before, with
-    ``closed_by == "search"`` on an exact result.  ``search_two=True``
-    skips the closure, so it still searches every k from 1.  A
-    disconnected input is searched too.
+    ``deepen`` searches k = L .. U - 1, where L is the largest lower
+    bound of ``cheap_bounds`` and U its smallest upper bound (the first
+    listed on a tie): the first k with a coloring is the value, and when
+    every k is refuted (or L == U, with no search) it is U, with U's
+    witness.  ``stats.lower_by`` and ``stats.upper_by`` name the two
+    bounds that met.  ``search_two=True`` drops the rlid rules, so the
+    search starts at k = 1, e.g. to audit the no-two law.
     """
     spec = PARAMETERS.get(parameter)
     if spec is None:
@@ -567,19 +590,21 @@ def chi_exact(g: Graph, parameter: str = "rlid", budget=None, *, search_two: boo
     parameter = spec.name
     if budget is None:
         budget = Budget()
-    if g.n == 0:
-        return SolveResult(parameter, 0, Coloring(()), "exact", SolveStats(0, closed_by="search"))
-    skip_two = parameter == "rlid" and not search_two
-    if skip_two:
-        found = quotient_three_coloring(g)
-        if found is not None:
-            stats = SolveStats(budget.nodes, closed_by="bipartite-3")
-            return SolveResult(parameter, 3, found, "exact", stats)
-    ks = [k for k in range(1, g.n + 1) if not (skip_two and k == 2)]
-    result = deepen(g, parameter, ks, budget)
-    if result.status == "infeasible":
-        raise AssertionError("deepening ran out at k = n; rainbow fallback should exist")
-    return result
+    lowers, uppers = cheap_bounds(g, parameter, search_two)
+    lower, lower_by = max(lowers, key=_value)
+    upper, upper_by, witness = min(uppers, key=_value)
+    if lower == upper:
+        stats = SolveStats(budget.nodes, lower_by=lower_by, upper_by=upper_by)
+    else:
+        res = deepen(g, parameter, range(lower, upper), budget)
+        stats = res.stats
+        if res.status == "budget-exceeded" or stats.lower_by and stats.upper_by:
+            return res  # a stop, or a witness above L: deepen's tags say it all
+        if res.status == "exact":
+            upper, witness = res.value, res.witness
+        stats = SolveStats(budget.nodes, stats.per_k, stats.clique,
+                           stats.lower_by or lower_by, stats.upper_by or upper_by)
+    return SolveResult(parameter, upper, witness, "exact", stats)
 
 
 # -- minimum identifying code -------------------------------------------
@@ -737,7 +762,8 @@ def gamma_id_exact(g: Graph, budget=None) -> SolveResult:
         budget = Budget()
     n = g.n
     if n == 0:
-        return SolveResult("gamma-id", 0, frozenset(), "exact", SolveStats(0, closed_by="search"))
+        stats = SolveStats(0, lower_by="order-n", upper_by="order-n")
+        return SolveResult("gamma-id", 0, frozenset(), "exact", stats)
     try:
         sets, containing, live = _code_constraints(g, budget.spend)
         kept = [sets[i] for i in members(live)]
@@ -748,7 +774,7 @@ def gamma_id_exact(g: Graph, budget=None) -> SolveResult:
     witness = frozenset(members(code_mask))
     if not is_identifying_code(g, witness):
         raise AssertionError("hitting set %r is not an identifying code" % (code_mask,))
-    stats = SolveStats(budget.nodes, closed_by="search")
+    stats = SolveStats(budget.nodes, lower_by="search-infeasible", upper_by="search-witness")
     return SolveResult("gamma-id", len(witness), witness, "exact", stats)
 
 

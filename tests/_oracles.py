@@ -5,7 +5,7 @@ itertools, sharing no code with the package under test, except that
 ``reference_plan`` borrows its clique search, ``reference_search`` the
 budget exception, ``reference_full_palette`` its graph operations
 and isomorphism test, and ``reference_quotient_three_coloring`` the
-twin quotient and the bipartite level coloring.
+components, the twin quotient and the bipartite level coloring.
 Deliberately slow; intended for n up to about 7.
 """
 
@@ -680,21 +680,26 @@ def reference_full_palette(g):
 
 
 def reference_quotient_three_coloring(g):
-    """The colors of the level coloring of g's twin quotient, each twin
-    class colored like its representative, or None when the quotient
-    has no level coloring: ``rlid.coloring.quotient_three_coloring``
-    built from ``quotient`` and ``bipartite_three_coloring``, whose
+    """The colors of the level coloring of each component's twin
+    quotient, each twin class colored like its representative and a
+    component whose quotient is one vertex colored 1, or None when some
+    component's quotient has no level coloring:
+    ``rlid.coloring.quotient_three_coloring`` built from ``components``,
+    ``induced``, ``quotient`` and ``bipartite_three_coloring``, whose
     GraphError reads as None."""
     from rlid.coloring import bipartite_three_coloring
     from rlid.graph import GraphError, quotient
 
-    q, part = quotient(g)
-    try:
-        found = bipartite_three_coloring(q)
-    except GraphError:
-        return None
-    colors = [0] * g.n
-    for c, cls in zip(found[0].colors, part.classes):
-        for v in cls:
-            colors[v] = c
+    colors = [1] * g.n
+    for comp in g.components():
+        q, part = quotient(g.induced(comp)[0])
+        if q.n == 1:
+            continue
+        try:
+            found = bipartite_three_coloring(q)
+        except GraphError:
+            return None
+        for c, cls in zip(found[0].colors, part.classes):
+            for v in cls:
+                colors[comp[v]] = c
     return tuple(colors)

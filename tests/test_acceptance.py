@@ -31,6 +31,7 @@ from rlid import (
     random_split_graph,
     split_lower_bound,
     split_rlid_coloring,
+    verify_rlid,
 )
 from rlid.families import (
     bipartite_three_coloring,
@@ -208,6 +209,12 @@ def test_criterion_09_full_palette_characterization(catalog):
             if not twin_free:
                 continue
             assert characterize_full_palette(g) == (chi == g.n)
+            if chi == g.n:
+                # k = n is never searched: the order's rainbow closes it
+                for res in (chi_exact(g, "rlid"), chi_exact(g, "rlid", search_two=True)):
+                    assert res.stats.upper_by == "order-n"
+                    assert all(k < g.n for k, _ in res.stats.per_k)
+                    assert verify_rlid(g, res.witness).valid
 
 
 def test_criterion_10_twin_expansion_instance():

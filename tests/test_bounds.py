@@ -14,6 +14,7 @@ from rlid import (
     characterize_full_palette,
     chi_exact,
     gamma_id_exact,
+    is_rlid,
     is_twin_free,
     join,
     lower_bound_log_omega,
@@ -323,6 +324,38 @@ class TestBoundsReport:
             gamma_id = any(p == "gamma-id-plus-1" for _, p in r.upper_bounds) or any(
                 note.startswith("gamma-id-plus-1") for note in r.notes)
             assert gamma_id == brute_twin_free(n, edges), edges
+
+
+def _pipeline_graphs():
+    for n in range(6):
+        for edges in all_labeled_graphs(n):
+            yield build_graph(n, edges)
+    yield h_p(4).graph
+    yield prop1_graph(4).graph
+
+
+class TestOnePipeline:
+    """chi_exact and bounds_report start from the same cheap bounds."""
+
+    def test_solve_and_report_agree_on_every_small_graph(self):
+        # every labeled graph of order <= 5, connected or not, and two
+        # families with twins and a search
+        closed_without_search = 0
+        for g in _pipeline_graphs():
+            res = chi_exact(g, "rlid")
+            value = res.value
+            assert value == chi_exact(g, "rlid", search_two=True).value, g.edges()
+            r = bounds_report(g)
+            assert r.best_lower <= value <= r.best_upper, g.edges()
+            if not res.stats.lower_by.startswith("search-"):
+                assert (value, res.stats.lower_by) in r.lower_bounds, g.edges()
+            if not res.stats.upper_by.startswith("search-"):
+                assert (value, res.stats.upper_by) in r.upper_bounds, g.edges()
+            assert is_rlid(g, res.witness), g.edges()
+            closed_without_search += not res.stats.per_k
+        # the 76 clique unions and the 757 other graphs whose component
+        # quotients are one vertex or bipartite
+        assert closed_without_search == 76 + 757
 
 
 class TestFullPaletteCharacterization:

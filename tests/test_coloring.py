@@ -304,19 +304,22 @@ def _shuffled_blow_up(rng, n):
 
 
 class TestQuotientThreeColoring:
-    """One level walk on g gives the lift of the quotient's level
-    coloring, without building the quotient."""
+    """One level walk per component of g gives the lift of each
+    component quotient's level coloring, without building a quotient."""
 
     @pytest.mark.parametrize("n", range(7))
     def test_every_labeled_graph_matches_the_lifted_quotient_coloring(self, n):
-        closed = 0
+        closed = one_color = 0
         for edges in all_labeled_graphs(n):
             g = build_graph(n, edges)
             found = quotient_three_coloring(g)
             expected = reference_quotient_three_coloring(g)
             assert (None if found is None else found.colors) == expected, edges
             closed += found is not None
-        assert closed == {0: 0, 1: 0, 2: 0, 3: 3, 4: 37, 5: 460, 6: 7461}[n]
+            one_color += found is not None and found.palette == 1
+        assert closed == {0: 1, 1: 1, 2: 2, 3: 8, 4: 64, 5: 757, 6: 11924}[n]
+        # the clique unions, one per set partition: the Bell numbers
+        assert one_color == {0: 0, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}[n]
 
     def test_shuffled_blow_ups_match_the_lifted_quotient_coloring(self):
         rng = random.Random(28)
@@ -336,15 +339,26 @@ class TestQuotientThreeColoring:
             Graph.closed.__get__(g)
         assert found.colors == reference_quotient_three_coloring(g)
 
+    def test_a_clique_union_gets_one_color(self):
+        k4_and_two_k2 = blow_up(build_graph(4, [(0, 1)]), 2)
+        for g in (blow_up(complete(2), 3), k4_and_two_k2):
+            found = quotient_three_coloring(g)
+            assert (found.colors, found.palette) == ((1,) * g.n, 1)
+
+    def test_each_component_is_colored_on_its_own(self):
+        two_p4 = blow_up(build_graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]), 2)
+        found = quotient_three_coloring(two_p4)
+        assert found.colors == reference_quotient_three_coloring(two_p4)
+        assert found.colors == (1, 1, 2, 2, 3, 3, 3, 3) * 2
+
     @pytest.mark.parametrize(
         "g",
         [
-            blow_up(complete(2), 3),
             blow_up(cycle(5), 2),
-            blow_up(build_graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]), 2),
+            build_graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (5, 6), (6, 7), (7, 8)]),
         ],
-        ids=["K6", "C5 x2", "2 P4 x2"],
+        ids=["C5 x2", "C5 + P4"],
     )
     def test_other_graphs_give_none(self, g):
-        # a one-vertex quotient, an odd-cycle quotient, a disconnected graph
+        # an odd-cycle quotient, alone or next to a bipartite component
         assert quotient_three_coloring(g) is None

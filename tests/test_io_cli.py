@@ -147,20 +147,24 @@ class TestWriteResult:
         assert obj["status"] == "exact"
         assert len(obj["witness"]) == 5
         assert obj["stats"]["nodes"] >= 1
-        assert obj["stats"]["closed_by"] == "search"
+        assert obj["stats"]["lower_by"] == "search-infeasible"
+        assert obj["stats"]["upper_by"] == "search-witness"
         # P4 is connected bipartite: closed by the level coloring, no search
         obj = json.loads(write_result(chi_exact(path(4), "rlid"), "json"))
         assert (obj["value"], obj["status"], len(obj["witness"])) == (3, "exact", 4)
-        assert obj["stats"] == {"clique": 0, "closed_by": "bipartite-3", "nodes": 0, "per_k": []}
+        assert obj["stats"] == {"clique": 0, "lower_by": "no-two-rule", "nodes": 0,
+                                "per_k": [], "upper_by": "bipartite-3"}
 
-    def test_closed_by_in_every_format(self):
+    def test_lower_by_and_upper_by_in_every_format(self):
         res = chi_exact(path(4), "rlid")
-        assert b"# nodes=0 closed_by=bipartite-3\n" in write_result(res, "plain")
+        assert b"# nodes=0 lower_by=no-two-rule upper_by=bipartite-3\n" in write_result(res, "plain")
         head, row = write_result(res, "tsv").decode().split("\n")[:2]
-        assert dict(zip(head.split("\t"), row.split("\t")))["stats.closed_by"] == '"bipartite-3"'
+        fields = dict(zip(head.split("\t"), row.split("\t")))
+        assert (fields["stats.lower_by"], fields["stats.upper_by"]) == ('"no-two-rule"', '"bipartite-3"')
         stop = chi_exact(cycle(5), "rlid", Budget(1))
-        assert json.loads(write_result(stop, "json"))["stats"]["closed_by"] is None
-        assert b"closed_by" not in write_result(stop, "plain")
+        stats = json.loads(write_result(stop, "json"))["stats"]
+        assert (stats["lower_by"], stats["upper_by"]) == (None, None)
+        assert b"_by" not in write_result(stop, "plain")
 
     def test_solve_result_json_has_per_k_rows_and_clique(self):
         res = chi_exact(h_p(4).graph, "rlid")
@@ -275,7 +279,8 @@ class TestJsonTemplates:
             frozenset({0, 7, 1234}),
         ]
         for witness in witnesses:
-            r = SolveResult("rlid", 3, witness, "exact", SolveStats(0, closed_by="search"))
+            stats = SolveStats(0, lower_by="no-two-rule", upper_by="search-witness")
+            r = SolveResult("rlid", 3, witness, "exact", stats)
             expected = json.dumps(_jsonable(r), sort_keys=True, indent=2) + "\n"
             assert write_result(r, "json") == expected.encode(), witness
 
@@ -456,7 +461,7 @@ class TestPlainWriter:
         p = _write(tmp_path, "p4.txt", P4_EDGELIST)
         assert main(["solve", "-i", p, "--node-budget", "1"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("rlid = 3\n# nodes=0 closed_by=bipartite-3\n")
+        assert out.startswith("rlid = 3\n# nodes=0 lower_by=no-two-rule upper_by=bipartite-3\n")
         assert out.encode() == write_result(chi_exact(path(4), "rlid", Budget(1)), "plain")
 
     @pytest.mark.parametrize(
@@ -897,17 +902,28 @@ class TestCli:
 
     def test_sweep_omega_obeys_the_node_budget(self, capsys):
         # a 40-clique needs more than one clique-search node, so omega
-        # stops like every other search column: "-", and a skipped row
+        # stops like every other search column: "budget", and a skipped row
         argv = ["sweep", "--family", "random-split", "--count", "1", "--clique-size", "40",
                 "--stable-size", "3", "--params", "omega"]
         assert main(argv) == 0
         assert capsys.readouterr().out.splitlines()[1].split("\t")[4] == "40"
         assert main(argv + ["--node-budget", "1"]) == 0
-        assert capsys.readouterr().out.splitlines()[1].split("\t")[4] == "-"
+        assert capsys.readouterr().out.splitlines()[1].split("\t")[4] == "budget"
         assert main(argv + ["--node-budget", "1", "--assert", "omega >= 1"]) == 0
         captured = capsys.readouterr()
-        assert captured.out.splitlines()[1].split("\t")[4:] == ["-", "skip"]
+        assert captured.out.splitlines()[1].split("\t")[4:] == ["budget", "skip"]
         assert captured.err == "sweep: 1 graphs, 0 failures, 1 skipped\n"
+
+    def test_sweep_marks_a_failed_precondition(self, capsys):
+        # lid needs a twin-free graph, and K2 is one twin class
+        argv = ["sweep", "--max-n", "2", "--params", "lid,rlid", "--assert", "lid >= rlid"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == [
+            "connected\t1\t0\t0\t1\t1\tpass",
+            "connected\t2\t1\t1\tprecondition\t1\tskip",
+        ]
+        assert captured.err == "sweep: 2 graphs, 0 failures, 1 skipped\n"
 
     def test_sweep_refuses_an_assertion_literal_too_long_to_read(self, capsys):
         argv = ["sweep", "--max-n", "2", "--assert"]

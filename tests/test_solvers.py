@@ -33,6 +33,7 @@ from rlid.solvers import (
     _min_hitting_set,
     _search,
     _SearchPlan,
+    cheap_bounds,
     deepen,
 )
 
@@ -375,12 +376,13 @@ class TestChiExact:
         res = chi_exact(h_p(4).graph, "rlid", budget)
         assert (res.status, res.value, res.witness) == ("budget-exceeded", None, None)
         assert res.stats.nodes == budget.nodes == cap + 1
-        assert res.stats.per_k == ((1, 0), (3, 0), (4, 0), (5, cap + 1))
+        assert res.stats.per_k == ((3, 0), (4, 0), (5, cap + 1))
+        assert (res.stats.lower_by, res.stats.upper_by) == (None, None)
 
     def test_per_k_rows_and_clique_of_h4(self):
         g = h_p(4).graph
         res = chi_exact(g, "rlid")
-        assert [k for k, _ in res.stats.per_k] == [1, 3, 4, 5]
+        assert [k for k, _ in res.stats.per_k] == [3, 4, 5]
         assert sum(nodes for _, nodes in res.stats.per_k) == res.stats.nodes
         assert res.stats.clique == 16 == max_clique_size(quotient(g)[0])
 
@@ -393,11 +395,13 @@ class TestDeepen:
         budget = Budget()
         res = deepen(cycle(5), "rlid", range(3, 4), budget)
         assert (res.status, res.value, res.witness) == ("infeasible", None, None)
-        assert res.stats.per_k == ((3, budget.nodes),) and res.stats.closed_by is None
+        assert res.stats.per_k == ((3, budget.nodes),)
+        assert (res.stats.lower_by, res.stats.upper_by) == ("search-infeasible", None)
 
     def test_first_k_with_a_coloring_is_exact(self):
         res = deepen(cycle(5), "rlid", range(3, 6), Budget())
-        assert (res.status, res.value, res.stats.closed_by) == ("exact", 4, "search")
+        assert (res.status, res.value) == ("exact", 4)
+        assert (res.stats.lower_by, res.stats.upper_by) == ("search-infeasible", "search-witness")
         assert [k for k, _ in res.stats.per_k] == [3, 4]
         assert is_rlid(cycle(5), res.witness)
 
@@ -410,10 +414,39 @@ class TestDeepen:
         assert res.stats.nodes == budget.nodes == cap + 1 == sum(n for _, n in res.stats.per_k)
 
 
+class TestCheapBounds:
+    """The bounds that need no search: lowers (value, provenance) and
+    uppers (value, provenance, witness)."""
+
+    def _tags(self, g, *args):
+        lowers, uppers = cheap_bounds(g, *args)
+        for value, _, witness in uppers:
+            assert verify_rlid(g, witness).valid and len(witness.used_colors()) == value
+        return lowers, [(v, prov) for v, prov, _ in uppers]
+
+    def test_rlid_rules(self):
+        p4_and_k2 = build_graph(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
+        assert self._tags(p4_and_k2) == (
+            [(3, "no-two-rule")], [(6, "order-n"), (3, "bipartite-3")])
+        assert self._tags(cycle(5)) == ([(3, "no-two-rule")], [(5, "order-n")])
+        assert self._tags(blow_up(complete(2), 2)) == (
+            [(1, "one-color-rule")], [(4, "order-n"), (1, "one-color-rule")])
+
+    @pytest.mark.parametrize("parameter", ["lid", "id", "chromatic", "proper"])
+    def test_other_parameters_get_the_trivial_bounds(self, parameter):
+        assert self._tags(cycle(5), parameter) == ([(1, "nonempty")], [(5, "order-n")])
+
+    def test_search_two_drops_the_rlid_rules(self):
+        assert self._tags(path(4), "rlid", True) == ([(1, "nonempty")], [(4, "order-n")])
+
+    def test_empty_graph(self):
+        assert self._tags(build_graph(0, [])) == ([(0, "order-n")], [(0, "order-n")])
+
+
 class TestBipartiteClosure:
-    """chi_exact closes connected rlid inputs whose twin quotient is
-    bipartite of order >= 3 with the level coloring and builds no search
-    plan."""
+    """chi_exact closes rlid inputs whose component twin quotients are
+    each one vertex or bipartite of order >= 3 with the level coloring
+    and builds no search plan."""
 
     def test_every_connected_bipartite_graph_up_to_order_six(self):
         checked = 0
@@ -427,11 +460,20 @@ class TestBipartiteClosure:
                 assert verify_rlid(g, res.witness).valid
                 assert res.witness.used_colors() == {1, 2, 3}
                 stats = res.stats
-                assert (stats.nodes, stats.per_k, stats.closed_by) == (0, (), "bipartite-3")
-                assert res.witness == bipartite_three_coloring(g)[0]
+                assert (stats.nodes, stats.per_k) == (0, ())
+                # on P3 the order ties with 3 and is listed first: the rainbow
+                full = n == 3
+                upper_by = "order-n" if full else "bipartite-3"
+                assert (stats.lower_by, stats.upper_by) == ("no-two-rule", upper_by)
+                if full:
+                    assert res.witness.colors == (1, 2, 3)
+                else:
+                    assert res.witness == bipartite_three_coloring(g)[0]
                 searched = chi_exact(g, "rlid", search_two=True)
-                assert (searched.value, searched.stats.closed_by) == (3, "search"), edges
-                assert [k for k, _ in searched.stats.per_k] == [1, 2, 3]
+                assert searched.value == 3, edges
+                assert searched.stats.lower_by == "search-infeasible"
+                assert searched.stats.upper_by == ("order-n" if full else "search-witness")
+                assert [k for k, _ in searched.stats.per_k] == ([1, 2] if full else [1, 2, 3])
                 checked += 1
         assert checked == 3248
 
@@ -455,9 +497,12 @@ class TestBipartiteClosure:
                     if closed[u] == closed[v]:
                         assert colors[u] == colors[v], edges
                 stats = res.stats
-                assert (stats.nodes, stats.per_k, stats.closed_by) == (0, (), "bipartite-3")
+                assert (stats.nodes, stats.per_k) == (0, ())
+                assert (stats.lower_by, stats.upper_by) == ("no-two-rule", "bipartite-3")
                 searched = chi_exact(g, "rlid", search_two=True)
-                assert (searched.value, searched.stats.closed_by) == (3, "search"), edges
+                assert searched.value == 3, edges
+                assert searched.stats.lower_by == "search-infeasible"
+                assert searched.stats.upper_by == "search-witness"
                 checked += 1
         assert checked == 4713
 
@@ -467,17 +512,18 @@ class TestBipartiteClosure:
     def test_clique_blow_ups_of_bipartite_graphs_close_under_a_one_node_budget(self, g):
         res = chi_exact(g, "rlid", Budget(1))
         assert (res.value, res.status, res.stats.nodes) == (3, "exact", 0)
-        assert res.stats.closed_by == "bipartite-3"
+        assert (res.stats.lower_by, res.stats.upper_by) == ("no-two-rule", "bipartite-3")
         assert is_rlid(g, res.witness)
         for cls in quotient(g)[1].classes:
             assert len({res.witness[v] for v in cls}) == 1
 
-    def test_disconnected_input_with_a_bipartite_twin_quotient_still_searches(self):
+    def test_disconnected_input_with_bipartite_twin_quotients_closes_too(self):
         paw = [(0, 1), (1, 2), (0, 2), (2, 3)]
         two_paws = build_graph(8, paw + [(u + 4, v + 4) for u, v in paw])
         res = chi_exact(two_paws, "rlid")
-        assert (res.value, res.status, res.stats.closed_by) == (3, "exact", "search")
-        assert res.stats.nodes > 0
+        assert (res.value, res.status, res.stats.nodes, res.stats.per_k) == (3, "exact", 0, ())
+        assert (res.stats.lower_by, res.stats.upper_by) == ("no-two-rule", "bipartite-3")
+        assert is_rlid(two_paws, res.witness)
 
     @pytest.mark.parametrize(
         "g",
@@ -489,21 +535,32 @@ class TestBipartiteClosure:
         ids=["paw", "5x5 grid x2", "C20 x3"],
     )
     def test_bipartite_three_coloring_keeps_its_bipartite_contract(self, g):
-        assert chi_exact(g, "rlid").stats.closed_by == "bipartite-3"
+        assert chi_exact(g, "rlid").stats.upper_by == "bipartite-3"
         with pytest.raises(GraphError, match="graph is not bipartite"):
             bipartite_three_coloring(g)
 
-    def test_disconnected_bipartite_input_still_searches(self):
-        two_p3 = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-        res = chi_exact(two_p3, "rlid")
-        assert (res.value, res.status, res.stats.closed_by) == (3, "exact", "search")
-        assert [k for k, _ in res.stats.per_k] == [1, 3]
-        assert res.stats.nodes > 0
+    def test_disconnected_bipartite_input_closes_too(self):
+        two_p3_and_k1 = build_graph(7, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        res = chi_exact(two_p3_and_k1, "rlid")
+        assert (res.value, res.status, res.stats.nodes, res.stats.per_k) == (3, "exact", 0, ())
+        assert (res.stats.lower_by, res.stats.upper_by) == ("no-two-rule", "bipartite-3")
+        assert res.witness.colors == (1, 2, 3, 1, 2, 3, 1)
 
-    @pytest.mark.parametrize("g", [cycle(5), complete(3), star_graph(1)], ids=["C5", "K3", "K2"])
-    def test_other_inputs_search(self, g):
+    @pytest.mark.parametrize(
+        "g, lower_by, upper_by, ks",
+        [
+            (cycle(5), "search-infeasible", "search-witness", [3, 4]),
+            (h_p(2).graph, "no-two-rule", "search-witness", [3]),
+            (complete(3), "one-color-rule", "one-color-rule", []),
+            (star_graph(1), "one-color-rule", "one-color-rule", []),
+            (complete(1), "one-color-rule", "order-n", []),
+        ],
+        ids=["C5", "h_p2", "K3", "K2", "K1"],
+    )
+    def test_other_inputs_name_the_bounds_that_met(self, g, lower_by, upper_by, ks):
         res = chi_exact(g, "rlid")
-        assert res.stats.closed_by == "search" and res.stats.per_k
+        assert (res.stats.lower_by, res.stats.upper_by) == (lower_by, upper_by)
+        assert [k for k, _ in res.stats.per_k] == ks
 
     @pytest.mark.parametrize("n", [1200, 10_000])
     def test_shuffled_long_path_closes_under_a_one_node_budget(self, n):
@@ -512,7 +569,7 @@ class TestBipartiteClosure:
         g = build_graph(n, [(label[v], label[v + 1]) for v in range(n - 1)])
         res = chi_exact(g, "rlid", Budget(1))
         assert (res.value, res.status, res.stats.nodes) == (3, "exact", 0)
-        assert res.stats.closed_by == "bipartite-3"
+        assert (res.stats.lower_by, res.stats.upper_by) == ("no-two-rule", "bipartite-3")
         assert is_rlid(g, res.witness)
         # the star-centre test reads vertex 0's open neighborhood mask,
         # so the closed-neighborhood masks are never built
@@ -521,7 +578,8 @@ class TestBipartiteClosure:
 
     def test_the_search_still_walks_a_long_path(self):
         res = chi_exact(path(1200), "rlid", search_two=True)
-        assert (res.value, res.status, res.stats.closed_by) == (3, "exact", "search")
+        assert (res.value, res.status) == (3, "exact")
+        assert (res.stats.lower_by, res.stats.upper_by) == ("search-infeasible", "search-witness")
         assert is_rlid(path(1200), res.witness)
 
 
