@@ -4,8 +4,8 @@ exhaustive enumeration.
 The k-decision engine colors vertices in a fixed order built so that
 pair checks fire early: each step takes the vertex that completes the
 most constrained pairs' ``N[u] | N[v]``, then the one with the most
-colored neighbors, then the one latest in the degeneracy elimination
-order (a static, pair-check version of DSATUR's saturation rule).  It
+colored neighbors, then the one of highest degree (higher index on
+ties; a static, pair-check version of DSATUR's saturation rule).  It
 breaks color symmetry by allowing at most one brand-new color per step
 and prunes as soon as both closed neighborhoods of a constrained pair
 are fully colored with equal color sets; each closed neighborhood's
@@ -74,8 +74,8 @@ from .graph import (
     BudgetExceeded,
     Graph,
     GraphError,
-    degeneracy,
     is_isomorphic,
+    mask_of,
     max_clique,
     members,
     twin_partition,
@@ -192,8 +192,8 @@ class _SearchPlan:
     neighbors in the forced-difference graph D (below), ``closes`` the
     constrained pairs whose ``N[u] | N[v]`` that vertex would complete,
     ``seen`` its colored neighbors, and ``rank`` its position in the
-    degeneracy elimination order (later is higher), so ties fall back
-    to reverse degeneracy order.  ``lead`` is 1 on a greedy clique of
+    vertices stably sorted by degree, so ties go to the higher degree,
+    then to the higher index.  ``lead`` is 1 on a greedy clique of
     D and 0 elsewhere: starting from every vertex as a candidate, the
     clique takes the candidate with the most D-neighbors among the
     candidates (higher rank on ties) and keeps only its D-neighbors as
@@ -256,6 +256,7 @@ class _SearchPlan:
 
         partners = [[] for _ in range(n)]  # per vertex: the vertices paired with it
         forced = [0] * n   # D's adjacency masks
+        pairs = 0
         triangle = False
         if mode != "proper":
             everyone = (1 << n) - 1
@@ -272,6 +273,7 @@ class _SearchPlan:
                         continue
                     partners[u].append(v)
                     partners[v].append(u)
+                    pairs += 1
                     both = cu & cv
                     ou, ov = cu ^ both, cv ^ both
                     if not (ou & (ou - 1) or ov & (ov - 1)):
@@ -297,13 +299,15 @@ class _SearchPlan:
                 self.clique = found
         self.slack = (len(self.clique) - 1).bit_length() if self.clique else 0
 
-        _, elim = degeneracy(g)
+        # rank: a stable sort by degree, so a tie goes to the higher
+        # degree, then to the higher index
+        deg = [a.bit_count() for a in adj]
         score = [0] * n
-        for rank, v in enumerate(elim):
+        for rank, v in enumerate(sorted(range(n), key=deg.__getitem__)):
             score[v] = rank
         seen_step = n + 1
         closes_step = seen_step * seen_step
-        forced_step = closes_step * (sum(map(len, partners)) // 2 + 1)
+        forced_step = closes_step * (pairs + 1)
         if any(f & (f - 1) for f in forced):
             # a greedy clique of D, led by the vertex with the most
             # D-neighbors among the candidates (higher score on ties)
@@ -327,7 +331,7 @@ class _SearchPlan:
                     score[v] += lead_step
         # proper mode has no pairs, so its forced masks are all zero
         differ = [a | d for a, d in zip(adj, forced)] if mode in ("proper", "lid") else forced
-        clique_members = set(self.clique)
+        clique_mask = mask_of(self.clique)
         uncolored = set(range(n))
         free = (1 << n) - 1  # the uncolored vertices
         steps = []
@@ -350,8 +354,10 @@ class _SearchPlan:
                 u = low.bit_length() - 1
                 if low & free:  # an uncolored neighbor of v
                     score[u] += seen_step
+                if not partners[u]:
+                    continue
                 own = closed[u] & free
-                if own & (own - 1) or not partners[u]:
+                if own & (own - 1):
                     continue
                 if not own:
                     closing.append((u, members(closed[u] ^ 1 << v)))
@@ -363,7 +369,7 @@ class _SearchPlan:
                         done.append((u, b))
                     elif not rest & (rest - 1):
                         score[rest.bit_length() - 1] += closes_step
-            steps.append((v, apart, tuple(closing), tuple(done), v in clique_members))
+            steps.append((v, apart, tuple(closing), tuple(done), clique_mask >> v & 1 == 1))
         self.steps = tuple(steps)
 
 

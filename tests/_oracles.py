@@ -415,14 +415,15 @@ def reference_plan(g, mode):
     Frozen copy of the pair-list form of ``rlid.solvers._SearchPlan``'s
     build: it lists the pairs first, then walks each pair's
     ``N[u] | N[v]`` once, testing each bit against two masks.  The
-    elimination order comes from ``brute_degeneracy`` and the clique
-    from the package's ``max_clique`` (the one shared piece).  ``mode``
-    is a search mode ("rlid", "lid", "id", "proper"); the twin-free
-    precondition is the caller's.  Returns ``(n, order, earlier,
-    checks, clique, slack, clique_before)``, each check being the pair
-    ``(u, v)`` with its ``(common, only_u, only_v)`` triple; the plan
-    holds order, earlier, the checks' pairs and clique_before (as a
-    flag) in its step records.
+    tie-break rank comes from its own insertion sort by degree (stable,
+    so ties keep index order) and the clique from the package's
+    ``max_clique`` (the one shared piece).  ``mode`` is a search mode
+    ("rlid", "lid", "id", "proper"); the twin-free precondition is the
+    caller's.  Returns ``(n, order, earlier, checks, clique, slack,
+    clique_before)``, each check being the pair ``(u, v)`` with its
+    ``(common, only_u, only_v)`` triple; the plan holds order, earlier,
+    the checks' pairs and clique_before (as a flag) in its step
+    records.
     """
     from rlid.graph import BudgetExceeded, max_clique
     from rlid.solvers import PLAN_CLIQUE_NODE_BUDGET, Budget
@@ -499,9 +500,16 @@ def reference_plan(g, mode):
             clique = found
     slack = (len(clique) - 1).bit_length() if clique else 0
 
-    _, elim = brute_degeneracy(n, list(g.edges()))
+    # rank: the vertices by degree, ties by index, sorted one swap at a time
+    deg = [a.bit_count() for a in adj]
+    ranked = list(range(n))
+    for i in range(1, n):
+        j = i
+        while j and deg[ranked[j - 1]] > deg[ranked[j]]:
+            ranked[j - 1], ranked[j] = ranked[j], ranked[j - 1]
+            j -= 1
     score = [0] * n
-    for rank, v in enumerate(elim):
+    for rank, v in enumerate(ranked):
         score[v] = rank
     seen_step = n + 1
     closes_step = seen_step * seen_step

@@ -386,6 +386,31 @@ class TestChiExact:
         assert sum(nodes for _, nodes in res.stats.per_k) == res.stats.nodes
         assert res.stats.clique == 16 == max_clique_size(quotient(g)[0])
 
+    @pytest.mark.parametrize(
+        "g, value, nodes, per_k",
+        [
+            (h_p(4).graph, 5, 53, ((3, 0), (4, 0), (5, 53))),
+            (h_p(5).graph, 6, 83, ((3, 0), (4, 0), (5, 0), (6, 83))),
+            (prop1_graph(4).graph, 4, 165, ((3, 9), (4, 156))),
+            (power_path(5), 9, 205, ((3, 0), (4, 6), (5, 15), (6, 27), (7, 35), (8, 76), (9, 46))),
+            (
+                power_path(6),
+                11,
+                363,
+                ((3, 0), (4, 6), (5, 15), (6, 27), (7, 35), (8, 44), (9, 54), (10, 115), (11, 67)),
+            ),
+            (q1(5).graph, 6, 125, ((3, 0), (4, 0), (5, 90), (6, 35))),
+            (q2(8).graph, 9, 239, ((3, 0), (4, 14), (5, 20), (6, 27), (7, 35), (8, 92), (9, 51))),
+            (g_star(wheel(5)).graph, 4, 69, ((3, 15), (4, 54))),
+        ],
+        ids=["h_p4", "h_p5", "prop1_4", "power_path5", "power_path6", "q1_5", "q2_8", "g_star_W5"],
+    )
+    def test_pinned_node_counts(self, g, value, nodes, per_k):
+        # the plan order's node cost: a change to the order shows here
+        res = chi_exact(g, "rlid")
+        assert (res.status, res.value, res.stats.nodes, res.stats.per_k) == ("exact", value, nodes, per_k)
+        assert is_rlid(g, res.witness)
+
 
 class TestDeepen:
     """One search plan deepened over the given palette sizes: exact at
