@@ -66,7 +66,7 @@ def _env_node_budget() -> int:
 
 
 def _chi(name, g, budget):
-    return solvers.chi_exact(g, name, budget, search_two=True).value
+    return solvers.chi_exact(g, name, budget).value
 
 
 # sweep's columns: name -> fn(graph, budget), each column with a fresh budget

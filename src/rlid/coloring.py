@@ -361,9 +361,8 @@ def _twin_edges_only(g: Graph, mask, twins: bool, root: int) -> bool:
 
 
 def _level_colors(g: Graph, twins: bool):
-    """The BFS-level coloring, unverified, as (one (root, level masks,
-    per-level (dead ends, others) lists) part per component that is not
-    a clique, colors), or None.
+    """The BFS-level coloring, unverified, as (one (root, level masks)
+    part per component that is not a clique, colors), or None.
 
     Each component is walked from its first vertex that is not
     universal in it (a clique has none and keeps color 1): the
@@ -395,16 +394,11 @@ def _level_colors(g: Graph, twins: bool):
         for level in level_masks[first:]:
             if not _twin_edges_only(g, level, twins, root):
                 return None
-        split = []
         for i, (level, deeper) in enumerate(zip(level_masks, level_masks[1:] + [0])):
             pair = _LEVEL_COLORS[i % 4]
-            a, b = [], []
             for v in members(level):
-                onward = adj[v] & deeper != 0
-                (b if onward else a).append(v)
-                colors[v] = pair[onward]
-            split.append((a, b))
-        parts.append((root, level_masks, split))
+                colors[v] = pair[adj[v] & deeper != 0]
+        parts.append((root, level_masks))
     return parts, colors
 
 
@@ -466,11 +460,13 @@ def bipartite_three_coloring(g: Graph):
         if not g.is_connected():
             raise GraphError("need a connected graph")
         raise GraphError("graph is not bipartite")
-    root, level_masks, split = parts[0]
-    decomp = LevelDecomposition(
-        root,
-        tuple(map(members, level_masks)),
-        tuple(tuple(a) for a, _ in split),
-        tuple(tuple(b) for _, b in split),
-    )
+    root, level_masks = parts[0]
+    adj = g.adj
+    levels, a_sets, b_sets = [], [], []
+    for level, deeper in zip(level_masks, level_masks[1:] + [0]):
+        vs = members(level)
+        levels.append(vs)
+        a_sets.append(tuple(v for v in vs if not adj[v] & deeper))
+        b_sets.append(tuple(v for v in vs if adj[v] & deeper))
+    decomp = LevelDecomposition(root, tuple(levels), tuple(a_sets), tuple(b_sets))
     return _verified(g, colors, "connected bipartite graph"), decomp

@@ -45,10 +45,12 @@ for every valid coloring:
   With k colors there are only 2^(k - |C(K)|) supersets of C(K), so
   |C(K)| <= k - ceil(log2 |K|).  C(K) only grows as the search colors
   more of K, so a partial coloring that breaks the bound has no valid
-  completion.  The plan uses a maximum such clique when it has at
-  least three members.  The search keeps C(K) as one color mask per
-  step, extended when it advances past a member, so a member's step
-  tests the bound with one bit count.
+  completion.  Any such clique serves, so the plan grows a greedy
+  clique over the twin-class representatives, by the rule that picks
+  the clique of D above, and uses it when it has at least three
+  members.  The search keeps C(K) as one color mask per step, extended
+  when it advances past a member, so a member's step tests the bound
+  with one bit count.
 
 Both cuts only compare or count colors, so renaming colors keeps them;
 the at-most-one-new-color rule and the values stay exact.
@@ -76,14 +78,12 @@ from .graph import (
     GraphError,
     is_isomorphic,
     mask_of,
-    max_clique,
     members,
     twin_partition,
     twin_representatives,
 )
 
 DEFAULT_NODE_BUDGET = 10_000_000
-PLAN_CLIQUE_NODE_BUDGET = 10_000
 
 
 @dataclass(frozen=True)
@@ -179,6 +179,32 @@ def _require_twin_free(g: Graph):
             )
 
 
+def _greedy_clique(nbrs, cand, rank) -> list:
+    """A clique inside the mask ``cand``, as its vertices in pick order.
+
+    Each pick takes the candidate with the most neighbors among the
+    candidates (``nbrs`` holds one neighbor mask per vertex), the
+    higher ``rank`` on ties, and keeps only the pick's neighbors as
+    candidates, until none is left.  ``rank`` holds distinct values in
+    0..len(rank) - 1.
+    """
+    step = len(rank) + 1
+    clique = []
+    while cand:
+        best = best_key = -1
+        rest = cand
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            key = (nbrs[w] & cand).bit_count() * step + rank[w]
+            if key > best_key:
+                best, best_key = w, key
+            rest ^= low
+        clique.append(best)
+        cand &= nbrs[best]
+    return clique
+
+
 class _SearchPlan:
     """Per-(graph, parameter) precomputation shared across k values.
 
@@ -193,17 +219,15 @@ class _SearchPlan:
     constrained pairs whose ``N[u] | N[v]`` that vertex would complete,
     ``seen`` its colored neighbors, and ``rank`` its position in the
     vertices stably sorted by degree, so ties go to the higher degree,
-    then to the higher index.  ``lead`` is 1 on a greedy clique of
-    D and 0 elsewhere: starting from every vertex as a candidate, the
-    clique takes the candidate with the most D-neighbors among the
-    candidates (higher rank on ties) and keeps only its D-neighbors as
-    candidates, until none is left.  Every valid coloring gives the
-    clique pairwise distinct colors, so coloring it first refutes a
-    too-small k in a few steps.  The lead applies only to a clique of
-    three or more members, and the clique is grown only when some
-    vertex has two or more D-neighbors.  Any fixed order keeps the
-    search exact and the at-most-one-new-color rule valid; proper mode
-    has no D, so its order is unchanged.
+    then to the higher index.  ``lead`` is 1 on a greedy clique of D
+    (``_greedy_clique`` over all vertices) and 0 elsewhere.  Every
+    valid coloring gives the clique pairwise distinct colors, so
+    coloring it first refutes a too-small k in a few steps, as DSATUR
+    (Brelaz, CACM 1979) colors a clique first.  The lead applies only
+    to a clique of three or more members, and the clique is grown only
+    when some vertex has two or more D-neighbors.  Any fixed order
+    keeps the search exact and the at-most-one-new-color rule valid;
+    proper mode has no D, so its order is unchanged.
 
     ``earlier`` lists the vertices colored before v that must get
     another color: its D-neighbors, and in proper and lid modes its
@@ -229,17 +253,18 @@ class _SearchPlan:
       ``N[u] - N[v] = {a}`` and N[v] inside N[u] compares C(N[v]) + c(a)
       with C(N[v]), so c(a) differs from every color on N[v].  D holds
       these pairs.
-    - Clique color count.  ``clique`` is a maximum clique K of
-      pairwise non-twins (over twin-class representatives), kept when
-      |K| >= 3.  Every member's N[] contains K, so its color set
+    - Clique color count.  ``clique`` is a greedy clique K of the
+      graph (``_greedy_clique`` over the twin-class representatives,
+      the same rule as the lead), so its members are pairwise
+      non-twins, kept when |K| >= 3; any such clique serves, a maximum
+      one or not.  Every member's N[] contains K, so its color set
       contains C(K), the colors on K; the |K| sets differ, and k colors
       offer 2^(k - |C(K)|) supersets of C(K).  So |C(K)| <= k - ``slack``
       with ``slack = ceil(log2 |K|)``, and C(K) only grows as the search
       colors more of K, so the cut is checked only at the steps whose
-      ``in_clique`` is set.  The clique search runs only when an
-      adjacent constrained pair has a common neighbor (a triangle of
-      non-twins needs one), and gives up without a cut past
-      ``PLAN_CLIQUE_NODE_BUDGET`` nodes.
+      ``in_clique`` is set.  The clique is grown only when an adjacent
+      constrained pair has a common neighbor (a triangle of non-twins
+      needs one).
 
     ``plan_cost`` bounds the work of this build in search nodes.
     """
@@ -289,42 +314,24 @@ class _SearchPlan:
                     if not triangle and both.bit_count() > 2 and adj[u] >> v & 1:
                         triangle = True
 
-        self.clique = ()
-        if triangle:
-            try:
-                found = max_clique(g, Budget(PLAN_CLIQUE_NODE_BUDGET), twin_representatives(g))
-            except BudgetExceeded:
-                found = ()
-            if len(found) >= 3:
-                self.clique = found
-        self.slack = (len(self.clique) - 1).bit_length() if self.clique else 0
-
         # rank: a stable sort by degree, so a tie goes to the higher
         # degree, then to the higher index
         deg = [a.bit_count() for a in adj]
         score = [0] * n
         for rank, v in enumerate(sorted(range(n), key=deg.__getitem__)):
             score[v] = rank
+        self.clique = ()
+        if triangle:
+            found = _greedy_clique(adj, twin_representatives(g), score)
+            if len(found) >= 3:
+                self.clique = tuple(found)
+        self.slack = (len(self.clique) - 1).bit_length() if self.clique else 0
+
         seen_step = n + 1
         closes_step = seen_step * seen_step
         forced_step = closes_step * (pairs + 1)
         if any(f & (f - 1) for f in forced):
-            # a greedy clique of D, led by the vertex with the most
-            # D-neighbors among the candidates (higher score on ties)
-            lead = []
-            cand = (1 << n) - 1
-            while cand:
-                best = best_key = -1
-                rest = cand
-                while rest:
-                    low = rest & -rest
-                    w = low.bit_length() - 1
-                    key = (forced[w] & cand).bit_count() * seen_step + score[w]
-                    if key > best_key:
-                        best, best_key = w, key
-                    rest ^= low
-                lead.append(best)
-                cand &= forced[best]
+            lead = _greedy_clique(forced, (1 << n) - 1, score)
             if len(lead) >= 3:
                 lead_step = forced_step * n
                 for v in lead:

@@ -2,10 +2,10 @@
 
 Everything here works on (n, edge list) pairs with plain Python sets and
 itertools, sharing no code with the package under test, except that
-``reference_plan`` borrows its clique search, ``reference_search`` the
-budget exception, ``reference_full_palette`` its graph operations
-and isomorphism test, and ``reference_quotient_three_coloring`` the
-components, the twin quotient and the bipartite level coloring.
+``reference_search`` borrows the budget exception,
+``reference_full_palette`` its graph operations and isomorphism test,
+and ``reference_quotient_three_coloring`` the components, the twin
+quotient and the bipartite level coloring.
 Deliberately slow; intended for n up to about 7.
 """
 
@@ -416,18 +416,14 @@ def reference_plan(g, mode):
     build: it lists the pairs first, then walks each pair's
     ``N[u] | N[v]`` once, testing each bit against two masks.  The
     tie-break rank comes from its own insertion sort by degree (stable,
-    so ties keep index order) and the clique from the package's
-    ``max_clique`` (the one shared piece).  ``mode`` is a search mode
-    ("rlid", "lid", "id", "proper"); the twin-free precondition is the
-    caller's.  Returns ``(n, order, earlier, checks, clique, slack,
-    clique_before)``, each check being the pair ``(u, v)`` with its
-    ``(common, only_u, only_v)`` triple; the plan holds order, earlier,
-    the checks' pairs and clique_before (as a flag) in its step
-    records.
+    so ties keep index order), and both greedy cliques from loops of
+    its own.  ``mode`` is a search mode ("rlid", "lid", "id",
+    "proper"); the twin-free precondition is the caller's.  Returns
+    ``(n, order, earlier, checks, clique, slack, clique_before)``, each
+    check being the pair ``(u, v)`` with its ``(common, only_u,
+    only_v)`` triple; the plan holds order, earlier, the checks' pairs
+    and clique_before (as a flag) in its step records.
     """
-    from rlid.graph import BudgetExceeded, max_clique
-    from rlid.solvers import PLAN_CLIQUE_NODE_BUDGET, Budget
-
     n = g.n
     adj, closed = g.adj, g.closed
 
@@ -484,22 +480,6 @@ def reference_plan(g, mode):
         if not triangle and len(common) > 2 and adj[u] >> v & 1:
             triangle = True
 
-    clique = ()
-    if triangle:
-        # the smallest vertex of each twin class
-        reps, seen = 0, set()
-        for v in range(n):
-            if closed[v] not in seen:
-                seen.add(closed[v])
-                reps |= 1 << v
-        try:
-            found = max_clique(g, Budget(PLAN_CLIQUE_NODE_BUDGET), reps)
-        except BudgetExceeded:
-            found = ()
-        if len(found) >= 3:
-            clique = found
-    slack = (len(clique) - 1).bit_length() if clique else 0
-
     # rank: the vertices by degree, ties by index, sorted one swap at a time
     deg = [a.bit_count() for a in adj]
     ranked = list(range(n))
@@ -511,6 +491,26 @@ def reference_plan(g, mode):
     score = [0] * n
     for rank, v in enumerate(ranked):
         score[v] = rank
+    clique = ()
+    if triangle:
+        # a greedy clique over the smallest vertex of each twin class:
+        # the candidate with the most neighbors among the candidates
+        # (higher rank on ties), then only its neighbors, until none is left
+        nbrs = adjacency(n, g.edges())
+        cand, seen = set(), set()
+        for v in range(n):
+            if closed[v] not in seen:
+                seen.add(closed[v])
+                cand.add(v)
+        found = []
+        while cand:
+            best = max(cand, key=lambda w: (len(nbrs[w] & cand), score[w]))
+            found.append(best)
+            cand &= nbrs[best]
+        if len(found) >= 3:
+            clique = tuple(found)
+    slack = (len(clique) - 1).bit_length() if clique else 0
+
     seen_step = n + 1
     closes_step = seen_step * seen_step
     forced_step = closes_step * (len(layout) + 1)

@@ -914,6 +914,19 @@ class TestCli:
         assert captured.out.splitlines()[1].split("\t")[4:] == ["budget", "skip"]
         assert captured.err == "sweep: 1 graphs, 0 failures, 1 skipped\n"
 
+    def test_sweep_rlid_column_uses_the_bounds_of_solve(self, tmp_path, capsys):
+        # every connected graph of order <= 3 closes without a search, so
+        # a one-node budget answers each row as it answers solve
+        argv = ["sweep", "--max-n", "3", "--params", "rlid", "--node-budget", "1"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        rlid = [row.split("\t")[4] for row in captured.out.splitlines()[1:]]
+        assert rlid == ["1", "1", "3", "3", "3", "1"]
+        assert captured.err == "sweep: 6 graphs, 0 failures, 0 skipped\n"
+        p = _write(tmp_path, "p3.txt", "3\n0 1\n1 2\n")
+        assert main(["solve", "-i", p, "--node-budget", "1"]) == 0
+        assert capsys.readouterr().out.startswith("rlid = 3\n# nodes=0 ")
+
     def test_sweep_marks_a_failed_precondition(self, capsys):
         # lid needs a twin-free graph, and K2 is one twin class
         argv = ["sweep", "--max-n", "2", "--params", "lid,rlid", "--assert", "lid >= rlid"]

@@ -106,8 +106,9 @@ class TestSearchPlan:
                     if spec.mode in ("proper", "lid"):
                         want.update(w for w in nbrs[v] if pos[w] < i)
                     assert sorted(earlier) == sorted(want)
-                # the cut's clique: pairwise adjacent non-twins, as large
-                # as the quotient's maximum clique, and only from size 3
+                # the cut's clique: pairwise adjacent non-twins, only
+                # from size 3; below order 6 the greedy clique is always
+                # as large as the quotient's maximum clique
                 for a, b in combinations(plan.clique, 2):
                     assert b in nbrs[a] and closed[a] != closed[b]
                 omega = brute_max_clique(*brute_quotient(n, edges))
@@ -130,14 +131,25 @@ class TestSearchPlan:
         for a, b in combinations(head, 2):
             assert frozenset((a, b)) in forced
 
-    def test_clique_search_past_its_budget_leaves_no_cut(self, monkeypatch):
-        g = h_p(3).graph
-        assert len(_SearchPlan(g, PARAMETERS["rlid"]).clique) == 8
-        monkeypatch.setattr("rlid.solvers.PLAN_CLIQUE_NODE_BUDGET", 1)
+    def test_greedy_cut_clique_below_the_maximum(self):
+        # vertex 6 sees every other vertex; among its neighbors 0, 2 and 4
+        # tie at three neighbors and degree 4, so the higher index, 4,
+        # goes next, and of its neighbors 1, 2 and 5 (no edge among them)
+        # the one of highest degree, 2.  The maximum clique is {0, 2, 3, 6}.
+        n = 7
+        edges = [(0, 2), (0, 3), (0, 5), (0, 6), (1, 4), (1, 6), (2, 3),
+                 (2, 4), (2, 6), (3, 6), (4, 5), (4, 6), (5, 6)]
+        g = build_graph(n, edges)
         plan = _SearchPlan(g, PARAMETERS["rlid"])
-        assert (plan.clique, plan.slack) == ((), 0)
-        assert not any(in_clique for _, _, _, _, in_clique in plan.steps)
-        assert chi_exact(g, "rlid").value == 4
+        assert plan.clique == reference_plan(g, "rlid")[4] == (6, 4, 2)
+        assert brute_max_clique(*brute_quotient(n, edges)) == 4
+        closed = closed_neighborhoods(n, edges)
+        for a, b in combinations(plan.clique, 2):
+            assert g.has_edge(a, b) and closed[a] != closed[b]
+        res = chi_exact(g, "rlid")
+        assert res.stats.clique == 3
+        assert res.value == brute_chi(n, edges, brute_is_rlid)
+        assert is_rlid(g, res.witness)
 
     def test_plan_matches_the_reference_build(self):
         # the partner walk builds the same plan as the pair-list build it
@@ -392,12 +404,12 @@ class TestChiExact:
             (h_p(4).graph, 5, 53, ((3, 0), (4, 0), (5, 53))),
             (h_p(5).graph, 6, 83, ((3, 0), (4, 0), (5, 0), (6, 83))),
             (prop1_graph(4).graph, 4, 165, ((3, 9), (4, 156))),
-            (power_path(5), 9, 205, ((3, 0), (4, 6), (5, 15), (6, 27), (7, 35), (8, 76), (9, 46))),
+            (power_path(5), 9, 156, ((3, 0), (4, 3), (5, 6), (6, 10), (7, 15), (8, 76), (9, 46))),
             (
                 power_path(6),
                 11,
-                363,
-                ((3, 0), (4, 6), (5, 15), (6, 27), (7, 35), (8, 44), (9, 54), (10, 115), (11, 67)),
+                291,
+                ((3, 0), (4, 3), (5, 6), (6, 10), (7, 15), (8, 21), (9, 54), (10, 115), (11, 67)),
             ),
             (q1(5).graph, 6, 125, ((3, 0), (4, 0), (5, 90), (6, 35))),
             (q2(8).graph, 9, 239, ((3, 0), (4, 14), (5, 20), (6, 27), (7, 35), (8, 92), (9, 51))),
