@@ -37,8 +37,40 @@ class BudgetExceeded(RuntimeError):
         self.nodes = nodes
 
 
+def _byte_table(shift: int) -> tuple:
+    """For each byte value b, the set bit positions of ``b << shift``.
+
+    Built by doubling: the entries for b + 2**i are those for b with
+    ``shift + i`` appended.
+    """
+    table = ((),)
+    for i in range(shift, shift + 8):
+        table += tuple(t + (i,) for t in table)
+    return table
+
+
+_BYTE0, _BYTE1, _BYTE2, _BYTE3 = (_byte_table(shift) for shift in (0, 8, 16, 24))
+
+
 def members(mask: int) -> tuple:
-    """The set bit positions of ``mask`` in increasing order, as a tuple."""
+    """The set bit positions of ``mask`` in increasing order, as a tuple.
+
+    ``mask`` must be a non-negative int; a negative one raises
+    ``ValueError``.  Below 2**32 (graphs of up to 32 vertices) the answer
+    is one to four byte-table lookups joined; a larger mask walks its
+    set bits one at a time.
+    """
+    if mask < 0x100:
+        if mask < 0:
+            raise ValueError("members needs a non-negative mask")
+        return _BYTE0[mask]
+    if mask < 0x10000:
+        return _BYTE0[mask & 0xFF] + _BYTE1[mask >> 8]
+    if mask < 0x1000000:
+        return _BYTE0[mask & 0xFF] + _BYTE1[mask >> 8 & 0xFF] + _BYTE2[mask >> 16]
+    if mask < 0x100000000:
+        return (_BYTE0[mask & 0xFF] + _BYTE1[mask >> 8 & 0xFF]
+                + _BYTE2[mask >> 16 & 0xFF] + _BYTE3[mask >> 24])
     out = []
     while mask:
         low = mask & -mask

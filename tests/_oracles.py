@@ -334,6 +334,11 @@ def all_labeled_graphs(n):
         yield [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
 
 
+def reference_members(mask):
+    """The set bit positions of a non-negative mask, read off its binary digits."""
+    return tuple(i for i, digit in enumerate(reversed(bin(mask)[2:])) if digit == "1")
+
+
 def _mask_bits(mask):
     while mask:
         low = mask & -mask

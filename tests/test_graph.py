@@ -1,5 +1,7 @@
 """Graph construction, twin machinery, and structural queries."""
 
+import random
+
 import pytest
 
 from rlid import (
@@ -36,7 +38,34 @@ from _oracles import (
     brute_distance_classes,
     brute_max_clique,
     closed_neighborhoods,
+    reference_members,
 )
+
+
+class TestMembers:
+    def test_every_mask_below_two_to_the_sixteen(self):
+        for mask in range(1 << 16):
+            assert members(mask) == reference_members(mask), mask
+
+    @pytest.mark.parametrize("bits", [0, 8, 16, 24, 32])
+    def test_each_table_edge(self, bits):
+        for mask in ((1 << bits) - 1, 1 << bits, (1 << bits) + 1):
+            got = members(mask)
+            assert type(got) is tuple
+            assert got == reference_members(mask), hex(mask)
+
+    def test_seeded_masks_past_the_tables(self):
+        rng = random.Random(7)
+        for bits in [33, 64, 50_000] + [rng.randint(33, 50_000) for _ in range(20)]:
+            mask = rng.getrandbits(bits) | 1 << (bits - 1)
+            got = members(mask)
+            assert type(got) is tuple
+            assert got == reference_members(mask), bits
+
+    @pytest.mark.parametrize("mask", [-1, -2, -256, -(1 << 40)])
+    def test_negative_mask_rejected(self, mask):
+        with pytest.raises(ValueError, match="non-negative"):
+            members(mask)
 
 
 class TestBuildGraph:
